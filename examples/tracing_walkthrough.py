@@ -1,19 +1,16 @@
 """Observability walkthrough: spans, request ids, metrics, export.
 
 Cupid's pipeline crosses a lot of machinery on one request — HTTP
-edge, service session pool, repository index, match pipeline, and
-(for large planes) a pool of shard worker *processes*. The tracer in
-:mod:`repro.obs.trace` stitches all of it into one span tree per
-request. This walkthrough:
+edge, service session pool, repository index, and match pipeline.
+The tracer in :mod:`repro.obs.trace` stitches all of it into one span
+tree per request. This walkthrough:
 
 1. arms the tracer (disarmed it costs one ``None``-check per site —
    the same discipline as the fault-injection layer) and runs a
-   worker-sharded match, printing the span tree: pipeline stages,
-   TreeMatch passes, and the ``parallel.worker.*`` spans that were
-   built in child processes and re-parented at the op barrier;
+   match, printing the span tree: pipeline stages and TreeMatch
+   passes with their compared/pruned/scaled counters;
 2. exports the same tree as Chrome trace-event JSON — load it in
-   chrome://tracing or https://ui.perfetto.dev to see the shard
-   processes on their own pid tracks;
+   chrome://tracing or https://ui.perfetto.dev;
 3. starts the HTTP daemon and sends a ``"trace": true`` search:
    the response carries the request's tree inline, every span
    stamped with the request id from the ``X-Request-Id`` header;
@@ -29,7 +26,6 @@ import threading
 import urllib.request
 
 from repro import CupidMatcher, SchemaRepository
-from repro.config import CupidConfig
 from repro.datasets.generator import PerturbationConfig, SchemaGenerator
 from repro.io.json_io import schema_to_dict
 from repro.obs import trace
@@ -77,12 +73,11 @@ def main():
         schema, PerturbationConfig(abbreviate=0.3, synonym=0.2)
     )
 
-    # -- 1. a traced, worker-sharded match ---------------------------
+    # -- 1. a traced match ------------------------------------------
     trace.arm()
-    config = CupidConfig().replace(workers=2, parallel_leaf_threshold=1)
-    CupidMatcher(config=config).match(schema, other)
+    CupidMatcher().match(schema, other)
     (root,) = trace.take_roots()
-    print("== span tree of one sharded match ==")
+    print("== span tree of one match ==")
     show(trace.span_tree(root))
 
     # -- 2. Chrome trace export --------------------------------------
@@ -90,16 +85,14 @@ def main():
         suffix=".json", delete=False
     ) as handle:
         events = trace.write_chrome_trace(handle.name, [root])
-    pids = {e["pid"] for e in trace.chrome_trace_events([root])}
     print(
-        f"\n== chrome trace ==\n{events} events across {len(pids)} "
-        f"process(es) -> {handle.name}\n(open in chrome://tracing or "
-        "ui.perfetto.dev)"
+        f"\n== chrome trace ==\n{events} events -> {handle.name}\n"
+        "(open in chrome://tracing or ui.perfetto.dev)"
     )
 
     # -- 3. a traced request through the daemon ----------------------
     with tempfile.TemporaryDirectory() as tmp:
-        repository = SchemaRepository(tmp, config=config)
+        repository = SchemaRepository(tmp)
         repository.ingest(schema)
         repository.save()
         service = MatchService(repository, sessions=1)

@@ -142,13 +142,6 @@ def _add_match_options(parser: argparse.ArgumentParser) -> None:
         help="tile edge length for --store blocked (default: auto)",
     )
     parser.add_argument(
-        "--workers", type=int, default=None, metavar="N",
-        help="worker processes for tile-sharded TreeMatch scans "
-             "(default: 1 = in-process; 0 = one per CPU core; pairs "
-             "below the parallel leaf threshold stay serial either "
-             "way; results are bit-identical at any setting)",
-    )
-    parser.add_argument(
         "--pipeline", default=None, metavar="STAGE=VARIANT[,...]",
         help="substitute registered stage variants (linguistic=off, "
              "structural=no-context, mapping=one-to-one, "
@@ -162,8 +155,8 @@ def _add_match_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--trace", default=None, metavar="FILE",
         help="write this run's span tree (pipeline stages, TreeMatch "
-             "passes, sharded workers) as Chrome trace-event JSON, "
-             "loadable in chrome://tracing or Perfetto",
+             "passes) as Chrome trace-event JSON, loadable in "
+             "chrome://tracing or Perfetto",
     )
 
 
@@ -255,7 +248,7 @@ def _build_parser() -> argparse.ArgumentParser:
     search.add_argument(
         "--trace", default=None, metavar="FILE",
         help="write the search's span tree (index ranking, candidate "
-             "matches, sharded workers) as Chrome trace-event JSON",
+             "matches) as Chrome trace-event JSON",
     )
 
     serve = commands.add_parser(
@@ -334,8 +327,6 @@ def _config_from_args(
         config = config.replace(store=args.store)
     if args.block_size is not None:
         config = config.replace(block_size=args.block_size)
-    if getattr(args, "workers", None) is not None:
-        config = config.replace(workers=args.workers)
     return config
 
 

@@ -33,23 +33,6 @@ def _default_token_weights() -> Dict["TokenType", float]:
     }
 
 
-def _default_workers() -> int:
-    """``1`` (in-process) unless ``REPRO_FORCE_WORKERS`` is set, the
-    switch the CI 2-worker job uses to route every eligible store
-    operation through the sharded parallel layer without touching test
-    code. ``0`` means auto-size by CPU count at store-build time."""
-    raw = os.environ.get("REPRO_FORCE_WORKERS")
-    return int(raw) if raw else 1
-
-
-def _default_parallel_threshold() -> int:
-    """Leaf threshold below which planes stay serial regardless of
-    ``workers``. ``REPRO_FORCE_PARALLEL_THRESHOLD`` overrides it so CI
-    can force tiny fuzz planes through the parallel paths."""
-    raw = os.environ.get("REPRO_FORCE_PARALLEL_THRESHOLD")
-    return int(raw) if raw else 256
-
-
 def _default_dense_backend() -> str:
     """``"auto"`` unless ``REPRO_FORCE_STDLIB`` is set in the
     environment, which forces the pure-stdlib fallback even when numpy
@@ -224,24 +207,6 @@ class CupidConfig:
     #: ablation baseline).
     linguistic_batch_ns: bool = True
 
-    #: Worker processes for the tile-sharded parallel TreeMatch layer
-    #: (:mod:`repro.structure.parallel`). ``1`` (the default) is the
-    #: current in-process path; ``0`` auto-sizes to the CPU count; ``N
-    #: > 1`` shards strong-link scans and cinc/cdec block multiplies
-    #: across N processes over tile-row stripes of the wsim plane.
-    #: Bit-identical to serial execution (fuzz-parity-tested with a
-    #: workers axis); planes below :attr:`parallel_leaf_threshold`
-    #: leaves per side always stay serial. The default honors
-    #: ``REPRO_FORCE_WORKERS``.
-    workers: int = field(default_factory=_default_workers)
-
-    #: Minimum leaves on the larger side of a pair before ``workers``
-    #: applies — below it process fan-out costs more than the scans it
-    #: spreads. The default honors ``REPRO_FORCE_PARALLEL_THRESHOLD``.
-    parallel_leaf_threshold: int = field(
-        default_factory=_default_parallel_threshold
-    )
-
     #: Path of a persistent linguistic memo cache (``simcache.json``)
     #: for standalone :class:`~repro.pipeline.session.MatchSession`
     #: use — the same dirty-gated, fingerprint-checked store the schema
@@ -286,7 +251,7 @@ class CupidConfig:
     serving_compaction_backoff_s: float = 0.5
 
     #: Base of the jittered ``Retry-After`` header the HTTP daemon
-    #: attaches to 503 responses (overload / dead worker pool): the
+    #: attaches to 503 responses (overload / closed service): the
     #: advertised delay is uniform in [base, 2*base] seconds so a
     #: fleet of backing-off clients doesn't reconverge in lockstep.
     #: ``0`` omits the header.
@@ -368,15 +333,6 @@ class CupidConfig:
             raise ConfigError(
                 f"auto_store_leaf_threshold "
                 f"({self.auto_store_leaf_threshold}) must be >= 1"
-            )
-        if self.workers < 0:
-            raise ConfigError(
-                f"workers ({self.workers}) must be >= 0 (0 = auto)"
-            )
-        if self.parallel_leaf_threshold < 1:
-            raise ConfigError(
-                f"parallel_leaf_threshold "
-                f"({self.parallel_leaf_threshold}) must be >= 1"
             )
         if self.max_prepared_schemas < 0:
             raise ConfigError(

@@ -73,15 +73,6 @@ class ConfigError(MatchError):
     """
 
 
-class ParallelError(MatchError):
-    """Raised when the tile-sharded parallel layer cannot complete an
-    operation — a worker process died mid-request, a reply pipe broke,
-    or a shard reported an internal failure. The store never silently
-    falls back to serial on these: the error names the worker and the
-    operation so the failure is diagnosable.
-    """
-
-
 class MappingError(ReproError):
     """Raised for ill-formed mappings (unknown elements, bad confidence)."""
 

@@ -4,11 +4,10 @@ tests.
 A long-lived match service dies in ways unit tests never exercise by
 accident: the process killed between an artifact write and the
 manifest publish, a segment file torn mid-write, a disk returning
-``ENOSPC``, a worker process disappearing under a request. This module
-makes those failures *reproducible*: a process-wide :class:`FaultPlan`
-names injection **sites** threaded through the repository and serving
-hot paths, and each armed rule fires a chosen failure on chosen
-invocations of its site.
+``ENOSPC``. This module makes those failures *reproducible*: a
+process-wide :class:`FaultPlan` names injection **sites** threaded
+through the repository and serving hot paths, and each armed rule
+fires a chosen failure on chosen invocations of its site.
 
 Sites currently wired (grep for the literal string to find the code)::
 
@@ -20,7 +19,6 @@ Sites currently wired (grep for the literal string to find the code)::
     segment.read        index segment file read (open path)
     artifact.serialize  prepared-schema serialization
     artifact.restore    prepared-schema restoration
-    parallel.request    worker-pool request transaction
     serve.execute       service request execution (pool thread)
 
 Actions::
@@ -32,8 +30,6 @@ Actions::
     torn        publish HALF the payload bytes, then kill (write sites)
     kill_after  complete the write (rename + fsync), then kill
     corrupt     flip one payload byte after the rename (write sites)
-    kill_worker publish a die message to one pool worker (parallel
-                sites) so the next transaction finds it gone
 
 The plan is **seeded and env-configurable**: ``REPRO_FAULTS`` is
 parsed at import and armed automatically, so a subprocess inherits its
@@ -63,7 +59,7 @@ import time
 from typing import Dict, List, Optional
 
 #: Exit status of injected kills — distinct from Python tracebacks (1)
-#: and the worker crash hook (17), and recognizable as SIGKILL-style.
+#: and recognizable as SIGKILL-style.
 KILL_EXIT_CODE = 137
 
 #: Seconds the ``delay`` action sleeps.
@@ -73,10 +69,7 @@ DELAY_SECONDS = 0.05
 #: site entry; :func:`action` returns them for the writer to apply.
 WRITE_SHAPING_ACTIONS = frozenset({"torn", "kill_after", "corrupt"})
 
-#: Actions handled by the caller (not executed inside ``fire``).
-DEFERRED_ACTIONS = WRITE_SHAPING_ACTIONS | {"kill_worker"}
-
-ACTIONS = DEFERRED_ACTIONS | {"oserror", "enospc", "delay", "kill"}
+ACTIONS = WRITE_SHAPING_ACTIONS | {"oserror", "enospc", "delay", "kill"}
 
 
 class FaultSpecError(ValueError):
@@ -134,8 +127,8 @@ class FaultPlan:
         """Count an invocation of ``site``; execute or return its fault.
 
         Immediate actions (``oserror``/``enospc``/``delay``/``kill``)
-        happen right here; deferred ones (write shaping,
-        ``kill_worker``) are returned for the caller to apply.
+        happen right here; write-shaping ones are returned for the
+        caller to apply.
         """
         rule = self.rules.get(site)
         if rule is None:
@@ -145,7 +138,7 @@ class FaultPlan:
         if not fires:
             return None
         fault = rule.fault
-        if fault in DEFERRED_ACTIONS:
+        if fault in WRITE_SHAPING_ACTIONS:
             return fault
         if fault == "delay":
             time.sleep(DELAY_SECONDS)
@@ -246,10 +239,10 @@ def ambient_seed() -> Optional[int]:
 
 
 def action(site: str) -> Optional[str]:
-    """Fire ``site``; returns a deferred action name or ``None``.
+    """Fire ``site``; returns a write-shaping action name or ``None``.
 
     Immediate faults raise/kill/sleep inside this call. Callers that
-    cannot apply deferred actions use :func:`check` instead.
+    cannot apply write-shaping actions use :func:`check` instead.
     """
     plan = _PLAN
     if plan is None:
@@ -260,8 +253,8 @@ def action(site: str) -> Optional[str]:
 def check(site: str) -> None:
     """Fire ``site`` for its immediate faults only.
 
-    Deferred (write-shaping / worker) actions are ignored here — a
-    site checked through this helper has no write to shape.
+    Write-shaping actions are ignored here — a site checked through
+    this helper has no write to shape.
     """
     plan = _PLAN
     if plan is None:

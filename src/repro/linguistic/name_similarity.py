@@ -675,9 +675,17 @@ class NameSimilarityMemo:
         cold-token cost of the category-class compatibility scan is
         paid once per deployment, not once per process. Values
         round-trip bit-exactly through JSON (repr-based floats).
+
+        Safe while other threads fill the memo: search threads write
+        it without a lock, so nothing here iterates a live dict. Each
+        iteration runs over a snapshot taken by one C call (atomic under
+        the GIL): ``dict.copy()`` for the small token tier, the key list
+        for the large element tier (a full copy of it would double the
+        export's peak memory). Element entries are only ever added, so
+        every snapshotted key stays readable.
         """
         return {
-            "token": {a: dict(row) for a, row in self._token.items()},
+            "token": {a: row.copy() for a, row in self._token.copy().items()},
             "element": self._nest(self._element),
         }
 
@@ -714,8 +722,8 @@ class NameSimilarityMemo:
         flat: Dict[Tuple[str, str], float]
     ) -> Dict[str, Dict[str, float]]:
         nested: Dict[str, Dict[str, float]] = {}
-        for (a, b), value in flat.items():
-            nested.setdefault(a, {})[b] = value
+        for key in list(flat):
+            nested.setdefault(key[0], {})[key[1]] = flat[key]
         return nested
 
     def stats(self) -> Dict[str, float]:

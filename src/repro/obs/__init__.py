@@ -25,7 +25,6 @@ from repro.obs.metrics import (
 )
 from repro.obs.trace import (
     Span,
-    adopt,
     annotate,
     arm,
     armed,
@@ -53,7 +52,6 @@ __all__ = [
     "LatencyHistogram",
     "MetricsRegistry",
     "Span",
-    "adopt",
     "annotate",
     "arm",
     "armed",

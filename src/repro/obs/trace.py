@@ -16,12 +16,7 @@ Finished root spans collect in a bounded deque for export.
 
 Spans carry wall time, thread CPU time, a counter dict, the pid/tid
 they ran on, and the request id bound at the time they started
-(:func:`bind_request_id` — minted at the HTTP edge). Worker processes
-build spans *standalone* (``Span.begin()`` / ``finish()`` /
-``to_dict()`` — no arming required) and ship them back inside the
-sharded-op reply; :func:`adopt` re-parents them under the dispatching
-op span at the barrier, re-stamping the request id so one traced
-request yields one connected tree across process boundaries.
+(:func:`bind_request_id` — minted at the HTTP edge).
 
 Export: :func:`chrome_trace_events` / :func:`write_chrome_trace`
 render span trees as Chrome trace-event JSON (the ``chrome://tracing``
@@ -56,7 +51,6 @@ __all__ = [
     "end_span",
     "annotate",
     "current_span",
-    "adopt",
     "bind_request_id",
     "unbind_request_id",
     "request_id",
@@ -83,10 +77,9 @@ _ACTIVE: contextvars.ContextVar[Optional["Span"]] = contextvars.ContextVar(
 class Span:
     """One timed operation: a node in a per-request span tree.
 
-    Usable standalone (worker processes build spans without any armed
-    global state): ``Span.begin(name)`` starts the clocks,
-    ``finish()`` stops them, ``to_dict()`` / ``from_dict()`` round-trip
-    through the worker-pool pipe. Parenting is the tracer's job.
+    Usable standalone, without any armed global state:
+    ``Span.begin(name)`` starts the clocks, ``finish()`` stops them.
+    Parenting is the tracer's job.
     """
 
     __slots__ = (
@@ -130,7 +123,7 @@ class Span:
         span.pid = os.getpid()
         span.tid = threading.get_native_id()
         # Epoch microseconds anchor the span on a clock shared across
-        # processes, so worker spans line up with the dispatching op
+        # processes, so traces exported by separate processes line up
         # in one Chrome trace; perf_counter supplies the duration.
         span.ts_us = int(time.time() * 1e6)
         span._cpu0 = time.thread_time()
@@ -146,34 +139,6 @@ class Span:
 
     def annotate(self, **counters: Any) -> None:
         self.counters.update(counters)
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "name": self.name,
-            "ts_us": self.ts_us,
-            "pid": self.pid,
-            "tid": self.tid,
-            "request_id": self.request_id,
-            "wall_s": self.wall_s,
-            "cpu_s": self.cpu_s,
-            "counters": dict(self.counters),
-            "children": [child.to_dict() for child in self.children],
-        }
-
-    @classmethod
-    def from_dict(cls, payload: Dict[str, Any]) -> "Span":
-        span = cls(str(payload["name"]))
-        span.ts_us = int(payload.get("ts_us", 0))
-        span.pid = int(payload.get("pid", 0))
-        span.tid = int(payload.get("tid", 0))
-        span.request_id = payload.get("request_id")
-        span.wall_s = float(payload.get("wall_s", 0.0))
-        span.cpu_s = float(payload.get("cpu_s", 0.0))
-        span.counters = dict(payload.get("counters", {}))
-        span.children = [
-            cls.from_dict(child) for child in payload.get("children", ())
-        ]
-        return span
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
@@ -321,28 +286,6 @@ def current_span() -> Optional[Span]:
     if _STATE is None:
         return None
     return _ACTIVE.get()
-
-
-def _restamp(opened: Span, rid: Optional[str]) -> None:
-    opened.request_id = rid
-    for child in opened.children:
-        _restamp(child, rid)
-
-
-def adopt(
-    parent: Optional[Span], payloads: Iterable[Dict[str, Any]]
-) -> None:
-    """Re-parent serialized worker spans under ``parent``.
-
-    Used at the sharded-op barrier: workers return span dicts in
-    their replies; the dispatching op span adopts them, re-stamping
-    its own request id so the whole tree correlates."""
-    if parent is None:
-        return
-    for payload in payloads:
-        child = Span.from_dict(payload)
-        _restamp(child, parent.request_id)
-        parent.children.append(child)
 
 
 def bind_request_id(rid: Optional[str]) -> contextvars.Token:

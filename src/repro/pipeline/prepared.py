@@ -170,30 +170,6 @@ class PreparedSchema:
             self._layout = LeafLayout(self.tree)
         return self._layout
 
-    def __getstate__(self):
-        """Pickle support (slots classes get no default protocol-0/1
-        state): carry the schema, matcher, config, and the expensive
-        linguistic tier; drop the tree and leaf layout. Both rebuild
-        deterministically from (schema, config) on next access, and
-        dropping them keeps payloads small and avoids pickling the
-        tree's densely cross-referenced parent/child node graph."""
-        return (
-            self.schema,
-            self._linguistic_matcher,
-            self._config,
-            self._linguistic,
-        )
-
-    def __setstate__(self, state) -> None:
-        (
-            self.schema,
-            self._linguistic_matcher,
-            self._config,
-            self._linguistic,
-        ) = state
-        self._tree = None
-        self._layout = None
-
     def cache_info(self) -> dict:
         """Which artifact tiers are built, and the layout's leaf count.
 

@@ -101,16 +101,6 @@ class MatchSession:
             "store_overlay_cells": 0,
             "store_bytes": 0,
         }
-        # Parallel-shard counters summed over the session's matches
-        # (all zero while config.workers <= 1).
-        self._parallel_counters = {
-            "parallel_matches": 0,
-            "parallel_scan_ops": 0,
-            "parallel_scale_ops": 0,
-            "parallel_shards_dispatched": 0,
-            "parallel_ops_forwarded": 0,
-            "parallel_stamp_merges": 0,
-        }
         # The repository's persistent memo tier, available to
         # standalone sessions: a JSON dump of the token-pair and
         # element-name caches, preloaded at construction and written
@@ -271,19 +261,6 @@ class MatchSession:
         from repro.structure.blocked import BlockedSimilarityStore
 
         sims = tm.sims
-        describe = getattr(sims, "describe", None)
-        facts = describe() if describe is not None else {}
-        if facts.get("parallel_workers", 0):
-            parallel = self._parallel_counters
-            parallel["parallel_matches"] += 1
-            for key in (
-                "parallel_scan_ops",
-                "parallel_scale_ops",
-                "parallel_shards_dispatched",
-                "parallel_ops_forwarded",
-                "parallel_stamp_merges",
-            ):
-                parallel[key] += facts.get(key, 0)
         if not isinstance(sims, BlockedSimilarityStore):
             return
         counters = self._store_counters
@@ -467,6 +444,4 @@ class MatchSession:
         # Blocked-store tile occupancy, summed over the session's
         # matches (all zero while no match used the blocked store).
         info.update(self._store_counters)
-        # Tile-shard dispatch counters (all zero while workers <= 1).
-        info.update(self._parallel_counters)
         return info

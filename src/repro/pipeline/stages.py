@@ -71,7 +71,6 @@ class LinguisticStage:
         context.lsim_table = self.matcher.compute_prepared(
             context.source.linguistic, context.target.linguistic
         )
-        trace.annotate(lsim_pairs=len(context.lsim_table))
 
 
 class EmptyLinguisticStage:

@@ -28,10 +28,10 @@ echoed in the ``X-Request-Id`` response header, stamped on every span
 and structured log line, and carried in error bodies so 5xx responses
 are attributable in client logs. ``/search`` and ``/match`` bodies
 may set ``"trace": true`` to get a ``trace`` block: the request's
-full span tree (HTTP → service → repository → pipeline → sharded
-workers), arming the process-wide tracer if it wasn't already.
-Requests slower than ``config.slow_request_ms`` emit one structured
-JSON log line on stderr (0 disables).
+full span tree (HTTP → service → repository → pipeline), arming the
+process-wide tracer if it wasn't already. Requests slower than
+``config.slow_request_ms`` emit one structured JSON log line on
+stderr (0 disables).
 
 A *schema spec* is either ``{"schema": {...}}`` (the serialized
 schema-JSON format of :mod:`repro.io.json_io`) or ``{"text": "...",
@@ -42,9 +42,8 @@ through the matching importer). Search/match responses carry a
 
 Error taxonomy → status codes: :class:`BadRequestError` → 400,
 unknown path → 404, :class:`ServiceOverloadedError` /
-:class:`ServiceClosedError` / :class:`ParallelError` (a worker pool
-that died twice) → 503 with a jittered ``Retry-After`` header,
-:class:`RequestTimeoutError` → 504,
+:class:`ServiceClosedError` → 503 with a jittered ``Retry-After``
+header, :class:`RequestTimeoutError` → 504,
 :class:`RepositoryReadOnlyError` (degraded to read-only, e.g. disk
 full) → 507, :class:`RepositoryError` → 404 (unknown schema id) and
 other library errors → 400. Bodies are ``{"error": <class name>,
@@ -65,11 +64,11 @@ from typing import Any, Dict, Optional, Tuple
 
 from repro.exceptions import (
     BadRequestError,
-    ParallelError,
     RepositoryError,
     RepositoryReadOnlyError,
     ReproError,
     RequestTimeoutError,
+    SchemaError,
     ServiceClosedError,
     ServiceOverloadedError,
     ServingError,
@@ -91,12 +90,23 @@ from repro.serving.service import MatchService
 #: from ballooning daemon memory.
 MAX_BODY_BYTES = 32 * 1024 * 1024
 
+def _parse_json_text(text: str, name: str) -> Schema:
+    """The ``json`` text format. Malformed text (bad JSON, or JSON
+    that is not a serialized schema) raises :class:`SchemaError`, the
+    way the other importers raise their parse errors."""
+    try:
+        return schema_from_dict(json.loads(text))
+    except (ValueError, KeyError, TypeError, AttributeError) as exc:
+        # ValueError covers json.JSONDecodeError and unknown enum values.
+        raise SchemaError(f"not a valid serialized schema: {exc}") from exc
+
+
 _TEXT_PARSERS = {
     "sql": lambda text, name: parse_sql_ddl(text, name),
     "xml": lambda text, name: parse_xml_schema(text),
     "dtd": lambda text, name: parse_dtd(text, name),
     "oo": lambda text, name: parse_oo_model(text, name),
-    "json": lambda text, name: schema_from_dict(json.loads(text)),
+    "json": _parse_json_text,
 }
 
 
@@ -321,7 +331,7 @@ class MatchRequestHandler(BaseHTTPRequestHandler):
         The HTTP edge span is still open while the response is being
         built, so the block carries its completed children — the
         ``serve.*`` span whose subtree spans service → repository →
-        pipeline → sharded workers. The edge timing itself is the
+        pipeline. The edge timing itself is the
         response's ``latency_ms`` block.
         """
         if not body.get("trace"):
@@ -451,10 +461,6 @@ def _status_for(exc: Exception) -> int:
     if isinstance(exc, RequestTimeoutError):
         return 504
     if isinstance(exc, (ServiceOverloadedError, ServiceClosedError)):
-        return 503
-    if isinstance(exc, ParallelError):
-        # The worker pool died twice in a row; the service already
-        # rebuilt it once, so the client should back off and retry.
         return 503
     if isinstance(exc, ServingError):
         return 500

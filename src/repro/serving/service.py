@@ -44,17 +44,14 @@ from __future__ import annotations
 
 import asyncio
 import contextvars
+import os
 import queue
 import threading
 from concurrent.futures import Future, ThreadPoolExecutor
 from typing import Any, Dict, List, Optional, Sequence, Union
 
 from repro import faults
-from repro.exceptions import (
-    ParallelError,
-    ServiceClosedError,
-    ServiceOverloadedError,
-)
+from repro.exceptions import ServiceClosedError, ServiceOverloadedError
 from repro.model.schema import Schema
 from repro.obs import trace
 from repro.pipeline.prepared import PreparedSchema
@@ -65,9 +62,29 @@ from repro.repository.store import (
     SchemaRepository,
 )
 from repro.serving.metrics import Deadline, ServiceMetrics
-from repro.structure.parallel import available_cpu_count
 
 SchemaLike = Union[Schema, PreparedSchema]
+
+
+def available_cpu_count() -> int:
+    """CPUs actually available to this process.
+
+    ``os.cpu_count()`` reports the machine, not the cgroup/affinity
+    limits a container imposes — an auto-sized session pool would then
+    oversubscribe a 2-core cgroup on a 64-core host. Prefer
+    ``os.process_cpu_count()`` (3.13+), fall back to the scheduler
+    affinity mask, and only then to the raw count."""
+    getter = getattr(os, "process_cpu_count", None)
+    if getter is not None:
+        count = getter()
+        if count:
+            return count
+    if hasattr(os, "sched_getaffinity"):
+        try:
+            return len(os.sched_getaffinity(0)) or 1
+        except OSError:  # pragma: no cover - platform quirk
+            pass
+    return os.cpu_count() or 1
 
 
 class MatchService:
@@ -124,15 +141,12 @@ class MatchService:
         for session in self._sessions:
             self._idle.put(session)
         self._executor = ThreadPoolExecutor(
-            max_workers=width, thread_name_prefix="repro-serve"
+            width, thread_name_prefix="repro-serve"
         )
         self.metrics = ServiceMetrics()
         self._admission_lock = threading.Lock()
         self._admitted = 0
         self._closed = False
-        #: Requests that survived a worker-pool death via the one-shot
-        #: fresh-pool retry (the self-healing counter in /stats).
-        self._worker_pool_retries = 0
         self._compaction_lock = threading.Lock()
         self._compaction_thread: Optional[threading.Thread] = None
         self._compaction_timer: Optional[threading.Timer] = None
@@ -195,23 +209,7 @@ class MatchService:
                         faults.check("serve.execute")
                         session = self._idle.get()
                         try:
-                            try:
-                                return fn(session, deadline, *args)
-                            except ParallelError:
-                                # The dead pool evicted itself from the
-                                # process-wide registry, so re-running
-                                # the request builds fresh workers. One
-                                # retry: a pool that dies twice in a
-                                # row is a systemic failure the caller
-                                # must see.
-                                with self._admission_lock:
-                                    self._worker_pool_retries += 1
-                                trace.annotate(worker_pool_retry=True)
-                                deadline.check(
-                                    f"{endpoint} retrying on a fresh "
-                                    "worker pool"
-                                )
-                                return fn(session, deadline, *args)
+                            return fn(session, deadline, *args)
                         finally:
                             self._idle.put(session)
             finally:
@@ -447,8 +445,6 @@ class MatchService:
         info["session_pool"] = pool
         info["repository"] = self.repository.cache_info()
         recovery = self.repository.recovery_info()
-        with self._admission_lock:
-            recovery["worker_pool_retries"] = self._worker_pool_retries
         with self._compaction_lock:
             recovery["compaction_retries"] = self._compaction_retries
             recovery["compaction_failures"] = self._compaction_failures

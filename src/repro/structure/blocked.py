@@ -53,12 +53,6 @@ from repro.structure.dense import (
     iter_lsim_cells,
     leaf_base_ssim,
 )
-from repro.structure.parallel import (
-    ShardContext,
-    min_parallel_cells,
-    stripe_owned_subtrees,
-    stripe_plan,
-)
 from repro.tree.schema_tree import SchemaTreeNode
 
 #: Tile edge length used when ``config.block_size`` is 0 ("auto").
@@ -125,64 +119,12 @@ class BlockedSimilarityStore(DenseSimilarityStore):
 
         self._build_base_classes()
         self._build_lsim_plan(lsim_table)
-        if self._parallel_workers > 1 and n_s and n_t:
-            self._attach_shards()
         self._np_ready = False
         #: Bound-locals fast path for single-cell wsim (the main
         #: TreeMatch loop reads every leaf pair through it; closing
         #: over the stable containers skips ~a dozen attribute loads
         #: per call).
         self._cell_wsim = self._make_cell_wsim()
-
-    # ------------------------------------------------------------------
-    # Parallel plumbing: per-worker stripe replicas + op log
-    # ------------------------------------------------------------------
-
-    def _attach_shards(self) -> None:
-        """Give each worker a stripe replica built from the same
-        base-class / lsim tables this store gathers from. The main
-        store stays the authority (TreeMatch reads every pair's wsim
-        here); plane mutations are logged and flushed to the owning
-        workers before each sharded scan (owner-merge)."""
-        spec = {
-            "n_s": self._n_s,
-            "n_t": self._n_t,
-            "block": self._B,
-            "wl": self._wl,
-            "om": self._om,
-            "backend": self.backend,
-            "base": self._base.tobytes(),
-            "n_col_classes": self._n_col_classes,
-            "row_base": self._row_base,
-            "col_class": self._col_class,
-            "factored": self._factored,
-        }
-        if self._factored:
-            spec["p_s"] = self._p_s
-            spec["p_t"] = self._p_t
-            spec["profile_values"] = self._profile_values.tobytes()
-            spec["row_prof_base"] = self._row_prof_base
-            spec["col_prof"] = self._col_prof
-        else:
-            spec["lsim_cells"] = self._lsim_cells
-        shards = ShardContext(
-            self._parallel_workers,
-            stripe_plan(self._n_s, self._B, self._parallel_workers),
-            min_parallel_cells(self._config),
-            self._use_numpy,
-        )
-        shards.attach_blocked(spec)
-        shards.register_finalizer(self)
-        self._shards = shards
-
-    @staticmethod
-    def _entry_spec(entry):
-        """Picklable row/column description of a node-index entry for
-        the op log: a (lo, hi) range when contiguous, the id list
-        otherwise."""
-        if entry.lo is not None:
-            return (entry.lo, entry.hi)
-        return list(entry.ids)
 
     # ------------------------------------------------------------------
     # Initial-value tables (what virtual cells read as)
@@ -542,12 +484,7 @@ class BlockedSimilarityStore(DenseSimilarityStore):
         if i is None or j is None:
             super(DenseSimilarityStore, self).set_ssim(s, t, value)
             return
-        clamped = min(1.0, max(0.0, value))
-        if self._shards is not None:
-            # The replica re-derives the unchanged-value skip itself,
-            # so logging unconditionally keeps the states convergent.
-            self._shards.record_op(("set", i, j, clamped))
-        self._write_cell(i, j, clamped)
+        self._write_cell(i, j, min(1.0, max(0.0, value)))
 
     def _write_cell(self, i: int, j: int, clamped: float) -> None:
         """Write one ssim cell, maintaining wsim + crossing stamps."""
@@ -600,18 +537,6 @@ class BlockedSimilarityStore(DenseSimilarityStore):
             # clamp(v·1.0) == v for every in-range double: the flat
             # store rewrites identical bytes and never stamps.
             return cells
-        if self._shards is not None:
-            # Owner-merge: main applies the scale below as usual (it
-            # stays the read authority), and the op is replayed on the
-            # owning stripe replicas before their next sharded scan.
-            self._shards.record_op(
-                (
-                    "scale",
-                    self._entry_spec(s_entry),
-                    self._entry_spec(t_entry),
-                    factor,
-                )
-            )
         if cells == 1:
             # Leaf-pair context adjustments dominate the op count on
             # large schemas; skip the block scaffolding for them.
@@ -884,29 +809,6 @@ class BlockedSimilarityStore(DenseSimilarityStore):
         if not s_ids or not t_ids:
             return 0.0
 
-        shards = self._shards
-        if (
-            shards is not None
-            and len(s_ids) * len(t_ids) >= shards.min_cells
-            and s_entry.lo is not None
-            and t_entry.lo is not None
-        ):
-            row_bits, col_bits = shards.scan(
-                s_entry.lo, s_entry.hi, t_entry.lo, t_entry.hi, thaccept
-            )
-            # Serial scans mark every tile of the region touched; the
-            # sharded scan logically covers the same region.
-            touched = self._touched
-            tiles_t = self._tiles_t
-            tr, tc = self._tr, self._tc
-            for trow in range(tr[s_entry.lo], tr[s_entry.hi - 1] + 1):
-                row_off = trow * tiles_t
-                for tcol in range(tc[t_entry.lo], tc[t_entry.hi - 1] + 1):
-                    touched[row_off + tcol] = 1
-            return self._fraction_from_bits(
-                s_entry, t_entry, row_bits, col_bits, discount
-            )
-
         if (
             self._use_numpy
             and len(s_ids) * len(t_ids) >= self._VECTOR_MIN_CELLS
@@ -1074,9 +976,4 @@ class BlockedSimilarityStore(DenseSimilarityStore):
             "store_bytes": self.store_bytes(),
         }
         facts.update(self.subtree_alignment())
-        if self._shards is not None:
-            facts.update(self._shards.counters)
-            facts["stripe_owned_subtrees"] = stripe_owned_subtrees(
-                self._source_root, self._shards.stripes
-            )
         return facts

@@ -36,18 +36,6 @@ into ``[pre_lo, pre_hi)`` block addresses for their scans and
 multiplies. Nothing here invalidates anything: a structural mutation
 unindexes the touched ancestry at mutation time and the accessors fall
 back to DFS until the next reindex.
-
-Parallel invariant: when the store shards a strong-link scan or a
-cinc/cdec block multiply across worker processes
-(:mod:`repro.structure.parallel`), every such operation is a
-**barrier** — the store blocks until all shards return and merges
-their threshold-crossing row/col bits into the dirty stamps *before*
-this loop observes any result. TreeMatch therefore never sees a
-partially applied operation, the visit-sequence numbers recorded per
-non-leaf pair keep their serial meaning, and the incremental
-:meth:`TreeMatch.recompute_wsim` skip logic stays exact under any
-worker count (the fuzz suite's ``workers=2`` variants hold this
-bit-identically).
 """
 
 from __future__ import annotations

@@ -1,7 +1,5 @@
 """Tests for repro.config — the Table 1 parameters."""
 
-import os
-
 import pytest
 
 from repro.config import DEFAULT_CONFIG, CupidConfig
@@ -108,22 +106,6 @@ class TestValidation:
         config = CupidConfig()
         assert config.store == "auto"
         assert config.block_size == 0  # 0 = auto tile size
-
-    def test_workers_default_serial(self):
-        config = CupidConfig()
-        forced = os.environ.get("REPRO_FORCE_WORKERS")
-        # In-process unless opted in (or the CI matrix forces workers).
-        assert config.workers == (int(forced) if forced else 1)
-        assert config.parallel_leaf_threshold >= 1
-
-    def test_negative_workers_rejected(self):
-        with pytest.raises(ConfigError):
-            CupidConfig(workers=-1).validate()
-        CupidConfig(workers=0).validate()  # 0 = one per CPU core
-
-    def test_parallel_threshold_must_be_positive(self):
-        with pytest.raises(ConfigError):
-            CupidConfig(parallel_leaf_threshold=0).validate()
 
     def test_unknown_store_rejected(self):
         with pytest.raises(ConfigError):

@@ -11,11 +11,12 @@ bit-identical to a scratch repository holding exactly the visible
 schemas. The **degradation modes** in process: injected ENOSPC turns
 the repository read-only (ingest raises, search keeps answering),
 injected segment-read faults fall back to the artifact re-scan. The
-**serving self-healing** over a real socket: a killed worker pool
-heals behind a one-shot retry, a persistent one surfaces 503 with a
-jittered ``Retry-After`` while ``/health`` stays green, disk-full
-maps to 507 and clears with the fault, failed background compactions
-retry with backoff, and SIGTERM drains and flushes the daemon.
+**serving self-healing** over a real socket: an overloaded service
+answers 503 with a jittered ``Retry-After`` while ``/health`` stays
+green, a search failing midway is a named 5xx (never a partial 200),
+disk-full maps to 507 and clears with the fault, failed background
+compactions retry with backoff, and SIGTERM drains and flushes the
+daemon.
 
 The sweep seed is taken from an ambient ``REPRO_FAULTS=seed=N`` (a
 rule-less plan never fires in this parent process) so CI can run the
@@ -31,6 +32,7 @@ import shutil
 import signal
 import subprocess
 import sys
+import threading
 import time
 import urllib.error
 import urllib.request
@@ -42,7 +44,7 @@ from repro import SchemaRepository, faults
 from repro.cli import main as cli_main
 from repro.config import CupidConfig
 from repro.datasets.generator import PerturbationConfig, SchemaGenerator
-from repro.exceptions import ParallelError, RepositoryReadOnlyError
+from repro.exceptions import RepositoryReadOnlyError
 from repro.io.json_io import schema_to_dict
 from repro.repository.durability import atomic_write_json
 from repro.repository.segments import SEGMENTS_DIR
@@ -405,8 +407,6 @@ class _Server:
     """MatchHTTPServer on a background thread (context manager)."""
 
     def __init__(self, repository, **service_kwargs):
-        import threading
-
         self.service = MatchService(repository, **service_kwargs)
         self.httpd = MatchHTTPServer(("127.0.0.1", 0), self.service)
         self.port = self.httpd.port
@@ -426,14 +426,11 @@ class _Server:
 
 
 class TestSelfHealingHTTP:
-    def test_worker_pool_death_heals_then_surfaces_503(self, tmp_path):
-        """One pool death is invisible (the retry rebuilds it); a pool
-        dying on every request is a named 503 with Retry-After while
-        /health stays green; clearing the fault restores 200s."""
-        config = CupidConfig().replace(
-            store="flat", workers=2, parallel_leaf_threshold=1
-        )
-        repo = SchemaRepository(str(tmp_path / "repo"), config=config)
+    def test_overload_surfaces_503_then_recovers(self, tmp_path):
+        """A request the service cannot admit is a named 503 with a
+        jittered Retry-After while /health stays green; once the
+        admitted request finishes, searches answer 200 again."""
+        repo = SchemaRepository(str(tmp_path / "repo"))
         schemas = _corpus(3, size=16)
         for schema in schemas:
             repo.ingest(schema)
@@ -442,29 +439,29 @@ class TestSelfHealingHTTP:
             "schema": schema_to_dict(_query_for(schemas[0])),
             "k": 2,
         }
-        with _Server(repo, sessions=1, queue_depth=8) as server:
-            assert len(_http(server.port, "/search", body)["matches"]) == 2
-
-            faults.arm(faults.parse_spec("parallel.request:kill_worker@1"))
-            healed = _http(server.port, "/search", body)
-            assert len(healed["matches"]) == 2
-            stats = _http(server.port, "/stats")
-            assert stats["recovery"]["worker_pool_retries"] == 1
-
-            faults.arm(faults.parse_spec("parallel.request:kill_worker@*"))
-            status, payload, headers = _http_error(
-                server.port, "/search", body
+        release = threading.Event()
+        with _Server(repo, sessions=1, queue_depth=1) as server:
+            # Park a request on the only admission slot so the next
+            # one is rejected at the door.
+            blocker = server.service.submit(
+                "search", lambda session, deadline: release.wait(60)
             )
+            try:
+                status, payload, headers = _http_error(
+                    server.port, "/search", body
+                )
+                health = _http(server.port, "/health")
+            finally:
+                release.set()
+            blocker.result(timeout=60)
             assert status == 503
-            assert payload["error"] == "ParallelError"
+            assert payload["error"] == "ServiceOverloadedError"
             retry_after = headers.get("Retry-After")
             base = repo.config.serving_retry_after_s
             assert retry_after is not None
             assert base <= int(retry_after) <= 2 * base + 1
-            health = _http(server.port, "/health")
             assert health["status"] == "ok"
 
-            faults.disarm()
             recovered = _http(server.port, "/search", body)
             assert len(recovered["matches"]) == 2
 
@@ -504,27 +501,33 @@ class TestSelfHealingHTTP:
 
     def test_search_never_returns_partial_results(self, tmp_path):
         """A failing request is a named 5xx, not a 200 with fewer
-        matches — injected worker death on every request must never
-        leak a truncated result set."""
-        config = CupidConfig().replace(
-            store="flat", workers=2, parallel_leaf_threshold=1
-        )
-        repo = SchemaRepository(str(tmp_path / "repo"), config=config)
-        for schema in _corpus(3, size=16):
-            repo.ingest(schema)
-        repo.save()
+        matches — an artifact restore failing after an earlier
+        candidate already matched must never leak a truncated result
+        set."""
+        path = str(tmp_path / "repo")
+        schemas = _corpus(3, size=16)
+        with SchemaRepository(path) as repo:
+            for schema in schemas:
+                repo.ingest(schema)
         body = {
-            "schema": schema_to_dict(_query_for(_corpus(3, size=16)[0])),
+            "schema": schema_to_dict(_query_for(schemas[0])),
             "k": 3,
         }
+        # Freshly reopened: no artifact is restored yet, so a search
+        # restores its candidates one by one as it matches them.
+        repo = SchemaRepository.open(path)
         with _Server(repo, sessions=1, queue_depth=8) as server:
-            faults.arm(faults.parse_spec("parallel.request:kill_worker@*"))
+            # Restore 1 succeeds (and stays cached); restores 2-4 fail,
+            # so each search dies after its first candidate match.
+            faults.arm(faults.parse_spec("artifact.restore:oserror@2,3,4"))
             for _ in range(3):
                 status, payload, _ = _http_error(
                     server.port, "/search", body
                 )
-                assert status == 503
+                assert status == 500
+                assert payload["error"] == "OSError"
                 assert "matches" not in payload
+            assert repo.cache_info()["artifact_loads"] == 1
             faults.disarm()
             assert len(_http(server.port, "/search", body)["matches"]) == 3
 

@@ -6,8 +6,7 @@ and — for pure subtrees — the contiguous window ``[leaf_lo, leaf_hi)``
 of the global leaf order. These tests cover the migration oracle, the
 unindex-on-mutation safety net (the stale-cache bug class this PR
 removes), join-view augmentation after a completed build, and the
-observational helpers the encoding enables (stripe ownership,
-tile-alignment stats).
+observational helpers the encoding enables (tile-alignment stats).
 """
 
 from __future__ import annotations
@@ -21,8 +20,8 @@ from repro.io.sql_ddl import parse_sql_ddl
 from repro.linguistic.lexicon import builtin_thesaurus
 from repro.linguistic.matcher import LinguisticMatcher, LsimTable
 from repro.model.datatypes import default_compatibility_table
+from repro.serving.service import available_cpu_count
 from repro.structure.blocked import BlockedSimilarityStore
-from repro.structure.parallel import available_cpu_count, stripe_owned_subtrees
 from repro.tree.construction import construct_schema_tree
 from repro.tree.lazy import construct_schema_tree_lazy
 from repro.tree.refint import augment_with_join_views
@@ -176,28 +175,6 @@ class TestAugmentAfterCompletedBuild:
         assert _mapping_signature(late.nonleaf_mapping) == (
             _mapping_signature(fresh.nonleaf_mapping)
         )
-
-
-class TestStripeOwnership:
-    def test_owned_subtrees_per_stripe(self):
-        tree = construct_schema_tree(parse_sql_ddl(_DDL_S, "Orders"))
-        root = tree.root
-        assert root.leaf_lo == 0 and root.leaf_hi == 6
-        # Each table is a 3-leaf pure subtree; a stripe per table owns
-        # exactly that table as its one maximal subtree.
-        assert stripe_owned_subtrees(root, [(0, 3), (3, 6)]) == [1, 1]
-        # The whole plane is owned by the root alone.
-        assert stripe_owned_subtrees(root, [(0, 6)]) == [1]
-        # A stripe splitting a table recurses down to the leaves it
-        # wholly contains; empty stripes own nothing.
-        assert stripe_owned_subtrees(root, [(0, 2), (3, 3)]) == [2, 0]
-
-    def test_owned_subtrees_on_dag(self):
-        tree = construct_schema_tree(parse_sql_ddl(_DDL_S, "Orders"))
-        augment_with_join_views(tree)
-        counts = stripe_owned_subtrees(tree.root, [(0, 3), (3, 6)])
-        assert len(counts) == 2
-        assert all(isinstance(c, int) and c >= 0 for c in counts)
 
 
 class TestCpuDetection:

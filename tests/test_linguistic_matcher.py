@@ -1,5 +1,8 @@
 """Tests for categorization and the linguistic matcher (lsim)."""
 
+import sys
+import threading
+
 import pytest
 
 from repro.config import CupidConfig
@@ -283,6 +286,66 @@ class TestBatchedNs:
             fresh.element_name_similarity(n1, n2) for n1, n2 in pairs
         ]
         assert batched == scalar
+
+
+class TestMemoExport:
+    def test_export_while_threads_write(self, thesaurus, config):
+        """Search threads fill the memo without a lock while an ingest
+        exports it for the simcache: every export must succeed, and
+        every exported value must equal the live one."""
+        from repro.linguistic.name_similarity import NameSimilarityMemo
+
+        memo = NameSimilarityMemo(thesaurus, config)
+        memo.preload_cache(
+            {
+                "token": {f"s{i}": {"x": i / 4096} for i in range(4096)},
+                "element": {f"s{i}": {"y": i / 4096} for i in range(4096)},
+            }
+        )
+
+        def write(tag):
+            for i in range(8000):
+                value = (i % 997) / 997
+                memo.preload_cache(
+                    {
+                        "token": {f"{tag}{i}": {"x": value}},
+                        "element": {f"{tag}{i}": {"y": value}},
+                    }
+                )
+
+        errors = []
+        dumps = []
+        writers = [
+            threading.Thread(target=write, args=(f"w{n}-",))
+            for n in range(4)
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for writer in writers:
+                writer.start()
+            while True:
+                try:
+                    dumps.append(memo.export_cache())
+                except RuntimeError as exc:
+                    errors.append(str(exc))
+                if not any(writer.is_alive() for writer in writers):
+                    break
+        finally:
+            for writer in writers:
+                writer.join(timeout=60)
+            sys.setswitchinterval(interval)
+        assert not any(writer.is_alive() for writer in writers)
+        assert errors == []
+        # Entries are never rewritten, so the final export is the live
+        # memo and every earlier one must agree with it.
+        live = memo.export_cache()
+        for dump in dumps:
+            for tier in ("token", "element"):
+                for a, row in dump[tier].items():
+                    live_row = live[tier][a]
+                    for b, value in row.items():
+                        assert live_row[b] == value
 
 
 class TestLinguisticMatcher:

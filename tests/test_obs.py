@@ -2,12 +2,10 @@
 
 The tracer's contract is that it is *observational only*: a run with
 tracing armed must produce bit-identical results to one with it
-disarmed — including through the worker-pool boundary, where the
-sharded-op reply grows an extra span payload. The span tree must stay
-*connected* across that boundary: worker spans built in child
-processes re-parent under the dispatching op span and pick up its
-request id, so one traced request reads as one tree from the HTTP
-edge down to individual shard scans.
+disarmed, and no trace site may force lazy work it merely reports on
+(the kernel's factored lsim table stays unmaterialized either way). A
+traced request reads as one connected tree, stamped with its request
+id, from the HTTP edge down to the TreeMatch passes.
 
 The metrics registry's contract is single-bookkeeping: ``/stats``
 snapshots and ``GET /metrics`` exposition read the same instrument
@@ -19,7 +17,6 @@ from __future__ import annotations
 
 import io
 import json
-import os
 import re
 import threading
 import time
@@ -31,6 +28,7 @@ import pytest
 from repro import CupidMatcher, SchemaRepository
 from repro.config import CupidConfig
 from repro.datasets.generator import PerturbationConfig, SchemaGenerator
+from repro.linguistic.kernel import FactoredLsimTable
 from repro.obs import trace
 from repro.obs.metrics import MetricsRegistry, search_latency_schema
 from repro.serving import Deadline, MatchHTTPServer, MatchService
@@ -150,23 +148,6 @@ class TestTracer:
         trace.log_event("probe", stream=stream)
         assert "request_id" not in json.loads(stream.getvalue())
 
-    def test_adopt_reparents_and_restamps(self, tracer):
-        worker = trace.Span.begin("parallel.worker.scan", rows=4)
-        worker.request_id = "stale-worker-id"
-        worker.finish()
-        token = trace.bind_request_id("r000007")
-        try:
-            parent = trace.start_span("parallel.scan")
-            trace.adopt(parent, [worker.to_dict()])
-            trace.end_span(parent)
-        finally:
-            trace.unbind_request_id(token)
-        (root,) = trace.roots()
-        (adopted,) = root.children
-        assert adopted.name == "parallel.worker.scan"
-        assert adopted.counters == {"rows": 4}
-        assert adopted.request_id == "r000007"  # restamped, not stale
-
     def test_take_roots_drains(self, tracer):
         with trace.span("once"):
             pass
@@ -186,63 +167,36 @@ class TestTracer:
 
 
 # ----------------------------------------------------------------------
-# Worker-pool boundary
+# Observational-only contract
 # ----------------------------------------------------------------------
 
 
-class TestWorkerSpans:
-    def _match(self, schema, other, **overrides):
-        config = CupidConfig().replace(
-            workers=2, parallel_leaf_threshold=1, **overrides
-        )
-        return CupidMatcher(config=config).match(schema, other)
+def _assert_lsim_lazy(result):
+    table = result.lsim_table
+    assert isinstance(table, FactoredLsimTable)
+    assert table._materialized is False, "the run materialized lsim"
 
-    def test_worker_spans_reparent_under_the_op(self, tracer):
-        schema, other = _pair()
-        token = trace.bind_request_id("r000011")
-        try:
-            result = self._match(schema, other)
-        finally:
-            trace.unbind_request_id(token)
-        facts = result.treematch_result.sims.describe()
-        assert facts["parallel_scan_ops"] > 0  # the pool really ran
-        roots = trace.take_roots()
-        scans = _find_all(roots, "parallel.scan")
-        assert scans, "no parallel.scan span under the traced run"
-        worker_spans = [
-            child
-            for op in scans
-            for child in op.children
-            if child.name == "parallel.worker.scan"
-        ]
-        assert worker_spans, "worker spans did not re-parent at the barrier"
-        here = os.getpid()
-        assert any(w.pid != here for w in worker_spans), (
-            "worker spans should carry the worker process's pid"
-        )
-        for worker in worker_spans:
-            assert worker.request_id == "r000011"
-            assert worker.counters["rows"] > 0
-        # The whole tree hangs off one root: pipeline.run.
-        assert [r.name for r in roots] == ["pipeline.run"]
 
+class TestTracingIsObservational:
     def test_bit_identity_with_tracing_armed(self):
         schema, other = _pair(n_leaves=32, seed=31)
         was_armed = trace.armed()
         trace.disarm()
         try:
-            dark = self._match(schema, other)
+            dark = CupidMatcher().match(schema, other)
         finally:
             if was_armed:
                 trace.arm()
+        _assert_lsim_lazy(dark)
         trace.arm()
         trace.reset()
         try:
-            lit = self._match(schema, other)
+            lit = CupidMatcher().match(schema, other)
         finally:
             trace.reset()
             if not was_armed:
                 trace.disarm()
+        _assert_lsim_lazy(lit)
         assert _signature(dark) == _signature(lit)
 
 
@@ -256,8 +210,7 @@ class TestChromeExport:
 
     def test_export_is_valid_trace_event_json(self, tracer, tmp_path):
         schema, other = _pair(n_leaves=48, seed=37)
-        config = CupidConfig().replace(workers=2, parallel_leaf_threshold=1)
-        CupidMatcher(config=config).match(schema, other)
+        CupidMatcher().match(schema, other)
         path = tmp_path / "trace.json"
         written = trace.write_chrome_trace(str(path))
         assert written > 0
@@ -277,9 +230,7 @@ class TestChromeExport:
             assert isinstance(event["args"], dict)
         names = {event["name"] for event in events}
         assert "pipeline.run" in names
-        assert "parallel.worker.scan" in names
-        # Cross-process events really carry distinct pids.
-        assert len({event["pid"] for event in events}) >= 2
+        assert "treematch.run" in names
 
 
 # ----------------------------------------------------------------------
@@ -408,12 +359,7 @@ def _corpus(n=3, size=40, seed=5):
 class TestHTTPObservability:
     @pytest.fixture()
     def server(self, tmp_path):
-        # Workers + a floor-level parallel threshold so a traced
-        # search exercises the full path down to shard processes.
-        config = CupidConfig().replace(
-            workers=2, parallel_leaf_threshold=1
-        )
-        repository = SchemaRepository(str(tmp_path / "repo"), config=config)
+        repository = SchemaRepository(str(tmp_path / "repo"))
         for schema in _corpus():
             repository.ingest(schema)
         repository.save()
@@ -512,7 +458,7 @@ class TestHTTPObservability:
             "repo.search.index",
             "repo.search.match",
             "pipeline.run",
-            "parallel.worker.scan",
+            "treematch.run",
         ):
             assert expected in seen, f"span {expected} missing from tree"
             assert seen[expected] == rid, (

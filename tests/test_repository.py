@@ -307,6 +307,30 @@ class TestIngestAndLoad:
         for schema_id in ids:
             reopened.verify(schema_id)
 
+    def test_manifest_with_removed_config_keys_opens(self, tmp_path):
+        """Manifests written by older builds record config fields that
+        no longer exist (the removed parallel-layer knobs). They must
+        still open, verify, and search bit-identically."""
+        path = str(tmp_path / "repo")
+        schemas = _corpus(3)
+        with SchemaRepository(path) as repo:
+            ids = [repo.ingest(s) for s in schemas]
+        query = _query_for(schemas[1])
+        baseline = _search_signature(
+            SchemaRepository.open(path).search(query, k=2)
+        )
+        manifest_path = os.path.join(path, "repository.json")
+        with open(manifest_path) as handle:
+            manifest = json.load(handle)
+        manifest["config"]["workers"] = 2
+        manifest["config"]["parallel_leaf_threshold"] = 256
+        with open(manifest_path, "w") as handle:
+            json.dump(manifest, handle)
+        reopened = SchemaRepository.open(path)
+        for schema_id in ids:
+            reopened.verify(schema_id)
+        assert _search_signature(reopened.search(query, k=2)) == baseline
+
 
 class TestRoundTripParity:
     def test_restored_matching_is_bit_identical(self, tmp_path):

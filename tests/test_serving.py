@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import json
 import os
+import random
 import threading
 import urllib.error
 import urllib.request
@@ -24,11 +25,14 @@ import pytest
 from repro import SchemaRepository
 from repro.datasets.generator import PerturbationConfig, SchemaGenerator
 from repro.exceptions import (
+    BadRequestError,
     RequestTimeoutError,
     ServiceClosedError,
     ServiceOverloadedError,
 )
-from repro.io.json_io import schema_to_dict
+from repro.io.json_io import schema_to_dict, schema_to_json
+from repro.io.sql_ddl import parse_sql_ddl
+from repro.model.schema import Schema
 from repro.pipeline.session import MatchSession
 from repro.repository.segments import SEGMENTS_DIR
 from repro.serving import (
@@ -37,6 +41,7 @@ from repro.serving import (
     MatchHTTPServer,
     MatchService,
 )
+from repro.serving.http import schema_from_spec
 
 
 def _corpus(n=6, size=12, seed=5):
@@ -384,6 +389,76 @@ class TestMetrics:
         Deadline.unbounded().check("never raises")
 
 
+_SQL_SOURCE = (
+    "CREATE TABLE Customers (CustomerID int PRIMARY KEY, "
+    "Name varchar(40), City varchar(30));\n"
+    "CREATE TABLE Orders (OrderID int PRIMARY KEY, CustomerID int "
+    "REFERENCES Customers(CustomerID), Total decimal(10,2));"
+)
+
+#: One valid source text per wire format.
+_SOURCES = {
+    "sql": _SQL_SOURCE,
+    "xml": """<schema name="PurchaseOrder">
+  <complexType name="Address">
+    <attribute name="Street" type="string"/>
+    <attribute name="City" type="string"/>
+  </complexType>
+  <element name="DeliverTo" type="Address"/>
+  <element name="Items">
+    <attribute name="itemCount" type="integer"/>
+    <element name="Item">
+      <attribute name="Quantity" type="integer" optional="true"/>
+    </element>
+  </element>
+</schema>""",
+    "dtd": """<!ELEMENT po (header, lines)>
+<!ELEMENT header (#PCDATA)>
+<!ATTLIST header
+  ponumber CDATA #REQUIRED
+  podate CDATA #IMPLIED>
+<!ELEMENT lines (item*)>
+<!ELEMENT item (#PCDATA)>
+<!ATTLIST item
+  qty CDATA #REQUIRED>""",
+    "oo": """class PurchaseOrder (OrderNumber: integer (key),
+                     ShippingAddress: Address)
+class Address (Name: string, Street: string, City: string)""",
+    "json": schema_to_json(parse_sql_ddl(_SQL_SOURCE, "Sales")),
+}
+
+
+class TestSchemaSpecFuzz:
+    """Malformed source text is the client's error: every format must
+    answer with a schema or :class:`BadRequestError` (a 400), never
+    an arbitrary exception that the daemon would report as a 500."""
+
+    @pytest.mark.parametrize("fmt", sorted(_SOURCES))
+    def test_mutated_sources_parse_or_raise_bad_request(self, fmt):
+        text = _SOURCES[fmt]
+        assert isinstance(
+            schema_from_spec({"text": text, "format": fmt}), Schema
+        )
+        rng = random.Random(f"spec-fuzz-{fmt}")
+        rejected = 0
+        for _ in range(80):
+            if rng.random() < 0.5:
+                mutated = text[: rng.randrange(len(text))]
+            else:
+                chars = list(text)
+                for _ in range(rng.randint(1, 3)):
+                    pos = rng.randrange(len(chars))
+                    chars[pos] = chr(ord(chars[pos]) ^ (1 << rng.randrange(7)))
+                mutated = "".join(chars)
+            try:
+                parsed = schema_from_spec({"text": mutated, "format": fmt})
+            except BadRequestError:
+                rejected += 1
+            else:
+                assert isinstance(parsed, Schema)
+        assert rejected > 0  # the mutations really produce bad input
+
+
 class TestHTTPDaemon:
     @pytest.fixture()
     def server(self, repo):
@@ -470,6 +545,9 @@ class TestHTTPDaemon:
         assert self._status_of(server, "/nope", {}) == (
             404, "NotFound",
         )
+        assert self._status_of(server, "/search", {
+            "text": "{", "format": "json", "k": 1,
+        }) == (400, "BadRequestError")
         assert self._status_of(server, "/match", {
             "source": {"id": "missing-id"},
             "target": {"id": "missing-id"},
