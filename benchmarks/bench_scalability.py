@@ -315,173 +315,6 @@ def test_linguistic_kernel_speedup(publish, results_dir):
     )
 
 
-#: Blocked-store sweep shapes. The dense rows match a schema against a
-#: perturbed copy of itself (near-root pairs cross thhigh, so cinc
-#: context scaling writes the whole plane — the blocked store's worst
-#: case); the sparse rows are the repository-search shape (two
-#: unrelated schemas, down-weighting off), where almost nothing crosses
-#: the context thresholds and the plane stays virtual.
-BLOCKED_DENSE_SIZES = [80, 160, 320]
-BLOCKED_SPARSE_SIZES = [160, 320, 640, 1280]
-
-#: Acceptance floors (ISSUE 4): at 1280 leaves/side the sparse
-#: workload must hold >= 4x less store memory than flat, and at every
-#: size <= 320 the blocked store must stay within 1.3x of flat's wall
-#: time on both workload shapes.
-REQUIRED_MEMORY_RATIO_AT_1280 = 4.0
-BLOCKED_TIME_LIMIT = 1.3
-
-
-def _sparse_workload(n_leaves):
-    """Two independently generated schemas (no gold overlap)."""
-    source = SchemaGenerator(seed=11).generate(
-        name="mediated", n_leaves=n_leaves, max_depth=3
-    )
-    target = SchemaGenerator(seed=211).generate(
-        name="candidate", n_leaves=n_leaves, max_depth=3
-    )
-    return source, target
-
-
-def test_blocked_store_sweep(publish, results_dir):
-    """Blocked vs flat store: peak store memory + wall time sweep.
-
-    Publishes BENCH_blocked_store.json with one record per (workload,
-    size, store) plus the per-size ratios, and asserts the acceptance
-    floors above. Mappings must be identical on every row.
-    """
-    rows = []
-    records = []
-    memory_ratio_at_1280 = None
-
-    sweeps = [
-        ("context-dense", BLOCKED_DENSE_SIZES, {}, _workload),
-        (
-            "sparse-strong-link",
-            BLOCKED_SPARSE_SIZES,
-            {"thlow": 0.0},
-            None,
-        ),
-    ]
-    for workload_name, sizes, config_kwargs, make in sweeps:
-        for size in sizes:
-            if make is not None:
-                schema, copy, _ = make(size)
-            else:
-                schema, copy = _sparse_workload(size)
-            repeats = 2 if size <= 320 else 1
-            per_store = {}
-            for store in ("flat", "blocked"):
-                config = CupidConfig(store=store, **config_kwargs)
-                elapsed, result = _timed_match(
-                    config, schema, copy, repeats=repeats
-                )
-                sims = result.treematch_result.sims
-                record = {
-                    "workload": workload_name,
-                    "size": size,
-                    "store": store,
-                    "total_ms": round(elapsed * 1000, 2),
-                    "store_bytes": sims.store_bytes(),
-                }
-                if store == "blocked":
-                    facts = sims.describe()
-                    record.update(
-                        block_size=facts["block_size"],
-                        tiles_total=facts["tiles_total"],
-                        tiles_allocated=facts["tiles_allocated"],
-                        tiles_touched=facts["tiles_touched"],
-                        overlay_cells=facts["overlay_cells"],
-                    )
-                records.append(record)
-                per_store[store] = (elapsed, result, record)
-            flat_time, flat_result, flat_record = per_store["flat"]
-            blocked_time, blocked_result, blocked_record = (
-                per_store["blocked"]
-            )
-            # The blocked store must be a pure re-layout: same mappings.
-            assert _mapping_signature(blocked_result.leaf_mapping) == (
-                _mapping_signature(flat_result.leaf_mapping)
-            ), f"{workload_name}@{size}: blocked changed the mapping"
-            memory_ratio = (
-                flat_record["store_bytes"] / blocked_record["store_bytes"]
-            )
-            time_ratio = blocked_time / flat_time
-            if size <= 320 and time_ratio > BLOCKED_TIME_LIMIT:
-                # Sub-second rows are at the mercy of scheduler noise;
-                # re-measure once with more repeats before judging.
-                flat_time, _ = _timed_match(
-                    CupidConfig(store="flat", **config_kwargs),
-                    schema, copy, repeats=4,
-                )
-                blocked_time, _ = _timed_match(
-                    CupidConfig(store="blocked", **config_kwargs),
-                    schema, copy, repeats=4,
-                )
-                time_ratio = blocked_time / flat_time
-                flat_record["total_ms"] = round(flat_time * 1000, 2)
-                blocked_record["total_ms"] = round(blocked_time * 1000, 2)
-            # Rows render after the possible re-measure so the table
-            # and its ratio line always agree.
-            for record in (flat_record, blocked_record):
-                rows.append(
-                    [
-                        workload_name,
-                        size,
-                        record["store"],
-                        f"{record['total_ms']:.1f} ms",
-                        f"{record['store_bytes'] / 1024:.0f} KiB",
-                        record.get("tiles_allocated", ""),
-                    ]
-                )
-            records.append(
-                {
-                    "workload": workload_name,
-                    "size": size,
-                    "memory_ratio_flat_over_blocked": round(
-                        memory_ratio, 2
-                    ),
-                    "time_ratio_blocked_over_flat": round(time_ratio, 3),
-                }
-            )
-            rows.append(
-                [
-                    workload_name, size, "ratios",
-                    f"{time_ratio:.2f}x time",
-                    f"{memory_ratio:.1f}x less mem", "",
-                ]
-            )
-            if size <= 320:
-                assert time_ratio <= BLOCKED_TIME_LIMIT, (
-                    f"blocked store {time_ratio:.2f}x slower than flat "
-                    f"on {workload_name} at {size} leaves/side "
-                    f"(limit {BLOCKED_TIME_LIMIT}x)"
-                )
-            if workload_name == "sparse-strong-link" and size == 1280:
-                memory_ratio_at_1280 = memory_ratio
-
-    publish(
-        "blocked_store",
-        render_table(
-            ["Workload", "Leaves/side", "Store", "Wall time",
-             "Store memory", "Tiles"],
-            rows,
-            title="Blocked vs flat similarity store (memory + time)",
-        ),
-    )
-    json_path = os.path.join(results_dir, "BENCH_blocked_store.json")
-    with open(json_path, "w") as handle:
-        json.dump(records, handle, indent=2)
-    print(f"[written to {json_path}]")
-
-    assert memory_ratio_at_1280 is not None
-    assert memory_ratio_at_1280 >= REQUIRED_MEMORY_RATIO_AT_1280, (
-        f"blocked store only {memory_ratio_at_1280:.1f}x lower store "
-        f"memory at 1280 leaves/side "
-        f"(required {REQUIRED_MEMORY_RATIO_AT_1280}x)"
-    )
-
-
 def test_stdlib_fallback_speedup(publish):
     """The pure-stdlib dense backend must also beat the reference
     engine (no hard numpy dependency for the speedup)."""

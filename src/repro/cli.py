@@ -131,17 +131,6 @@ def _add_match_options(parser: argparse.ArgumentParser) -> None:
              "dict-based correctness oracle)",
     )
     parser.add_argument(
-        "--store", choices=("flat", "blocked", "auto"), default=None,
-        help="dense-engine similarity store (default: auto — picks "
-             "per pair by leaf count; flat is fastest for small "
-             "pairs, blocked allocates tiles lazily and bounds peak "
-             "memory by the live tiles for very large schemas)",
-    )
-    parser.add_argument(
-        "--block-size", type=int, default=None, metavar="N",
-        help="tile edge length for --store blocked (default: auto)",
-    )
-    parser.add_argument(
         "--pipeline", default=None, metavar="STAGE=VARIANT[,...]",
         help="substitute registered stage variants (linguistic=off, "
              "structural=no-context, mapping=one-to-one, "
@@ -323,10 +312,6 @@ def _config_from_args(
         config = config.replace(cinc=args.cinc)
     if args.engine is not None:
         config = config.replace(engine=args.engine)
-    if args.store is not None:
-        config = config.replace(store=args.store)
-    if args.block_size is not None:
-        config = config.replace(block_size=args.block_size)
     return config
 
 

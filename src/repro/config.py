@@ -149,31 +149,6 @@ class CupidConfig:
     #: ``REPRO_FORCE_STDLIB`` environment variable (set → "stdlib").
     dense_backend: str = field(default_factory=_default_dense_backend)
 
-    #: Similarity-store layout for the dense engine. ``"flat"`` (the
-    #: default) materializes the full ``n_s×n_t`` ssim/lsim/wsim
-    #: matrices up front; ``"blocked"`` routes the same computation
-    #: through :class:`repro.structure.blocked.BlockedSimilarityStore`,
-    #: which allocates fixed-size tiles lazily on first *write*, keeps
-    #: ssim only (lsim is gathered from the linguistic tables, wsim is
-    #: recomputed from the same expression on read), and so bounds peak
-    #: memory by the live tiles instead of the whole plane — the
-    #: difference that matters for 10⁴-leaf schemas. ``"auto"`` picks
-    #: per pair: blocked when either side's leaf count reaches
-    #: :attr:`auto_store_leaf_threshold`, flat below it — the right
-    #: default for repository search, where query size is unknown and
-    #: most pairs are dissimilar (their planes stay virtual). All
-    #: layouts are bit-identical (fuzz-parity-tested). ``"auto"`` is
-    #: the global default: small pairs keep flat's raw speed, large
-    #: pairs get the blocked store's bounded memory without anyone
-    #: having to size the workload in advance.
-    store: str = "auto"
-
-    #: Leaf-count threshold at which ``store = "auto"`` switches from
-    #: flat to blocked (either side reaching it flips the pair). The
-    #: default follows the PR 4 measurements: flat wins below ~500
-    #: leaves/side, blocked wins above.
-    auto_store_leaf_threshold: int = 512
-
     #: Upper bound on the prepared schemas a
     #: :class:`~repro.pipeline.session.MatchSession` retains (0 =
     #: unbounded). When set, the least-recently-matched prepared schema
@@ -183,11 +158,6 @@ class CupidConfig:
     #: PreparedSchema per schema ever seen. Eviction counts appear in
     #: ``MatchSession.cache_info()``.
     max_prepared_schemas: int = 0
-
-    #: Tile edge length for ``store = "blocked"``; 0 picks the default
-    #: (:data:`repro.structure.blocked.DEFAULT_BLOCK_SIZE`). Ignored by
-    #: the flat store.
-    block_size: int = 0
 
     #: Route the dense engine's linguistic phase through the
     #: distinct-name kernel (:mod:`repro.linguistic.kernel`): name
@@ -319,20 +289,6 @@ class CupidConfig:
             raise ConfigError(
                 f"dense_backend={self.dense_backend!r} "
                 "(expected 'auto', 'numpy', or 'stdlib')"
-            )
-        if self.store not in ("flat", "blocked", "auto"):
-            raise ConfigError(
-                f"store={self.store!r} "
-                "(expected 'flat', 'blocked', or 'auto')"
-            )
-        if self.block_size < 0:
-            raise ConfigError(
-                f"block_size ({self.block_size}) must be >= 0 (0 = default)"
-            )
-        if self.auto_store_leaf_threshold < 1:
-            raise ConfigError(
-                f"auto_store_leaf_threshold "
-                f"({self.auto_store_leaf_threshold}) must be >= 1"
             )
         if self.max_prepared_schemas < 0:
             raise ConfigError(

@@ -171,13 +171,8 @@ class PreparedSchema:
         return self._layout
 
     def cache_info(self) -> dict:
-        """Which artifact tiers are built, and the layout's leaf count.
-
-        The leaf count is what sizes the similarity plane: together
-        with :meth:`MatchSession.cache_info`'s tile-occupancy counters
-        it shows how much of the ``n_s×n_t`` plane the blocked store
-        actually materialized.
-        """
+        """Which artifact tiers are built, and the layout's leaf count
+        (what sizes the ``n_s×n_t`` similarity plane)."""
         info = {
             "linguistic_built": self._linguistic is not None,
             "vocabulary_built": self.vocabulary is not None,

@@ -89,18 +89,6 @@ class MatchSession:
             "simcache_discarded": 0,
             "simcache_write_failures": 0,
         }
-        # Tile occupancy accumulated over the session's blocked-store
-        # matches (each match owns one store; the session sums them so
-        # ``--stats`` can show how much of the similarity plane the
-        # whole batch ever materialized).
-        self._store_counters = {
-            "blocked_store_matches": 0,
-            "store_tiles_total": 0,
-            "store_tiles_allocated": 0,
-            "store_tiles_touched": 0,
-            "store_overlay_cells": 0,
-            "store_bytes": 0,
-        }
         # The repository's persistent memo tier, available to
         # standalone sessions: a JSON dump of the token-pair and
         # element-name caches, preloaded at construction and written
@@ -251,25 +239,7 @@ class MatchSession:
                 self._lsim_cache[(id(prep_s), id(prep_t))] = (
                     result.lsim_table.copy()
                 )
-            self._accumulate_store_stats(result)
         return result
-
-    def _accumulate_store_stats(self, result: CupidResult) -> None:
-        tm = result.treematch_result
-        if tm is None:
-            return
-        from repro.structure.blocked import BlockedSimilarityStore
-
-        sims = tm.sims
-        if not isinstance(sims, BlockedSimilarityStore):
-            return
-        counters = self._store_counters
-        counters["blocked_store_matches"] += 1
-        counters["store_tiles_total"] += sims.tiles_total()
-        counters["store_tiles_allocated"] += sims.tiles_allocated()
-        counters["store_tiles_touched"] += sims.tiles_touched()
-        counters["store_overlay_cells"] += sims.overlay_cells()
-        counters["store_bytes"] += sims.store_bytes()
 
     def match_many(
         self,
@@ -441,7 +411,4 @@ class MatchSession:
                 distinct_names += vocabulary.n_names
         info["vocabulary_tables"] = vocabularies
         info["vocabulary_distinct_names"] = distinct_names
-        # Blocked-store tile occupancy, summed over the session's
-        # matches (all zero while no match used the blocked store).
-        info.update(self._store_counters)
         return info

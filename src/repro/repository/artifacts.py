@@ -57,9 +57,9 @@ from repro.pipeline.prepared import PreparedSchema
 FORMAT_VERSION = 1
 
 #: Config fields that change match *results*. The fingerprint guarding
-#: persisted artifacts covers exactly these; engine/store/backend
-#: choices are excluded because every combination is parity-tested to
-#: produce bit-identical output.
+#: persisted artifacts covers exactly these; engine/backend choices are
+#: excluded because every combination is parity-tested to produce
+#: bit-identical output.
 SEMANTIC_CONFIG_FIELDS = (
     "thns", "thhigh", "thlow", "cinc", "cdec", "thaccept",
     "wstruct", "wstruct_leaf", "leaf_count_ratio", "prune_by_leaf_count",
@@ -105,8 +105,8 @@ def config_fingerprint(config: CupidConfig) -> str:
     """Hash of the result-affecting config fields.
 
     Artifacts prepared under one fingerprint are only valid under the
-    same one; runtime knobs (engine, store, backend, cache bounds) may
-    differ freely — those are parity-guaranteed not to change values.
+    same one; runtime knobs (engine, backend, cache bounds) may differ
+    freely — those are parity-guaranteed not to change values.
     """
     full = config_to_dict(config)
     payload = {

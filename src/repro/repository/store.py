@@ -273,19 +273,9 @@ class SchemaRepository:
         """Open an existing repository (raises if ``path`` has none)."""
         return cls(path, config=config, thesaurus=thesaurus, must_exist=True)
 
-    @staticmethod
-    def _default_config() -> CupidConfig:
-        """This process's defaults with the repository store policy.
-
-        Repository search is the workload ``store="auto"`` exists for:
-        query sizes are unknown and most candidate pairs are
-        dissimilar, where lazily-tiled planes stay virtual.
-        """
-        return CupidConfig().replace(store="auto")
-
     def _initialize(self, config: Optional[CupidConfig]) -> None:
         if config is None:
-            config = self._default_config()
+            config = CupidConfig()
         config.validate()
         self.config = config
         self._schemas: Dict[str, Dict[str, Any]] = {}
@@ -328,12 +318,11 @@ class SchemaRepository:
             self.config = config
         else:
             # Restore only the result-affecting fields. Runtime knobs
-            # (engine, backend, block size, cache bounds) come from
-            # this process's defaults: pinning e.g. a stdlib backend
-            # recorded at create time would silently slow every later
-            # open on a numpy machine. The store keeps the repository
-            # default ("auto") via _default_config().
-            self.config = self._default_config().replace(**{
+            # (engine, backend, cache bounds) come from this process's
+            # defaults: pinning e.g. a stdlib backend recorded at
+            # create time would silently slow every later open on a
+            # numpy machine.
+            self.config = CupidConfig().replace(**{
                 name: getattr(stored_config, name)
                 for name in SEMANTIC_CONFIG_FIELDS
             })

@@ -158,9 +158,19 @@ def _timeout(body: Dict[str, Any]) -> Optional[float]:
     value = body.get("timeout_s")
     if value is None:
         return None
-    if not isinstance(value, (int, float)) or value < 0:
+    if (
+        not isinstance(value, (int, float))
+        or isinstance(value, bool)
+        or value < 0
+    ):
         raise BadRequestError("timeout_s must be a non-negative number")
     return float(value)
+
+
+def _reject_constant(token: str) -> None:
+    """``json.loads`` hook for the non-JSON ``NaN``/``Infinity`` tokens
+    (Python's decoder accepts them by default)."""
+    raise BadRequestError(f"request body is not JSON: {token} is not a value")
 
 
 def _mapping_payload(query_name, target_name, result) -> Dict[str, Any]:
@@ -379,17 +389,29 @@ class MatchRequestHandler(BaseHTTPRequestHandler):
     # ------------------------------------------------------------------
 
     def _read_body(self) -> Dict[str, Any]:
-        length = int(self.headers.get("Content-Length") or 0)
+        header = self.headers.get("Content-Length") or "0"
+        try:
+            length = int(header)
+        except ValueError:
+            # The body stays unread (here and over the size limit), so
+            # the next request on this connection could not be framed.
+            self.close_connection = True
+            raise BadRequestError(
+                f"Content-Length {header!r} is not an integer"
+            ) from None
         if length <= 0:
             raise BadRequestError("request body required")
         if length > MAX_BODY_BYTES:
+            self.close_connection = True
             raise BadRequestError(
                 f"request body of {length} bytes exceeds the "
                 f"{MAX_BODY_BYTES}-byte limit"
             )
         raw = self.rfile.read(length)
         try:
-            body = json.loads(raw.decode("utf-8"))
+            body = json.loads(
+                raw.decode("utf-8"), parse_constant=_reject_constant
+            )
         except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise BadRequestError(f"request body is not JSON: {exc}") from exc
         if not isinstance(body, dict):
@@ -436,6 +458,8 @@ class MatchRequestHandler(BaseHTTPRequestHandler):
             retry_after = self.server.retry_after_s()
             if retry_after is not None:
                 headers["Retry-After"] = str(retry_after)
+        if self.close_connection:
+            headers["Connection"] = "close"
         body = {
             "error": type(exc).__name__,
             "message": str(exc),

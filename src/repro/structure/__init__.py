@@ -1,16 +1,10 @@
 """Structure matching (paper Section 6): the TreeMatch algorithm."""
 
-from repro.structure.blocked import (
-    DEFAULT_BLOCK_SIZE,
-    BlockedSimilarityStore,
-)
 from repro.structure.dense import DenseSimilarityStore, numpy_available
 from repro.structure.similarity import SimilarityStore
 from repro.structure.treematch import TreeMatch, TreeMatchResult
 
 __all__ = [
-    "BlockedSimilarityStore",
-    "DEFAULT_BLOCK_SIZE",
     "DenseSimilarityStore",
     "SimilarityStore",
     "TreeMatch",

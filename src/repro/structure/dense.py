@@ -82,10 +82,9 @@ def leaf_base_ssim(
     """Initial ssim of a leaf class pair: clamped type compatibility
     plus the key-affinity adjustment.
 
-    The single source of the expression ``SimilarityStore.ssim`` uses
-    for never-updated pairs — the flat store's matrix fill and the
-    blocked store's base-class table both call it, so the two layouts
-    cannot drift apart bit-wise.
+    The same expression ``SimilarityStore.ssim`` uses for never-updated
+    pairs; the dense store's matrix fill evaluates it once per distinct
+    (type, key-ness) class pair.
     """
     base = compat.compatibility(dt1, dt2)
     if config.use_key_affinity:
@@ -101,10 +100,8 @@ def iter_lsim_cells(lsim_table: LsimTable, s_leaves, t_leaves):
     lsim table assigns.
 
     Shared-type expansion can map one element to several tree leaves,
-    hence the per-element index lists. Both store layouts scatter
-    through this iterator (the flat store into its lsim plane, the
-    blocked store into its cell dict + per-tile entry lists), keeping
-    the entry sets identical by construction.
+    hence the per-element index lists. The dense store scatters dict-form
+    tables into its lsim plane through this iterator.
     """
     s_rows: Dict[str, List[int]] = {}
     for i, leaf in enumerate(s_leaves):
@@ -781,8 +778,7 @@ class DenseSimilarityStore(SimilarityStore):
 
     def store_bytes(self) -> int:
         """Bytes held by the similarity plane representation (the
-        three flat matrices; the O(n) index dicts are not counted on
-        either store)."""
+        three flat matrices; the O(n) index dicts are not counted)."""
         return 3 * 8 * self._n_s * self._n_t
 
     def describe(self) -> Dict[str, object]:

@@ -31,8 +31,8 @@ depth-pruned frontiers are shrunken-window scans that skip a stand-in's
 ``subtree_size`` span; impure DAG nodes carry ascending gather tuples
 and answer through reference DFS. This loop consults those answers
 once per node pair (frontier dicts are memoized per pass below, since
-the tree cannot mutate mid-run); the stores translate the same windows
-into ``[pre_lo, pre_hi)`` block addresses for their scans and
+the tree cannot mutate mid-run); the dense store translates the same
+windows into ``[pre_lo, pre_hi)`` block addresses for its scans and
 multiplies. Nothing here invalidates anything: a structural mutation
 unindexes the touched ancestry at mutation time and the accessors fall
 back to DFS until the next reindex.
@@ -47,7 +47,6 @@ from repro.config import DEFAULT_CONFIG, CupidConfig
 from repro.linguistic.matcher import LsimTable
 from repro.obs import trace
 from repro.model.datatypes import TypeCompatibilityTable, default_compatibility_table
-from repro.structure.blocked import BlockedSimilarityStore
 from repro.structure.dense import DenseSimilarityStore
 from repro.structure.similarity import SimilarityStore
 from repro.tree.schema_tree import SchemaTree, SchemaTreeNode
@@ -234,34 +233,7 @@ class TreeMatch:
         target_layout=None,
     ) -> SimilarityStore:
         if self.config.engine == "dense":
-            store = self.config.store
-            if store == "auto":
-                # Pick per pair by leaf count: flat's up-front planes
-                # win on small schemas, the blocked store's lazy tiles
-                # win once a side crosses the threshold (and dominate
-                # on dissimilar repository-search pairs, whose planes
-                # stay virtual). Prepared layouts carry the counts for
-                # free; without them the roots' cached leaf tuples do.
-                n_s = (
-                    len(source_layout.leaves)
-                    if source_layout is not None
-                    else len(source_tree.root.leaves())
-                )
-                n_t = (
-                    len(target_layout.leaves)
-                    if target_layout is not None
-                    else len(target_tree.root.leaves())
-                )
-                threshold = self.config.auto_store_leaf_threshold
-                store = (
-                    "blocked" if max(n_s, n_t) >= threshold else "flat"
-                )
-            store_cls = (
-                BlockedSimilarityStore
-                if store == "blocked"
-                else DenseSimilarityStore
-            )
-            return store_cls(
+            return DenseSimilarityStore(
                 lsim_table,
                 self.config,
                 self.compat,

@@ -187,48 +187,9 @@ class TestMatchMany:
         data = json.loads(capsys.readouterr().out)
         assert data["matches"][0]["stats"]["engine"] == "reference"
 
-    def test_blocked_store_json(self, schema_files, capsys):
-        """--store blocked: identical elements, plus the tile-occupancy
-        fields in both per-match stats and the session block."""
-        mediated, a, b = schema_files
-        assert main(
-            ["match-many", mediated, a, b, "--format", "json"]
-        ) == 0
-        flat = json.loads(capsys.readouterr().out)
-        assert main(
-            ["match-many", mediated, a, b, "--format", "json",
-             "--store", "blocked", "--block-size", "8"]
-        ) == 0
-        blocked = json.loads(capsys.readouterr().out)
-        for flat_match, blocked_match in zip(
-            flat["matches"], blocked["matches"]
-        ):
-            assert blocked_match["elements"] == flat_match["elements"]
-        for match in blocked["matches"]:
-            stats = match["stats"]
-            assert stats["store"] == "blocked"
-            assert stats["block_size"] == 8
-            assert stats["tiles_allocated"] <= stats["tiles_touched"]
-            assert stats["tiles_touched"] <= stats["tiles_total"]
-        session = blocked["session"]
-        assert session["blocked_store_matches"] == 2
-        assert session["store_tiles_total"] > 0
-
-    def test_blocked_store_stats_flag(self, schema_files, capsys):
-        mediated, a, b = schema_files
-        assert main(
-            ["match-many", mediated, a, b, "--store", "blocked", "--stats"]
-        ) == 0
-        err = capsys.readouterr().err
-        assert "store_tiles_allocated:" in err
-        assert "tiles_touched:" in err
-
-    def test_bad_block_size_is_cli_error(self, schema_files, capsys):
+    def test_bad_config_value_is_cli_error(self, schema_files, capsys):
         mediated, a, _ = schema_files
-        assert main(
-            ["match-many", mediated, a, "--store", "blocked",
-             "--block-size", "-3"]
-        ) == 1
+        assert main(["match-many", mediated, a, "--cinc", "0.5"]) == 1
         assert "error:" in capsys.readouterr().err
 
     def test_missing_target_is_error(self, schema_files, capsys):

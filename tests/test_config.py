@@ -102,30 +102,6 @@ class TestValidation:
         with pytest.raises(ConfigError):
             CupidConfig(dense_backend="torch").validate()
 
-    def test_auto_store_is_default(self):
-        config = CupidConfig()
-        assert config.store == "auto"
-        assert config.block_size == 0  # 0 = auto tile size
-
-    def test_unknown_store_rejected(self):
-        with pytest.raises(ConfigError):
-            CupidConfig(store="sharded").validate()
-
-    def test_negative_block_size_rejected(self):
-        with pytest.raises(ConfigError):
-            CupidConfig(block_size=-1).validate()
-
-    def test_blocked_store_accepted(self):
-        CupidConfig(store="blocked", block_size=32).validate()
-
-    def test_auto_store_accepted(self):
-        CupidConfig(store="auto").validate()
-
-    def test_auto_store_threshold_must_be_positive(self):
-        with pytest.raises(ConfigError):
-            CupidConfig(auto_store_leaf_threshold=0).validate()
-        CupidConfig(store="auto", auto_store_leaf_threshold=1).validate()
-
     def test_max_prepared_schemas_non_negative(self):
         with pytest.raises(ConfigError):
             CupidConfig(max_prepared_schemas=-1).validate()

@@ -1,14 +1,14 @@
 """Randomized parity fuzz harness: every engine tier vs the oracle.
 
-The dense engine now has four interacting fast paths — dense
-vectorization, the distinct-name linguistic kernel, the dirty-set
-incremental recompute, and the blocked tile store — whose pairwise
-interactions no hand-picked test can cover. This suite generates
-seeded random schema pairs across the axes that select those paths
-(size × name repetition × tree/DAG shape × leaf_prune_depth ×
-store × block size × kernel on/off × backend × threshold band) and
-asserts **bit-identical** lsim tables, wsim maps, and leaf/non-leaf
-mappings against the reference engine on every one.
+The dense engine has interacting fast paths — dense vectorization,
+the distinct-name linguistic kernel with its batched ``ns``, and the
+dirty-set incremental recompute — whose pairwise interactions no
+hand-picked test can cover. This suite generates seeded random schema
+pairs across the axes that select those paths (size × name repetition
+× tree/DAG shape × leaf_prune_depth × kernel on/off × batched ns ×
+backend × threshold band) and asserts **bit-identical** lsim tables,
+wsim maps, and leaf/non-leaf mappings against the reference engine on
+every one.
 
 Tier-1 runs :data:`N_TIER1_PAIRS` schema pairs under the fixed
 :data:`FUZZ_SEED` (each pair checks :data:`VARIANTS_PER_PAIR` dense
@@ -32,8 +32,7 @@ from repro.config import CupidConfig
 from repro.datasets.generator import PerturbationConfig, SchemaGenerator
 from repro.linguistic.kernel import FactoredLsimTable
 from repro.model.element import ElementKind, SchemaElement
-from repro.structure.blocked import BlockedSimilarityStore
-from repro.structure.dense import numpy_available
+from repro.structure.dense import DenseSimilarityStore, numpy_available
 from repro.tree.schema_tree import verify_interval_encoding
 
 pytestmark = pytest.mark.fuzz
@@ -75,8 +74,6 @@ def _case_params(index: int) -> dict:
         "discount_optional_leaves": rng.random() < 0.8,
         "prune_by_leaf_count": rng.random() < 0.8,
         "use_refint_joins": rng.random() < 0.8,
-        "extra_backend_stdlib": rng.random() < 0.3,
-        "small_block_size": rng.choice((3, 5, 8, 16)),
     }
     return params
 
@@ -85,7 +82,7 @@ def _add_random_refints(schema, rng: random.Random, count: int) -> None:
     """Wire random referential constraints between two inner elements.
 
     Join-view augmentation then reifies them as shared-child DAG nodes,
-    which is what drives the dense stores through their non-contiguous
+    which is what drives the dense store through its non-contiguous
     (gather-list) leaf index paths.
     """
     inners = [
@@ -156,33 +153,20 @@ def _shared_config_kwargs(params: dict) -> dict:
     }
 
 
-def _variants(params: dict):
-    """The dense-engine variants checked against the oracle (always
-    VARIANTS_PER_PAIR of them)."""
-    variants = [
-        ("flat+kernel", {"store": "flat"}),
-        ("blocked+kernel", {"store": "blocked"}),
-        (
-            "blocked small tiles",
-            {"store": "blocked", "block_size": params["small_block_size"]},
-        ),
-        ("flat no-kernel", {"store": "flat", "linguistic_kernel": False}),
-    ]
-    if params["extra_backend_stdlib"]:
-        variants.append(
-            (
-                "blocked stdlib",
-                {"store": "blocked", "dense_backend": "stdlib"},
-            )
-        )
-    else:
-        variants.append(
-            (
-                "blocked no-kernel",
-                {"store": "blocked", "linguistic_kernel": False},
-            )
-        )
-    return variants
+#: The dense-engine variants checked against the oracle on every pair
+#: (VARIANTS_PER_PAIR of them): the default backend and forced stdlib,
+#: each with and without the distinct-name kernel, plus the kernel's
+#: scalar (unbatched) ``ns`` loop.
+VARIANTS = (
+    ("kernel", {}),
+    ("no-kernel", {"linguistic_kernel": False}),
+    ("stdlib+kernel", {"dense_backend": "stdlib"}),
+    (
+        "stdlib no-kernel",
+        {"dense_backend": "stdlib", "linguistic_kernel": False},
+    ),
+    ("scalar ns", {"linguistic_batch_ns": False}),
+)
 
 
 # ----------------------------------------------------------------------
@@ -226,7 +210,7 @@ def _check_case(index: int, record_property) -> None:
     ref_leaf = _mapping_signature(reference.leaf_mapping)
     ref_nonleaf = _mapping_signature(reference.nonleaf_mapping)
 
-    for label, overrides in _variants(params):
+    for label, overrides in VARIANTS:
         record_property("failing_variant", label)
         dense = CupidMatcher(
             config=CupidConfig(engine="dense", **shared, **overrides)
@@ -237,11 +221,6 @@ def _check_case(index: int, record_property) -> None:
         assert (
             _mapping_signature(dense.nonleaf_mapping) == ref_nonleaf
         ), label
-        if overrides.get("store") == "blocked":
-            sims = dense.treematch_result.sims
-            assert isinstance(sims, BlockedSimilarityStore)
-            assert sims.tiles_touched() <= sims.tiles_total()
-            assert sims.tiles_allocated() <= sims.tiles_touched()
 
 
 # ----------------------------------------------------------------------
@@ -255,6 +234,7 @@ class TestFuzzParityTier1:
 
     def test_case_count_floor(self):
         """The tier-1 sweep must keep covering >= 200 comparisons."""
+        assert len(VARIANTS) == VARIANTS_PER_PAIR
         assert N_TIER1_PAIRS * VARIANTS_PER_PAIR >= 200
 
     def test_axes_actually_vary(self):
@@ -301,14 +281,14 @@ class TestFuzzParityFull:
 
 @pytest.mark.skipif(not numpy_available(), reason="numpy not installed")
 class TestFuzzForcedVectorization:
-    """A slice of the sweep with the vectorization threshold forced to
-    1, so the numpy tile paths run even on these small schemas."""
+    """A slice of the sweep with the dense store's vectorization
+    threshold forced to 1, so its numpy block paths (slices on pure
+    subtrees, ``np.ix_`` gathers on DAG join views, the profile
+    gather) run even on these small schemas."""
 
     @pytest.fixture(autouse=True)
     def _force_vectorization(self, monkeypatch):
-        monkeypatch.setattr(
-            BlockedSimilarityStore, "_VECTOR_MIN_CELLS", 1
-        )
+        monkeypatch.setattr(DenseSimilarityStore, "_VECTOR_MIN_CELLS", 1)
 
     @pytest.mark.parametrize("index", range(0, N_TIER1_PAIRS, 7))
     def test_case(self, index, record_property):

@@ -4,9 +4,8 @@ The encoding (``SchemaTree.reindex``) replaces the old per-node leaf
 caches: every node carries ``pre``/``post``/``level``/``subtree_size``
 and — for pure subtrees — the contiguous window ``[leaf_lo, leaf_hi)``
 of the global leaf order. These tests cover the migration oracle, the
-unindex-on-mutation safety net (the stale-cache bug class this PR
-removes), join-view augmentation after a completed build, and the
-observational helpers the encoding enables (tile-alignment stats).
+unindex-on-mutation safety net (against the stale-leaf-cache bug
+class), and join-view augmentation after a completed build.
 """
 
 from __future__ import annotations
@@ -17,11 +16,7 @@ from repro import CupidMatcher, MatchSession
 from repro.config import CupidConfig
 from repro.exceptions import SchemaError
 from repro.io.sql_ddl import parse_sql_ddl
-from repro.linguistic.lexicon import builtin_thesaurus
-from repro.linguistic.matcher import LinguisticMatcher, LsimTable
-from repro.model.datatypes import default_compatibility_table
 from repro.serving.service import available_cpu_count
-from repro.structure.blocked import BlockedSimilarityStore
 from repro.tree.construction import construct_schema_tree
 from repro.tree.lazy import construct_schema_tree_lazy
 from repro.tree.refint import augment_with_join_views
@@ -181,33 +176,3 @@ class TestCpuDetection:
     def test_available_cpu_count_is_positive_int(self):
         count = available_cpu_count()
         assert isinstance(count, int) and count >= 1
-
-
-class TestBlockedAlignmentStats:
-    def test_describe_reports_subtree_alignment(self):
-        config = CupidConfig(dense_backend="stdlib", block_size=4)
-        source_tree = construct_schema_tree(parse_sql_ddl(_DDL_S, "S"))
-        target_tree = construct_schema_tree(parse_sql_ddl(_DDL_T, "T"))
-        matcher = LinguisticMatcher(builtin_thesaurus(), config)
-        table = matcher.compute_prepared(
-            matcher.prepare(source_tree.schema),
-            matcher.prepare(target_tree.schema),
-        )
-        if not isinstance(table, LsimTable):
-            table = LsimTable()
-        blocked = BlockedSimilarityStore(
-            table, config, default_compatibility_table(),
-            source_tree, target_tree,
-        )
-        blocked.scale_block(source_tree.root, target_tree.root, 0.9)
-        customer = source_tree.node_for_path("Customer")
-        blocked.scale_block(customer, target_tree.root, 0.9)
-        facts = blocked.describe()
-        assert "subtree_windows" in facts
-        assert "subtree_windows_tile_aligned" in facts
-        assert 0 <= facts["subtree_windows_tile_aligned"] <= (
-            facts["subtree_windows"]
-        )
-        # The root windows cover the whole axis, so at least one
-        # cached window is tile-aligned by the hi == n escape hatch.
-        assert facts["subtree_windows"] >= 1

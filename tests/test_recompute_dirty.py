@@ -85,24 +85,6 @@ class TestIncrementalMatchesFullRescan:
         )
         assert incremental == full
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_blocked_store(self, backend):
-        """The blocked store maintains the same crossing stamps, so
-        the incremental skip stays exact on it (small tiles force
-        plenty of tile-boundary traffic)."""
-        source, target = _workload(11)
-        config = CupidConfig(
-            store="blocked", dense_backend=backend, block_size=16
-        )
-        incremental, inc_result = _recompute_signature(
-            source, target, config, force_full=False
-        )
-        full, _ = _recompute_signature(
-            source, target, config, force_full=True
-        )
-        assert incremental == full
-        assert inc_result.recompute_skipped > 0
-
     @pytest.mark.parametrize("seed", [3, 11])
     def test_matches_reference_engine(self, seed):
         source, target = _workload(seed)

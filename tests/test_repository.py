@@ -248,7 +248,7 @@ class TestIngestAndLoad:
         assert ids[2] in {m.schema_id for m in brute}
 
     def test_reopen_does_not_pin_runtime_knobs(self, tmp_path):
-        """Runtime fields (backend, engine, block size) must come from
+        """Runtime fields (backend, engine, cache bounds) must come from
         the opening process, not the manifest — a repository created
         under REPRO_FORCE_STDLIB would otherwise pin every later
         numpy-capable open to the scalar fallback. Result-affecting
@@ -257,14 +257,17 @@ class TestIngestAndLoad:
         created = SchemaRepository(
             path,
             config=CupidConfig().replace(
-                store="auto", dense_backend="stdlib", thns=0.6
+                dense_backend="stdlib", max_prepared_schemas=3, thns=0.6
             ),
         )
         created.ingest(figure2_po())
         created.save()
         reopened = SchemaRepository.open(path)
-        assert reopened.config.dense_backend == CupidConfig().dense_backend
-        assert reopened.config.store == "auto"
+        defaults = CupidConfig()
+        assert reopened.config.dense_backend == defaults.dense_backend
+        assert reopened.config.max_prepared_schemas == (
+            defaults.max_prepared_schemas
+        )
         assert reopened.config.thns == 0.6  # semantic field restored
 
     def test_catalog_metadata(self, tmp_path):
@@ -307,10 +310,22 @@ class TestIngestAndLoad:
         for schema_id in ids:
             reopened.verify(schema_id)
 
-    def test_manifest_with_removed_config_keys_opens(self, tmp_path):
+    @pytest.mark.parametrize(
+        "removed_keys",
+        [
+            {"workers": 2, "parallel_leaf_threshold": 256},
+            {"store": "blocked", "block_size": 8,
+             "auto_store_leaf_threshold": 1},
+        ],
+        ids=["parallel-knobs", "store-knobs"],
+    )
+    def test_manifest_with_removed_config_keys_opens(
+        self, tmp_path, removed_keys
+    ):
         """Manifests written by older builds record config fields that
-        no longer exist (the removed parallel-layer knobs). They must
-        still open, verify, and search bit-identically."""
+        no longer exist (the removed parallel-layer and similarity-store
+        knobs). They must still open, verify, and search
+        bit-identically."""
         path = str(tmp_path / "repo")
         schemas = _corpus(3)
         with SchemaRepository(path) as repo:
@@ -322,8 +337,7 @@ class TestIngestAndLoad:
         manifest_path = os.path.join(path, "repository.json")
         with open(manifest_path) as handle:
             manifest = json.load(handle)
-        manifest["config"]["workers"] = 2
-        manifest["config"]["parallel_leaf_threshold"] = 256
+        manifest["config"].update(removed_keys)
         with open(manifest_path, "w") as handle:
             json.dump(manifest, handle)
         reopened = SchemaRepository.open(path)
@@ -462,12 +476,12 @@ class TestCorruption:
         other = CupidConfig().replace(thns=0.7)
         with pytest.raises(RepositoryError, match="config mismatch"):
             SchemaRepository.open(path, config=other)
-        # Runtime-only differences are fine: engine/store/backend are
+        # Runtime-only differences are fine: engine/backend are
         # parity-guaranteed not to change results.
         runtime_only = SchemaRepository.open(
-            path, config=CupidConfig().replace(store="blocked")
+            path, config=CupidConfig().replace(dense_backend="stdlib")
         )
-        assert runtime_only.config.store == "blocked"
+        assert runtime_only.config.dense_backend == "stdlib"
 
     def test_thesaurus_mismatch(self, tmp_path):
         from repro import empty_thesaurus
@@ -594,45 +608,6 @@ class TestSimilarityCachePersistence:
         info = repo.cache_info()
         assert info["simcache_preloaded_entries"] == 0
         assert info["simcache_discarded"] == 1
-
-
-class TestStoreAuto:
-    def test_auto_resolves_by_leaf_count(self):
-        from repro.structure.blocked import BlockedSimilarityStore
-        from repro.structure.dense import DenseSimilarityStore
-
-        source = figure2_po()
-        target = figure2_purchase_order()
-        small = MatchSession(
-            config=CupidConfig().replace(store="auto")
-        ).match(source, target)
-        assert not isinstance(
-            small.treematch_result.sims, BlockedSimilarityStore
-        )
-        assert isinstance(
-            small.treematch_result.sims, DenseSimilarityStore
-        )
-        large = MatchSession(
-            config=CupidConfig().replace(
-                store="auto", auto_store_leaf_threshold=1
-            )
-        ).match(source, target)
-        assert isinstance(
-            large.treematch_result.sims, BlockedSimilarityStore
-        )
-
-    def test_auto_parity_with_flat(self):
-        source = _corpus(1, size=24)[0]
-        target = _query_for(source, seed=71)
-        flat = MatchSession(
-            config=CupidConfig().replace(store="flat")
-        ).match(source, target)
-        auto = MatchSession(
-            config=CupidConfig().replace(
-                store="auto", auto_store_leaf_threshold=1
-            )
-        ).match(source, target)
-        assert _mapping_signature(auto) == _mapping_signature(flat)
 
 
 class TestForceStdlibEnv:

@@ -13,6 +13,7 @@ including the error-taxonomy → status-code mapping.
 
 from __future__ import annotations
 
+import http.client
 import json
 import os
 import random
@@ -41,7 +42,7 @@ from repro.serving import (
     MatchHTTPServer,
     MatchService,
 )
-from repro.serving.http import schema_from_spec
+from repro.serving.http import MAX_BODY_BYTES, schema_from_spec
 
 
 def _corpus(n=6, size=12, seed=5):
@@ -557,3 +558,32 @@ class TestHTTPDaemon:
             "format": "sql",
             "timeout_s": 1e-9,
         }) == (504, "RequestTimeoutError")
+        # A bool is not a deadline, and NaN (which Python's json
+        # emits and accepts, but JSON has no such value) would build
+        # one that never expires.
+        for timeout in (True, float("nan")):
+            assert self._status_of(server, "/search", {
+                "text": "CREATE TABLE x (a INT);",
+                "format": "sql",
+                "timeout_s": timeout,
+            }) == (400, "BadRequestError"), timeout
+        # A Content-Length that is unparseable or over the limit leaves
+        # the body unread: 400, and the server closes the connection
+        # rather than parse the body as the next request.
+        for length in ("abc", str(MAX_BODY_BYTES + 1)):
+            conn = http.client.HTTPConnection(
+                "127.0.0.1", server.port, timeout=30
+            )
+            try:
+                conn.putrequest("POST", "/search")
+                conn.putheader("Content-Type", "application/json")
+                conn.putheader("Content-Length", length)
+                conn.endheaders(b'{"k": 1}')
+                response = conn.getresponse()
+                payload = json.loads(response.read())
+                assert (response.status, payload["error"]) == (
+                    400, "BadRequestError",
+                ), length
+                assert response.getheader("Connection") == "close", length
+            finally:
+                conn.close()

@@ -145,33 +145,11 @@ class TestRematch:
         assert info["prepare_hits"] == 2       # both reused on rematch
         assert info["lsim_hits"] == 1          # linguistic phase skipped
 
-    def test_rematch_with_feedback_on_blocked_store(self):
-        """The feedback loop (a cached FactoredLsimTable copy mutated
-        by hints, consumed by the blocked store's dict-lsim plan) must
-        stay bit-identical to an independent hinted flat-store run."""
-        source, target = figure2_po(), figure2_purchase_order()
-        feedback = [("POLines.Item.Line", "Items.Item.ItemNumber")]
-        config = CupidConfig(store="blocked", block_size=8)
-        session = MatchSession(config=config)
-        first = session.match(source, target)
-        rerun = session.rematch(first, feedback=feedback)
-        assert_identical(
-            rerun,
-            CupidMatcher().match(source, target, initial_mapping=feedback),
-        )
-        # And the rematch really ran on the blocked store.
-        from repro.structure.blocked import BlockedSimilarityStore
-
-        assert isinstance(
-            rerun.treematch_result.sims, BlockedSimilarityStore
-        )
-
-    def test_rematch_blocked_generated_workload(self):
+    def test_rematch_generated_workload(self):
         source, targets = _batch_workload(n_targets=2)
-        session = MatchSession(config=CupidConfig(store="blocked"))
+        session = MatchSession()
         results = session.match_many(source, targets)
-        feedback = None
-        rerun = session.rematch(results[0], feedback=feedback)
+        rerun = session.rematch(results[0])
         assert_identical(rerun, CupidMatcher().match(source, targets[0]))
 
 
@@ -230,26 +208,6 @@ class TestSessionCaching:
         info = session.cache_info()
         assert info["matches"] == 2
         assert info["lsim_misses"] == 1 and info["lsim_hits"] == 1
-        # Flat-store sessions report zero tile occupancy.
-        assert info["blocked_store_matches"] == 0
-        assert info["store_tiles_total"] == 0
-
-    def test_cache_info_tile_occupancy_blocked(self):
-        source, targets = _batch_workload(n_targets=3)
-        session = MatchSession(
-            config=CupidConfig(store="blocked", block_size=8)
-        )
-        session.match_many(source, targets)
-        info = session.cache_info()
-        assert info["blocked_store_matches"] == 3
-        assert info["store_tiles_total"] > 0
-        assert (
-            0
-            <= info["store_tiles_allocated"]
-            <= info["store_tiles_touched"]
-            <= info["store_tiles_total"]
-        )
-        assert info["store_bytes"] > 0
 
     def test_prepared_schema_cache_info(self):
         source = figure2_po()
