@@ -205,8 +205,9 @@ class FactoredLsimTable(LsimTable):
 
     * **factored** — reads gather through ``profile_of``; nothing
       materialized. The dense engine consumes this form directly.
-    * **materialized** — ``items()``/``len()`` filled the dict form
-      (same entries the reference path stores); reads still gather.
+    * **materialized** — ``items()`` filled the dict form (same
+      entries the reference path stores); reads still gather.
+      ``len()`` counts those entries without materializing.
     * **mutated** — the first ``set()`` (initial-mapping hints)
       materializes and switches reads to the dict permanently.
     """
@@ -292,8 +293,30 @@ class FactoredLsimTable(LsimTable):
         return self._table.items()
 
     def __len__(self) -> int:
-        self._ensure_materialized()
-        return len(self._table)
+        if not self._factored_live:
+            return len(self._table)
+        # Count what _ensure_materialized would write — every member
+        # pair of a profile cell > 0.0 — without building the dict.
+        s_counts = [len(m) for m in self._source_vocab.profile_members]
+        t_counts = [len(m) for m in self._target_vocab.profile_members]
+        if not s_counts or not t_counts:
+            return 0
+        if _np is not None:
+            positive = self.numpy_values() > 0.0
+            return int(
+                _np.asarray(s_counts, dtype=_np.int64)
+                @ positive
+                @ _np.asarray(t_counts, dtype=_np.int64)
+            )
+        values = self._values
+        n_t = len(t_counts)
+        total = 0
+        for p, count in enumerate(s_counts):
+            row = values[p * n_t:(p + 1) * n_t]
+            total += count * sum(
+                c for value, c in zip(row, t_counts) if value > 0.0
+            )
+        return total
 
     def copy(self) -> LsimTable:
         if not self._factored_live:

@@ -17,6 +17,7 @@ from typing import List, Optional
 
 from repro.config import DEFAULT_CONFIG, CupidConfig
 from repro.mapping.mapping import Mapping, MappingElement
+from repro.structure.dense import DenseSimilarityStore
 from repro.structure.treematch import TreeMatch, TreeMatchResult
 from repro.tree.schema_tree import SchemaTreeNode
 
@@ -40,8 +41,29 @@ class MappingGenerator:
             result.source_tree.schema.name, result.target_tree.schema.name
         )
         sims = result.sims
+        thaccept = self.config.thaccept
         source_leaves = list(result.source_tree.root.leaves())
-        for t in result.target_tree.root.leaves():
+        target_leaves = result.target_tree.root.leaves()
+        # Dense engine: start from each plane column's max. The scan
+        # below only ever reports one of the column's values, so a max
+        # under thaccept maps nothing; a max every other row trails by
+        # more than 2×epsilon wins the scan outright with that value.
+        # Any other column (a near-tie) runs the scan, tie-break and all.
+        columns = (
+            sims.leaf_column_maxima(
+                source_leaves, target_leaves, 2 * self._TIE_EPSILON
+            )
+            if isinstance(sims, DenseSimilarityStore)
+            else None
+        )
+        for j, t in enumerate(target_leaves):
+            if columns is not None:
+                top, row, clear = columns[j]
+                if top < thaccept:
+                    continue
+                if clear:
+                    mapping.add(self._element(source_leaves[row], t, top))
+                    continue
             best_node = None
             best_score = -1.0
             for s in source_leaves:
@@ -56,7 +78,7 @@ class MappingGenerator:
                 ):
                     best_node = s
                     best_score = max(best_score, score)
-            if best_node is not None and best_score >= self.config.thaccept:
+            if best_node is not None and best_score >= thaccept:
                 mapping.add(self._element(best_node, t, best_score))
         return mapping
 

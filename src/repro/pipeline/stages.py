@@ -171,8 +171,7 @@ class _NoContextTreeMatch(TreeMatch):
     blend; ancestors still aggregate strong links. Quantifies how much
     of Cupid's quality comes from context propagation."""
 
-    def _scale_leaf_pairs(self, s, t, sims, factor):
-        return 0
+    adjusts_context = False
 
 
 class MappingStage:

@@ -25,7 +25,11 @@ This module replaces the hot path with contiguous-array arithmetic:
   context adjustment becomes a clamped block multiply over that
   window (impure DAG nodes gather through their ascending id tuples);
 * ``wsim`` cells are refreshed only for the block whose ``ssim`` was
-  scaled, never matrix-wide.
+  scaled, except by the leaf-plane operations below;
+* every leaf×leaf pair is handled as one plane: TreeMatch's first-pass
+  context adjustment of all of them is :meth:`scale_leaf_plane`, their
+  wsim entries read the plane through :class:`LeafPlaneWsim`, and the
+  leaf mapping starts from :meth:`leaf_column_maxima`.
 
 Every matrix cell is computed with exactly the scalar expressions the
 reference store uses (same operand order, same clamping), and the
@@ -41,8 +45,10 @@ dict-based bookkeeping, which is exact by construction.
 
 from __future__ import annotations
 
+import math
 from array import array
-from typing import Dict, List, Optional, Tuple
+from collections.abc import Mapping
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.config import CupidConfig
 from repro.exceptions import ConfigError
@@ -138,6 +144,54 @@ class LeafLayout:
         self.index: Dict[int, int] = {
             leaf.node_id: i for i, leaf in enumerate(self.leaves)
         }
+
+
+def _same_nodes(nodes: Sequence[SchemaTreeNode], layout_leaves) -> bool:
+    return len(nodes) == len(layout_leaves) and set(map(id, nodes)) == set(
+        map(id, layout_leaves)
+    )
+
+
+class LeafPlaneWsim(Mapping):
+    """TreeMatch's read-only wsim map on the leaf plane.
+
+    Pairs involving a non-leaf come from the ``pairs`` dict; leaf pairs
+    read the store's live wsim plane, so no per-leaf-pair entry is ever
+    built. Keys are ``(source node_id, target node_id)`` as in the dict
+    the reference engine keeps.
+    """
+
+    __slots__ = ("pairs", "_store")
+
+    def __init__(
+        self,
+        pairs: Dict[Tuple[int, int], float],
+        store: "DenseSimilarityStore",
+    ) -> None:
+        self.pairs = pairs
+        self._store = store
+
+    def get(self, key: Tuple[int, int], default=None):
+        value = self.pairs.get(key)
+        if value is None:
+            value = self._store.leaf_wsim(key)
+        return default if value is None else value
+
+    def __getitem__(self, key: Tuple[int, int]) -> float:
+        value = self.get(key)
+        if value is None:
+            raise KeyError(key)
+        return value
+
+    def __contains__(self, key: object) -> bool:
+        return self.get(key) is not None
+
+    def __len__(self) -> int:
+        return len(self.pairs) + self._store.leaf_cells
+
+    def __iter__(self) -> Iterator[Tuple[int, int]]:
+        yield from self.pairs
+        yield from self._store.leaf_keys()
 
 
 class _NodeIndex:
@@ -259,28 +313,33 @@ class DenseSimilarityStore(SimilarityStore):
         ssim_flat = array("d", bytes(8 * size))
         lsim_flat = array("d", bytes(8 * size))
 
-        # Initial leaf ssim = the shared leaf_base_ssim expression,
-        # computed once per distinct (type, key-ness) combination
-        # instead of once per probe.
+        # Initial leaf ssim = the shared leaf_base_ssim expression. It
+        # depends only on each side's (type, key-ness) class, so every
+        # source leaf of one class gets the same row: build it once per
+        # source class (one evaluation per class pair) and copy it in
+        # by slice.
         config = self._config
         compat = self._compat
-        t_props = [
-            (leaf.data_type, leaf.element.is_key) for leaf in self._t_leaves
+        t_class_ids: Dict[Tuple, int] = {}
+        t_columns = [
+            t_class_ids.setdefault(
+                (leaf.data_type, leaf.element.is_key), len(t_class_ids)
+            )
+            for leaf in self._t_leaves
         ]
-        base_cache: Dict[Tuple, float] = {}
-        pos = 0
-        for s_leaf in self._s_leaves:
-            dt1 = s_leaf.data_type
-            k1 = s_leaf.element.is_key
-            for dt2, k2 in t_props:
-                key = (dt1, k1, dt2, k2)
-                value = base_cache.get(key)
-                if value is None:
-                    value = base_cache[key] = leaf_base_ssim(
-                        config, compat, dt1, k1, dt2, k2
-                    )
-                ssim_flat[pos] = value
-                pos += 1
+        rows: Dict[Tuple, array] = {}
+        for i, s_leaf in enumerate(self._s_leaves):
+            s_class = (s_leaf.data_type, s_leaf.element.is_key)
+            row = rows.get(s_class)
+            if row is None:
+                per_class = [
+                    leaf_base_ssim(config, compat, *s_class, dt2, k2)
+                    for dt2, k2 in t_class_ids
+                ]
+                row = rows[s_class] = array(
+                    "d", [per_class[c] for c in t_columns]
+                )
+            ssim_flat[i * n_t:(i + 1) * n_t] = row
 
         if isinstance(lsim_table, FactoredLsimTable) and lsim_table.factored_live:
             # Kernel-factored table: gather each leaf's profile row
@@ -421,6 +480,146 @@ class DenseSimilarityStore(SimilarityStore):
         if pos is None:
             return super().wsim(s, t)
         return self._W[pos]
+
+    # ------------------------------------------------------------------
+    # The leaf plane as a whole
+    # ------------------------------------------------------------------
+
+    def spans_leaves(
+        self,
+        source_leaves: Sequence[SchemaTreeNode],
+        target_leaves: Sequence[SchemaTreeNode],
+    ) -> bool:
+        """Are these exactly the layout's leaves on each side (in any
+        order)? Only then does the plane hold every leaf pair a
+        traversal of the trees visits, and nothing else — false for a
+        tree mutated after its layout was built."""
+        return _same_nodes(source_leaves, self._s_leaves) and _same_nodes(
+            target_leaves, self._t_leaves
+        )
+
+    @property
+    def leaf_cells(self) -> int:
+        return self._n_s * self._n_t
+
+    def leaf_wsim(self, key: Tuple[int, int]) -> Optional[float]:
+        """Live plane wsim of a ``(source node_id, target node_id)``
+        leaf pair, or None when either id is not a layout leaf."""
+        s_id, t_id = key
+        i = self._s_index.get(s_id)
+        if i is None:
+            return None
+        j = self._t_index.get(t_id)
+        if j is None:
+            return None
+        return self._W[i * self._n_t + j]
+
+    def leaf_keys(self) -> Iterator[Tuple[int, int]]:
+        """Every leaf pair's ``(node_id, node_id)`` key, row-major."""
+        t_ids = [leaf.node_id for leaf in self._t_leaves]
+        for s_leaf in self._s_leaves:
+            s_id = s_leaf.node_id
+            for t_id in t_ids:
+                yield s_id, t_id
+
+    def scale_leaf_plane(
+        self, thhigh: float, thlow: float, cinc: float, cdec: float
+    ) -> int:
+        """Figure 3's context adjustment of every leaf pair at once.
+
+        Multiplies ssim by ``cinc`` where the cell's wsim exceeds
+        ``thhigh`` and by ``cdec`` where it is below ``thlow``, then
+        applies :meth:`scale_block`'s [0, 1] clamp and wsim refresh —
+        the same IEEE operations in the same order, so each cell ends
+        exactly where a 1×1 ``scale_block`` would leave it. Validation
+        keeps ``thlow < thaccept < thhigh``, ``cinc >= 1`` and
+        ``0 < cdec <= 1``, so the two cases never overlap and no cell
+        crosses ``thaccept`` (a cell above ``thhigh`` only grows, one
+        below ``thlow`` only shrinks): unlike ``scale_block`` there is
+        nothing to stamp. TreeMatch calls it on the pristine planes,
+        before any other first-pass write (the ordering argument is in
+        :mod:`repro.structure.treematch`). Returns the number of cells
+        scaled.
+        """
+        n_s, n_t = self._n_s, self._n_t
+        if self._use_numpy and n_s * n_t >= self._VECTOR_MIN_CELLS:
+            ssim, wsim = self._Snp, self._Wnp
+            inc = wsim > thhigh
+            dec = wsim < thlow
+            scaled = int(_np.count_nonzero(inc)) + int(
+                _np.count_nonzero(dec)
+            )
+            if scaled:
+                _np.multiply(ssim, cinc, out=ssim, where=inc)
+                _np.multiply(ssim, cdec, out=ssim, where=dec)
+                # Unscaled cells are in range and recompute to the wsim
+                # they hold, so a whole-plane clamp and refresh leave
+                # them be.
+                _np.clip(ssim, 0.0, 1.0, out=ssim)
+                _np.multiply(ssim, self._wl, out=wsim)
+                wsim += self._om * self._Lnp
+            return scaled
+
+        ssim_flat, lsim_flat, wsim_flat = self._S, self._L, self._W
+        wl, om = self._wl, self._om
+        scaled = 0
+        for flat in range(n_s * n_t):
+            old_wsim = wsim_flat[flat]
+            if old_wsim > thhigh:
+                value = ssim_flat[flat] * cinc
+            elif old_wsim < thlow:
+                value = ssim_flat[flat] * cdec
+            else:
+                continue
+            scaled += 1
+            if value > 1.0:
+                value = 1.0
+            elif value < 0.0:
+                value = 0.0
+            ssim_flat[flat] = value
+            wsim_flat[flat] = wl * value + om * lsim_flat[flat]
+        return scaled
+
+    def leaf_column_maxima(
+        self,
+        source_leaves: Sequence[SchemaTreeNode],
+        target_leaves: Sequence[SchemaTreeNode],
+        margin: float,
+    ) -> Optional[List[Tuple[float, int, bool]]]:
+        """Per target leaf (plane column): ``(best wsim, first source
+        row holding it, whether every other row is more than
+        ``margin`` below it)``.
+
+        None when there are no source leaves, or when the sequences
+        are not the layout's rows and columns in layout order (a tree
+        mutated after its layout was built).
+        """
+        if (
+            not self._n_s
+            or tuple(source_leaves) != self._s_leaves
+            or tuple(target_leaves) != self._t_leaves
+        ):
+            return None
+        n_t = self._n_t
+        if self._use_numpy and self._n_s * n_t >= self._VECTOR_MIN_CELLS:
+            wsim = self._Wnp
+            best = wsim.max(axis=0)
+            clear = _np.count_nonzero(wsim >= best - margin, axis=0) == 1
+            return list(zip(
+                best.tolist(), wsim.argmax(axis=0).tolist(), clear.tolist()
+            ))
+        wsim_flat = self._W
+        columns: List[Tuple[float, int, bool]] = []
+        for j in range(n_t):
+            column = wsim_flat[j::n_t]
+            top = max(column)
+            row = column.index(top)
+            runner_up = max(
+                max(column[:row], default=-math.inf),
+                max(column[row + 1:], default=-math.inf),
+            )
+            columns.append((top, row, runner_up < top - margin))
+        return columns
 
     # ------------------------------------------------------------------
     # Per-node leaf-index caching

@@ -36,18 +36,44 @@ windows into ``[pre_lo, pre_hi)`` block addresses for its scans and
 multiplies. Nothing here invalidates anything: a structural mutation
 unindexes the touched ancestry at mutation time and the accessors fall
 back to DFS until the next reindex.
+
+Leaf plane (dense engine). The first pass does not visit leaf×leaf
+pairs one by one; one plane operation
+(:meth:`DenseSimilarityStore.scale_leaf_plane`) handles all of them
+before the loop, which then visits only pairs involving a non-leaf, in
+their original order. This is exact because of the visit order. A
+pair (s, t) writes only the block leaves(s)×leaves(t); for that block
+to hold a leaf pair (x, y), s must be x or an ancestor of x, and t must
+be y or an ancestor of y. Post-order puts every node after all of its
+descendants (in a DAG too: a node is emitted only after all its
+children), so with the source side outer, every such pair other than
+(x, y) itself comes later. Hence each leaf pair's own update reads the
+untouched initial ssim and no other leaf pair's result, and every pair
+that reads a leaf cell — any pair whose block or frontier holds it —
+comes after that cell's own update. Running all leaf updates first
+therefore leaves every later read, every non-leaf decision and every
+write in the same order on the same values. The counters follow by
+arithmetic: every leaf pair is compared (``leaf_count_ratio >= 1``
+never prunes a 1:1 pair), and each scaled leaf pair touched one cell.
+The plane operation crosses no cell over ``thaccept`` (its docstring
+says why), and it precedes every ``visit_seq`` snapshot, so it can
+never make a visited block dirty. The plane is used
+only when the trees' leaves are exactly the store's layout; a tree
+mutated after its layout was built takes the per-pair loop, which the
+reference engine always runs as the oracle.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Tuple
+from typing import Dict, List, Mapping, Optional, Tuple
 
 from repro.config import DEFAULT_CONFIG, CupidConfig
 from repro.linguistic.matcher import LsimTable
 from repro.obs import trace
 from repro.model.datatypes import TypeCompatibilityTable, default_compatibility_table
-from repro.structure.dense import DenseSimilarityStore
+from repro.structure.dense import DenseSimilarityStore, LeafPlaneWsim
 from repro.structure.similarity import SimilarityStore
 from repro.tree.schema_tree import SchemaTree, SchemaTreeNode
 
@@ -56,16 +82,23 @@ from repro.tree.schema_tree import SchemaTree, SchemaTreeNode
 class TreeMatchResult:
     """Everything TreeMatch computed.
 
-    ``wsim`` holds the weighted similarity of every compared node pair
-    (as of the moment it was compared — the paper's Section 7 notes
-    non-leaf values may be stale after later leaf updates, hence
-    :meth:`recompute_wsim` for mapping generation's second pass).
+    ``wsim`` maps every compared node pair to its weighted similarity
+    (read-only: ``get``, ``[]``, ``in``, ``items()``, ``len()``). A
+    non-leaf pair's value is as of the moment it was compared — the
+    paper's Section 7 notes it may be stale after later leaf updates,
+    hence :meth:`TreeMatch.recompute_wsim` for mapping generation's
+    second pass. On the reference engine a leaf pair's value is also
+    the one seen at its visit. When the dense engine takes the leaf
+    plane (module docstring), leaf entries read the live wsim plane
+    (:class:`~repro.structure.dense.LeafPlaneWsim`); after
+    ``recompute_wsim``, which every pipeline runs, they equal the
+    reference engine's.
     """
 
     source_tree: SchemaTree
     target_tree: SchemaTree
     sims: SimilarityStore
-    wsim: Dict[Tuple[int, int], float]
+    wsim: Mapping[Tuple[int, int], float]
     compared_pairs: int = 0
     pruned_pairs: int = 0
     #: Leaf-pair ssim cells touched by cinc/cdec context adjustments.
@@ -93,6 +126,11 @@ class TreeMatchResult:
 
 class TreeMatch:
     """Runs the Figure 3 algorithm over two schema trees."""
+
+    #: Figure 3's cinc/cdec context adjustment (step 3). Clearing it
+    #: switches off both scaling sites, the leaf-plane operation and
+    #: the per-pair ``_scale_leaf_pairs`` calls.
+    adjusts_context = True
 
     def __init__(
         self,
@@ -155,7 +193,6 @@ class TreeMatch:
         source_layout=None,
         target_layout=None,
     ) -> TreeMatchResult:
-        config = self.config
         self._frontier_memo = {}
         sims = self._make_store(
             source_tree, target_tree, lsim_table, source_layout, target_layout
@@ -165,7 +202,7 @@ class TreeMatch:
             target_tree=target_tree,
             sims=sims,
             wsim={},
-            engine=config.engine,
+            engine=self.config.engine,
         )
 
         # Leaf ssim initialization is implicit: both stores default to
@@ -176,10 +213,25 @@ class TreeMatch:
         # Subtree leaf counts are consulted once per node pair; hoist
         # them out of the double loop (they are stable during a run).
         target_order = [(t, t.leaf_count()) for t in target_tree.postorder()]
-        source_root = source_tree.root
-        target_root = target_tree.root
-        thhigh, thlow = config.thhigh, config.thlow
-        cinc, cdec = config.cinc, config.cdec
+        if self._on_leaf_plane(sims, source_order, target_order):
+            self._leaf_plane_pass(result, source_order, target_order)
+        else:
+            self._pair_pass(result, source_order, target_order)
+        return result
+
+    def _pair_pass(
+        self,
+        result: TreeMatchResult,
+        source_order: List[SchemaTreeNode],
+        target_order: List[Tuple[SchemaTreeNode, int]],
+    ) -> None:
+        """Figure 3's double loop, one node pair at a time (the
+        reference engine, and the dense engine off the leaf plane)."""
+        sims = result.sims
+        source_root = result.source_tree.root
+        target_root = result.target_tree.root
+        thhigh, thlow = self._scaling_band()
+        cinc, cdec = self.config.cinc, self.config.cdec
         # Dense engine: remember the store state each non-leaf pair saw
         # so the second pass can prove most of them clean and skip the
         # strong-link rescan.
@@ -222,7 +274,102 @@ class TreeMatch:
                     result.scaled_pairs += self._scale_leaf_pairs(
                         s, t, sims, cdec
                     )
-        return result
+
+    def _leaf_plane_pass(
+        self,
+        result: TreeMatchResult,
+        source_order: List[SchemaTreeNode],
+        target_order: List[Tuple[SchemaTreeNode, int]],
+    ) -> None:
+        """The first pass with every leaf×leaf pair hoisted into one
+        plane operation; the loop visits only pairs involving a
+        non-leaf (the ordering argument is in the module docstring)."""
+        sims = result.sims
+        thhigh, thlow = self._scaling_band()
+        cinc, cdec = self.config.cinc, self.config.cdec
+        result.scaled_pairs = sims.scale_leaf_plane(thhigh, thlow, cinc, cdec)
+        result.compared_pairs = sims.leaf_cells
+        pairs: Dict[Tuple[int, int], float] = {}
+        result.wsim = LeafPlaneWsim(pairs, sims)
+        visit_seq = result.visit_seq
+        row_of = self._target_rows(result, target_order, False)
+        for s in source_order:
+            row, pruned = row_of(s)
+            result.pruned_pairs += pruned
+            result.compared_pairs += len(row)
+            for _, t in row:
+                sims.set_ssim(s, t, self._structural_similarity(s, t, sims))
+                key = (s.node_id, t.node_id)
+                # Snapshot BEFORE this pair's own scaling: a pair that
+                # scales its own block must be recomputed.
+                visit_seq[key] = sims.mutation_seq
+                wsim = sims.wsim(s, t)
+                pairs[key] = wsim
+                if wsim > thhigh:
+                    result.scaled_pairs += self._scale_leaf_pairs(
+                        s, t, sims, cinc
+                    )
+                elif wsim < thlow:
+                    result.scaled_pairs += self._scale_leaf_pairs(
+                        s, t, sims, cdec
+                    )
+
+    @staticmethod
+    def _on_leaf_plane(
+        sims: SimilarityStore,
+        source_order: List[SchemaTreeNode],
+        target_order: List[Tuple[SchemaTreeNode, int]],
+    ) -> bool:
+        """May this traversal hoist its leaf×leaf pairs into the dense
+        plane? Only when the visited leaves are exactly the plane's."""
+        return isinstance(sims, DenseSimilarityStore) and sims.spans_leaves(
+            [s for s in source_order if s.is_leaf],
+            [t for t, _ in target_order if t.is_leaf],
+        )
+
+    def _target_rows(
+        self,
+        result: TreeMatchResult,
+        target_order: List[Tuple[SchemaTreeNode, int]],
+        leaf_pairs: bool,
+    ):
+        """``row_of(s)`` -> ``(row, pruned)``: the ``(target index,
+        target)`` pairs (s, t) a loop visits, in target post-order,
+        leaving out the pairs the leaf-count ratio prunes (``pruned``
+        counts them) and, unless ``leaf_pairs``, leaf×leaf pairs. A row
+        depends only on s's leaf count, leafness and rootness, so each
+        distinct combination is pruned once."""
+        source_root = result.source_tree.root
+        target_root = result.target_tree.root
+        rows: Dict[Tuple[int, bool, bool], Tuple[list, int]] = {}
+
+        def row_of(s: SchemaTreeNode) -> Tuple[list, int]:
+            s_leaf_count = s.leaf_count()
+            key = (s_leaf_count, s.is_leaf, s is source_root)
+            entry = rows.get(key)
+            if entry is None:
+                row = []
+                pruned = 0
+                for t_index, (t, t_leaf_count) in enumerate(target_order):
+                    if self._pruned(
+                        s, t, s_leaf_count, t_leaf_count,
+                        source_root, target_root,
+                    ):
+                        pruned += 1
+                    elif leaf_pairs or not (s.is_leaf and t.is_leaf):
+                        row.append((t_index, t))
+                entry = rows[key] = (row, pruned)
+            return entry
+
+        return row_of
+
+    def _scaling_band(self) -> Tuple[float, float]:
+        """``(thhigh, thlow)`` of Figure 3's step 3. Without context
+        adjustment no wsim is above +inf or below -inf, so neither
+        scaling site ever fires."""
+        if self.adjusts_context:
+            return self.config.thhigh, self.config.thlow
+        return math.inf, -math.inf
 
     def _make_store(
         self,
@@ -378,7 +525,7 @@ class TreeMatch:
 
     def recompute_wsim(
         self, result: TreeMatchResult, force_full: bool = False
-    ) -> Dict[Tuple[int, int], float]:
+    ) -> Mapping[Tuple[int, int], float]:
         """Second post-order pass re-computing non-leaf similarities.
 
         "To generate non-leaf mappings, we need a second post-order
@@ -396,7 +543,9 @@ class TreeMatch:
         value re-read. ``force_full=True`` disables the skip (the
         parity tests use it as the oracle for the incremental path).
         The reference engine always rescans: it is the correctness
-        oracle.
+        oracle. On the leaf plane the loop visits only pairs involving
+        a non-leaf; leaf entries of the returned map (also stored as
+        ``result.wsim``) read the plane.
         """
         pass_span = trace.start_span("treematch.recompute")
         if pass_span is None:
@@ -416,15 +565,18 @@ class TreeMatch:
 
     def _recompute_pass(
         self, result: TreeMatchResult, force_full: bool = False
-    ) -> Dict[Tuple[int, int], float]:
+    ) -> Mapping[Tuple[int, int], float]:
         sims = result.sims
         self._frontier_memo = {}
         refreshed: Dict[Tuple[int, int], float] = {}
-        source_root = result.source_tree.root
-        target_root = result.target_tree.root
+        source_order = result.source_tree.postorder()
         target_order = [
             (t, t.leaf_count()) for t in result.target_tree.postorder()
         ]
+        # On the leaf plane the rows leave leaf×leaf pairs out: no
+        # threshold updates happen here, so their plane wsim is final.
+        on_plane = self._on_leaf_plane(sims, source_order, target_order)
+        row_of = self._target_rows(result, target_order, not on_plane)
         incremental = not force_full and isinstance(
             sims, DenseSimilarityStore
         )
@@ -452,18 +604,14 @@ class TreeMatch:
         result.recompute_dirty = 0
         result.recompute_skipped = 0
         result.recompute_standdown = 0
-        for s in result.source_tree.postorder():
-            s_leaf_count = s.leaf_count()
+        for s in source_order:
             s_is_leaf = s.is_leaf
             if pruned_frontiers:
                 s_frontier_ok = sims.frontier_leaf_indexed(
                     s, self._effective_leaves(s), source_side=True
                 )
-            for t_index, (t, t_leaf_count) in enumerate(target_order):
-                if self._pruned(
-                    s, t, s_leaf_count, t_leaf_count, source_root, target_root
-                ):
-                    continue
+            row, _ = row_of(s)
+            for t_index, t in row:
                 key = (s.node_id, t.node_id)
                 if not (s_is_leaf and t.is_leaf):
                     result.recompute_pairs += 1
@@ -488,5 +636,7 @@ class TreeMatch:
                         s, t, self._structural_similarity(s, t, sims)
                     )
                 refreshed[key] = sims.wsim(s, t)
-        result.wsim = refreshed
-        return refreshed
+        result.wsim = (
+            LeafPlaneWsim(refreshed, sims) if on_plane else refreshed
+        )
+        return result.wsim

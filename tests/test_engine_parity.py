@@ -21,12 +21,17 @@ from repro.datasets.canonical import canonical_examples
 from repro.datasets.figure2 import figure2_po, figure2_purchase_order
 from repro.datasets.generator import PerturbationConfig, SchemaGenerator
 from repro.datasets.rdb_star import rdb_schema, star_schema
+from repro.mapping.generator import MappingGenerator
+from repro.pipeline.pipeline import MatchPipeline
 from repro.structure.dense import (
     DenseSimilarityStore,
+    LeafPlaneWsim,
     numpy_available,
     resolve_backend,
 )
 from repro.structure.similarity import SimilarityStore
+from repro.structure.treematch import TreeMatch
+from repro.tree.schema_tree import SchemaTreeNode
 
 
 def _mapping_signature(mapping):
@@ -322,3 +327,261 @@ class TestDenseStoreBehaviour:
             + (1.0 - config.wstruct_leaf) * dense.lsim(s, t)
         )
         assert dense.wsim(s, t) == expected
+
+
+# ----------------------------------------------------------------------
+# Leaf plane: the dense first pass hoists every leaf×leaf pair into one
+# plane operation; the loops and dicts only see pairs with a non-leaf.
+# ----------------------------------------------------------------------
+
+BACKENDS = ["stdlib"] + (["numpy"] if numpy_available() else [])
+
+
+def _generated_pair(seed, n_leaves):
+    generator = SchemaGenerator(seed=seed)
+    schema = generator.generate(n_leaves=n_leaves, max_depth=3)
+    copy, _ = generator.perturb(
+        schema, PerturbationConfig(abbreviate=0.3, synonym=0.2)
+    )
+    return schema, copy
+
+
+def _prepared(source, target, config):
+    """Prepared trees, layouts and lsim table of one pair."""
+    pipeline = MatchPipeline.default(config=config)
+    prep_s = pipeline.prepare(source)
+    prep_t = pipeline.prepare(target)
+    table = pipeline.linguistic.compute_prepared(
+        prep_s.linguistic, prep_t.linguistic
+    )
+    return pipeline, prep_s, prep_t, table
+
+
+class TestNoContextParity:
+    """``structural=no-context`` switches off both scaling sites (the
+    leaf-plane operation and the per-pair block scaling) through one
+    override; the dense engine must still equal the reference."""
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("case", ["figure2", "generated"])
+    def test_no_context_matches_reference(self, case, backend):
+        if case == "figure2":
+            source, target = figure2_po(), figure2_purchase_order()
+        else:
+            # 64 leaves/side: a 4096-cell plane takes the numpy path.
+            source, target = _generated_pair(11, 64)
+
+        def run(**overrides):
+            return (
+                MatchPipeline.default(config=CupidConfig(**overrides))
+                .with_variant("structural", "no-context")
+                .run(source, target)
+            )
+
+        dense = run(dense_backend=backend)
+        reference = run(engine="reference")
+        assert _wsim_signature(dense) == _wsim_signature(reference)
+        assert _mapping_signature(dense.leaf_mapping) == _mapping_signature(
+            reference.leaf_mapping
+        )
+        assert _mapping_signature(
+            dense.nonleaf_mapping
+        ) == _mapping_signature(reference.nonleaf_mapping)
+        tm_dense = dense.treematch_result
+        tm_reference = reference.treematch_result
+        assert tm_dense.scaled_pairs == 0
+        assert tm_reference.scaled_pairs == 0
+        assert tm_dense.compared_pairs == tm_reference.compared_pairs
+        assert tm_dense.pruned_pairs == tm_reference.pruned_pairs
+
+
+class TestLeafPlane:
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_first_pass_scales_only_pairs_with_a_nonleaf(
+        self, backend, monkeypatch
+    ):
+        """On a generated 80-leaf pair the leaf plane must engage: no
+        per-leaf-pair ``scale_block`` call and no per-leaf-pair dict
+        entry, with every leaf pair still compared."""
+        source, target = _generated_pair(11, 80)
+        config = CupidConfig(dense_backend=backend)
+        pipeline, prep_s, prep_t, table = _prepared(source, target, config)
+        calls = []
+        original = DenseSimilarityStore.scale_block
+
+        def spy(store, s, t, factor):
+            calls.append((s.is_leaf, t.is_leaf))
+            return original(store, s, t, factor)
+
+        monkeypatch.setattr(DenseSimilarityStore, "scale_block", spy)
+        result = pipeline.treematch.run(
+            prep_s.tree, prep_t.tree, table,
+            source_layout=prep_s.leaf_layout,
+            target_layout=prep_t.leaf_layout,
+        )
+        assert calls
+        assert (True, True) not in calls
+        leaf_pairs = len(prep_s.tree.root.leaves()) * len(
+            prep_t.tree.root.leaves()
+        )
+        wsim = result.wsim
+        assert isinstance(wsim, LeafPlaneWsim)
+        assert len(wsim.pairs) == result.compared_pairs - leaf_pairs
+        assert len(wsim) == result.compared_pairs
+        nodes_s = {n.node_id: n for n in prep_s.tree.nodes()}
+        nodes_t = {n.node_id: n for n in prep_t.tree.nodes()}
+        assert not any(
+            nodes_s[s].is_leaf and nodes_t[t].is_leaf for s, t in wsim.pairs
+        )
+
+    @pytest.mark.parametrize("vectorized", [False, True])
+    def test_plane_op_equals_per_cell_scale_block(
+        self, vectorized, monkeypatch
+    ):
+        """``scale_leaf_plane`` leaves every cell and count where one
+        1×1 ``scale_block`` per leaf pair would, and neither stamps a
+        crossing: a leaf pair's own scaling moves its cell away from
+        thaccept."""
+        if vectorized:
+            if not numpy_available():
+                pytest.skip("numpy not installed")
+            monkeypatch.setattr(DenseSimilarityStore, "_VECTOR_MIN_CELLS", 1)
+        source, target = _generated_pair(3, 30)
+        config = CupidConfig(dense_backend="numpy" if vectorized else "stdlib")
+        pipeline, prep_s, prep_t, table = _prepared(source, target, config)
+
+        def store():
+            return DenseSimilarityStore(
+                table, config, pipeline.compat, prep_s.tree, prep_t.tree
+            )
+
+        plane, cells = store(), store()
+        count = plane.scale_leaf_plane(
+            config.thhigh, config.thlow, config.cinc, config.cdec
+        )
+        expected = 0
+        for x in prep_s.tree.root.leaves():
+            for y in prep_t.tree.root.leaves():
+                wsim = cells.wsim(x, y)
+                if wsim > config.thhigh:
+                    expected += cells.scale_block(x, y, config.cinc)
+                elif wsim < config.thlow:
+                    expected += cells.scale_block(x, y, config.cdec)
+        assert count == expected > 0
+        assert list(plane._S) == list(cells._S)
+        assert list(plane._W) == list(cells._W)
+        assert plane.mutation_seq == cells.mutation_seq == 0
+
+    def test_wsim_map_contract(self):
+        """``result.wsim`` answers get / [] / in / items() / len() like
+        the reference engine's dict over the same trees."""
+        source, target = _generated_pair(5, 40)
+        pipeline, prep_s, prep_t, table = _prepared(
+            source, target, CupidConfig()
+        )
+        dense = pipeline.treematch.run(prep_s.tree, prep_t.tree, table)
+        pipeline.treematch.recompute_wsim(dense)
+        oracle = TreeMatch(CupidConfig(engine="reference"))
+        reference = oracle.run(prep_s.tree, prep_t.tree, table)
+        oracle.recompute_wsim(reference)
+        assert isinstance(dense.wsim, LeafPlaneWsim)
+        assert len(dense.wsim) == len(reference.wsim)
+        assert dict(dense.wsim.items()) == reference.wsim
+        for key, value in reference.wsim.items():
+            assert key in dense.wsim
+            assert dense.wsim[key] == value
+            assert dense.wsim.get(key) == value
+        assert dense.pruned_pairs > 0
+        pruned = next(
+            (s.node_id, t.node_id)
+            for s in prep_s.tree.nodes()
+            for t in prep_t.tree.nodes()
+            if (s.node_id, t.node_id) not in reference.wsim
+        )
+        assert pruned not in dense.wsim
+        assert dense.wsim.get(pruned) is None
+        with pytest.raises(KeyError):
+            dense.wsim[pruned]
+
+    def test_stale_layout_takes_the_pair_loop(self):
+        """A tree grown after its layout was built has a leaf the plane
+        does not hold: TreeMatch must visit pair by pair, and still
+        equal the reference engine."""
+        source, target = _generated_pair(3, 30)
+        config = CupidConfig()
+        pipeline, prep_s, prep_t, table = _prepared(source, target, config)
+        layouts = (prep_s.leaf_layout, prep_t.leaf_layout)
+        tree_s, tree_t = prep_s.tree, prep_t.tree
+        parent = next(
+            n for n in tree_s.postorder()
+            if not n.is_leaf and any(c.is_leaf for c in n.children)
+        )
+        donor = next(c for c in parent.children if c.is_leaf)
+        parent.add_child(SchemaTreeNode(donor.element))
+        tree_s.reindex()
+
+        dense_tm = pipeline.treematch
+        dense = dense_tm.run(
+            tree_s, tree_t, table,
+            source_layout=layouts[0], target_layout=layouts[1],
+        )
+        oracle = TreeMatch(CupidConfig(engine="reference"))
+        reference = oracle.run(tree_s, tree_t, table)
+        assert type(dense.wsim) is dict
+        assert dense.wsim == reference.wsim
+        assert dense.compared_pairs == reference.compared_pairs
+        assert dense.pruned_pairs == reference.pruned_pairs
+        assert dense.scaled_pairs == reference.scaled_pairs
+        generator = MappingGenerator(config)
+        assert _mapping_signature(
+            generator.leaf_mapping(dense)
+        ) == _mapping_signature(generator.leaf_mapping(reference))
+        assert _mapping_signature(
+            generator.nonleaf_mapping(dense, dense_tm)
+        ) == _mapping_signature(generator.nonleaf_mapping(reference, oracle))
+        assert dense.wsim == reference.wsim
+
+
+class TestLeafMappingTieFallback:
+    """A column whose best wsim is not clear of every other row by more
+    than 2×epsilon falls back to the scalar scan with its ancestor
+    tie-break. Canonical example 6 shares one Address type between
+    shipping and billing, so its Name/Street/... columns tie."""
+
+    @pytest.mark.parametrize(
+        "backend, vectorized",
+        [("stdlib", False)]
+        + ([("numpy", False), ("numpy", True)] if numpy_available() else []),
+    )
+    def test_shared_type_tie_matches_reference(
+        self, backend, vectorized, monkeypatch
+    ):
+        if vectorized:
+            monkeypatch.setattr(DenseSimilarityStore, "_VECTOR_MIN_CELLS", 1)
+        tie_breaks = []
+        original = MappingGenerator._ancestors_prefer
+
+        def spy(generator, challenger, incumbent, target, result):
+            tie_breaks.append(target)
+            return original(generator, challenger, incumbent, target, result)
+
+        monkeypatch.setattr(MappingGenerator, "_ancestors_prefer", spy)
+        example = canonical_examples()[5]
+        dense = _run(
+            example.schema1, example.schema2, "dense", dense_backend=backend
+        )
+        tm = dense.treematch_result
+        columns = tm.sims.leaf_column_maxima(
+            list(tm.source_tree.root.leaves()),
+            tm.target_tree.root.leaves(),
+            2 * MappingGenerator._TIE_EPSILON,
+        )
+        assert any(
+            top >= CupidConfig().thaccept and not clear
+            for top, _, clear in columns
+        )
+        assert tie_breaks
+        reference = _run(example.schema1, example.schema2, "reference")
+        assert _mapping_signature(dense.leaf_mapping) == _mapping_signature(
+            reference.leaf_mapping
+        )

@@ -8,7 +8,8 @@ pairs across the axes that select those paths (size × name repetition
 × tree/DAG shape × leaf_prune_depth × kernel on/off × batched ns ×
 backend × threshold band) and asserts **bit-identical** lsim tables,
 wsim maps, and leaf/non-leaf mappings against the reference engine on
-every one.
+every one, together with TreeMatch's compared / pruned / scaled pair
+counters.
 
 Tier-1 runs :data:`N_TIER1_PAIRS` schema pairs under the fixed
 :data:`FUZZ_SEED` (each pair checks :data:`VARIANTS_PER_PAIR` dense
@@ -188,6 +189,15 @@ def _wsim_signature(result):
     )
 
 
+def _counter_signature(result):
+    tm = result.treematch_result
+    return {
+        "compared_pairs": tm.compared_pairs,
+        "pruned_pairs": tm.pruned_pairs,
+        "scaled_pairs": tm.scaled_pairs,
+    }
+
+
 def _check_case(index: int, record_property) -> None:
     params = _case_params(index)
     for key, value in params.items():
@@ -209,6 +219,7 @@ def _check_case(index: int, record_property) -> None:
     ref_wsim = _wsim_signature(reference)
     ref_leaf = _mapping_signature(reference.leaf_mapping)
     ref_nonleaf = _mapping_signature(reference.nonleaf_mapping)
+    ref_counters = _counter_signature(reference)
 
     for label, overrides in VARIANTS:
         record_property("failing_variant", label)
@@ -221,6 +232,9 @@ def _check_case(index: int, record_property) -> None:
         assert (
             _mapping_signature(dense.nonleaf_mapping) == ref_nonleaf
         ), label
+        # The leaf plane derives these arithmetically instead of
+        # counting pair by pair.
+        assert _counter_signature(dense) == ref_counters, label
 
 
 # ----------------------------------------------------------------------

@@ -15,8 +15,10 @@ over a real socket below).
 
 from __future__ import annotations
 
+import ast
 import io
 import json
+import pathlib
 import re
 import threading
 import time
@@ -198,6 +200,75 @@ class TestTracingIsObservational:
                 trace.disarm()
         _assert_lsim_lazy(lit)
         assert _signature(dark) == _signature(lit)
+
+
+class TestStatsKeepLsimLazy:
+    """``repro match --stats`` / ``--format json`` report
+    ``lsim_entries`` through ``run_stats``; counting must not build the
+    factored table's dict form."""
+
+    @pytest.mark.parametrize("numpy_count", [True, False])
+    def test_run_stats_counts_without_materializing(
+        self, numpy_count, monkeypatch
+    ):
+        if not numpy_count:
+            monkeypatch.setattr("repro.linguistic.kernel._np", None)
+        schema, other = _pair(n_leaves=40, seed=31)
+        matcher = CupidMatcher()
+        result = matcher.match(schema, other)
+        stats = matcher.run_stats(result)
+        _assert_lsim_lazy(result)
+        entries = stats["lsim_entries"]
+        assert entries > 0
+        assert entries == len(dict(result.lsim_table.items()))
+        assert result.lsim_table._materialized is True
+        assert len(result.lsim_table) == entries
+
+
+def _constant_time(expr) -> bool:
+    """A constant, a name, or an attribute read off one of those."""
+    while isinstance(expr, ast.Attribute):
+        expr = expr.value
+    return isinstance(expr, (ast.Constant, ast.Name))
+
+
+class TestAnnotateArgumentsStayCheap:
+    """Module-level ``trace.annotate(...)`` evaluates its arguments
+    even when tracing is disarmed (only the call returns early), so an
+    argument such as ``len(table)`` costs every match. Each argument
+    must be a constant, a name or an attribute read."""
+
+    def test_module_level_annotate_arguments_are_constant_time(self):
+        import repro
+
+        package = pathlib.Path(repro.__file__).parent
+        sites = 0
+        offenders = []
+        for path in sorted(package.rglob("*.py")):
+            tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+            for node in ast.walk(tree):
+                func = getattr(node, "func", None)
+                if not (
+                    isinstance(node, ast.Call)
+                    and isinstance(func, ast.Attribute)
+                    and func.attr == "annotate"
+                    and isinstance(func.value, ast.Name)
+                    and func.value.id == "trace"
+                ):
+                    continue
+                sites += 1
+                arguments = list(node.args) + [k.value for k in node.keywords]
+                for arg in arguments:
+                    if not _constant_time(arg):
+                        offenders.append(
+                            f"{path.relative_to(package.parent)}:"
+                            f"{arg.lineno}: {ast.unparse(arg)}"
+                        )
+        assert sites, "no trace.annotate call found under src/repro"
+        assert not offenders, (
+            "trace.annotate arguments must be O(1) (constants, names, "
+            "attribute reads): " + "; ".join(offenders)
+        )
 
 
 # ----------------------------------------------------------------------
@@ -465,11 +536,18 @@ class TestHTTPObservability:
                 f"span {expected} lost the request id"
             )
         # The daemon runs in-process: the collected root ties the same
-        # tree to the HTTP edge span.
-        edges = [
-            root for root in trace.roots()
-            if root.name == "http.request" and root.request_id == rid
-        ]
+        # tree to the HTTP edge span. The handler ends that span (and
+        # collects the root) only after the response is written, so
+        # the client may read the body first: wait for the root.
+        deadline = time.monotonic() + 5.0
+        while True:
+            edges = [
+                root for root in trace.roots()
+                if root.name == "http.request" and root.request_id == rid
+            ]
+            if edges or time.monotonic() > deadline:
+                break
+            time.sleep(0.01)
         assert edges, "http.request root span not collected"
         assert _find_all(edges, "serve.search"), (
             "serve span did not re-parent under the HTTP edge"
