@@ -1,12 +1,12 @@
-"""E14 — batched distinct-name ns kernel: batched vs scalar sweep.
+"""E14 — distinct-name ns kernel vs the reference engine's per-pair path.
 
 Times the linguistic phase (normalization + the factored lsim kernel)
-on the sparse independent-pair workload with the batched ns
-computation on and off, asserts the two produce identical lsim
-tables, and records the floor file
+on the sparse independent-pair workload against the reference
+engine's per-element-pair linguistic phase, asserts the two produce
+identical lsim values, and records the floor file
 (``results/BENCH_ns_kernel_floor.json``) that
 ``tests/test_perf_ns_kernel.py`` gates tier-1 against. The floor is
-~20x the measured batched time — a regression tripwire, not a
+~20x the measured kernel time — a regression tripwire, not a
 benchmark; the honest numbers live in the published table.
 """
 
@@ -53,22 +53,20 @@ def _timed_compute(config, source, target, repeats=3):
 
 
 def test_ns_kernel_sweep(publish, results_dir):
-    """Batched-vs-scalar sweep: publishes the table and rewrites
-    BENCH_ns_kernel_floor.json from the measured batched time."""
+    """Kernel-vs-reference sweep: publishes the table and rewrites
+    BENCH_ns_kernel_floor.json from the measured kernel time."""
     rows = []
     floor_batched_ms = None
     for size in SIZES:
         source, target = _workload(size)
         batched_ms, batched = _timed_compute(
-            CupidConfig(thlow=0.0, linguistic_batch_ns=True),
-            source, target,
+            CupidConfig(thlow=0.0), source, target,
         )
         scalar_ms, scalar = _timed_compute(
-            CupidConfig(thlow=0.0, linguistic_batch_ns=False),
-            source, target,
+            CupidConfig(thlow=0.0, engine="reference"), source, target,
         )
         assert sorted(batched.items()) == sorted(scalar.items()), (
-            f"{size} leaves/side: batched ns diverged from scalar"
+            f"{size} leaves/side: kernel ns diverged from the reference"
         )
         rows.append(
             [
@@ -84,16 +82,16 @@ def test_ns_kernel_sweep(publish, results_dir):
     publish(
         "ns_kernel",
         render_table(
-            ["Leaves/side", "Batched ns", "Scalar ns", "Speedup"],
+            ["Leaves/side", "Kernel", "Reference", "Speedup"],
             rows,
-            title="Linguistic phase, batched vs scalar ns (sparse pair)",
+            title="Linguistic phase, kernel vs reference (sparse pair)",
         ),
     )
 
     assert floor_batched_ms is not None
     record = {
         "description": (
-            "Floor for the batched distinct-name ns linguistic phase; "
+            "Floor for the distinct-name ns kernel's linguistic phase; "
             "gated by tests/test_perf_ns_kernel.py"
         ),
         "workload": {
@@ -105,7 +103,7 @@ def test_ns_kernel_sweep(publish, results_dir):
         "floor_ms": round(floor_batched_ms * FLOOR_HEADROOM),
         "measured_batched_ms": round(floor_batched_ms, 1),
         "note": (
-            f"floor is ~{FLOOR_HEADROOM:.0f}x the measured batched "
+            f"floor is ~{FLOOR_HEADROOM:.0f}x the measured kernel "
             "linguistic-phase time — an order-of-magnitude tripwire, "
             "not a benchmark"
         ),

@@ -159,24 +159,6 @@ class CupidConfig:
     #: ``MatchSession.cache_info()``.
     max_prepared_schemas: int = 0
 
-    #: Route the dense engine's linguistic phase through the
-    #: distinct-name kernel (:mod:`repro.linguistic.kernel`): name
-    #: similarities are computed once per distinct normalized-name pair
-    #: and broadcast to element pairs by index gather. Bit-identical to
-    #: the per-pair path; only applies when ``engine == "dense"`` and
-    #: descriptions are off. ``False`` keeps the per-element-pair loop
-    #: (the kernel ablation baseline in the benchmarks).
-    linguistic_kernel: bool = True
-
-    #: Batch the kernel's distinct-name ``ns`` computation over the
-    #: whole uncached cross product (token-id matrices + vectorized
-    #: row/column maxes) instead of one scalar memo call per pair.
-    #: Bit-identical to the scalar path (parity-tested); only engages
-    #: on the numpy backend — the stdlib fallback keeps the memoized
-    #: scalar loop. ``False`` forces the scalar loop everywhere (the
-    #: ablation baseline).
-    linguistic_batch_ns: bool = True
-
     #: Path of a persistent linguistic memo cache (``simcache.json``)
     #: for standalone :class:`~repro.pipeline.session.MatchSession`
     #: use — the same dirty-gated, fingerprint-checked store the schema

@@ -23,21 +23,50 @@ This module factors a prepared schema into its linguistic vocabulary:
   ``min(1, ns × scale)`` are computed once per *profile* pair and
   broadcast to every member element pair.
 
-:class:`FactoredLsimTable` keeps the profile-level result and behaves
-like a plain :class:`~repro.linguistic.matcher.LsimTable`: reads gather
-through the factored indices, the dict form is materialized lazily on
-first ``items()``, and the first ``set()`` (initial-mapping hints)
-permanently switches the table to dict mode. Every value is produced by
-exactly the scalar expressions the reference path uses (same ``ns``
-through the memo, same float ``max`` over category similarities, same
-``min(1.0, ns * scale)`` product), so the factored table is
-**bit-identical** to the reference table — the engine parity tests
-assert exact equality.
+**The matrix path.** Each vocabulary also carries token-id tables
+(:meth:`SchemaVocabulary.token_tables`), and a match is a handful of
+whole-matrix operations over the vocabulary axes — nothing is built
+per name pair:
 
-The scale-map build follows the optional-numpy pattern of
-:mod:`repro.structure.dense`: flat ``array('d')`` matrices, upgraded
-with zero-copy ``np.frombuffer`` views when numpy is importable, never
-a hard dependency.
+1. one token-similarity matrix, source tokens × target tokens, resolved
+   through the memo's token tier
+   (:meth:`~repro.linguistic.name_similarity.NameSimilarityMemo.
+   token_matrix`);
+2. ``ns(T1, T2)`` of every class-keyword pair and, per token type,
+   ``ns(T1i, T2i)`` of every source name × target name — token-id
+   gathers from that matrix, grouped by token count, in two one-sided
+   passes (each target item's best match for every source token,
+   summed over each source item's tokens; then the mirror image);
+3. class compatibility as a mask: similarity ≥ ``thns``, both or
+   neither a data-type class, both classes carrying profiles;
+4. the scale map in two grouped maxima: each target profile's max over
+   its classes, then each source profile's max over its classes;
+5. ``min(1, ns × scale)`` with ``ns`` gathered by profile.
+
+**Bit-identity.** Every value equals the reference path's scalar
+expressions:
+
+* each ``ns(T1, T2)`` sums its per-token maxima left to right with
+  elementwise adds and divides by ``|T1| + |T2|``, as the scalar loop
+  does (a one-token pair gives ``(x + x) / 2 == x``, the scalar
+  shortcut's value);
+* ``ns(m1, m2)`` accumulates ``weight · ns · count`` and ``weight ·
+  count`` in the config's weight-slot order; where the scalar slot
+  loop skips a slot the matrix adds an exact ``0.0``, which leaves the
+  non-negative sums unchanged;
+* maxima are exact and order-free, so the grouped scale map equals the
+  reference loop's running max over compatible category pairs;
+* ``ns`` is computed for the full name cross product, which is exact:
+  it is finite, and a cell under a zero scale gets ``ns × 0.0 == 0.0``,
+  the reference table's absent pair.
+
+The engine parity and fuzz suites assert exact equality.
+
+The arrays follow the optional-numpy pattern of
+:mod:`repro.structure.dense`: numpy when importable, never a hard
+dependency. The stdlib backend runs the same steps on flat
+``array('d')`` with Python loops, computing ``ns`` only for name pairs
+under a nonzero scale cell.
 """
 
 from __future__ import annotations
@@ -46,6 +75,7 @@ from array import array
 from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Tuple
 
 from repro.linguistic.matcher import LsimTable
+from repro.linguistic.tokens import TokenType
 
 try:  # optional acceleration, never a hard dependency
     import numpy as _np
@@ -57,12 +87,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.linguistic.matcher import LinguisticPreparation
     from repro.linguistic.name_similarity import NameSimilarityMemo
     from repro.linguistic.normalizer import NormalizedName
-
-
-#: Compatible class pairs whose profile block has at least this many
-#: cells use the numpy max-scatter; smaller blocks take the flat loop
-#: (same trade-off as DenseSimilarityStore._VECTOR_MIN_CELLS).
-_VECTOR_MIN_CELLS = 1024
 
 
 def numpy_enabled(dense_backend: str) -> bool:
@@ -93,12 +117,12 @@ class SchemaVocabulary:
         "classes",
         "class_is_dtype",
         "class_keywords",
-        "class_texts",
         "class_profiles",
         "profile_names",
         "profile_members",
         "profile_of",
         "n_elements",
+        "_tables",
     )
 
     def __init__(self, prep: "LinguisticPreparation") -> None:
@@ -112,11 +136,9 @@ class SchemaVocabulary:
         #: Per class: is it a data-type category (the compatibility
         #: rule pairs dtype only with dtype)?
         self.class_is_dtype: List[bool] = []
-        #: Per class: non-ignored keyword tokens / their text tuple —
-        #: precomputed so the compatibility scan probes the memo
-        #: without per-pair filtering or tuple building.
+        #: Per class: its non-ignored keyword tokens (the token set
+        #: compatibility compares).
         self.class_keywords: List[Tuple] = []
-        self.class_texts: List[Tuple[str, ...]] = []
         #: class id -> ascending profile ids containing the class.
         self.class_profiles: List[List[int]] = []
         #: profile id -> distinct-name (vocab) id.
@@ -127,6 +149,7 @@ class SchemaVocabulary:
         #: linguistically incomparable, lsim 0 against everything).
         self.profile_of: Dict[str, int] = {}
         self.n_elements = len(prep.elements_by_id)
+        self._tables: Optional[_TokenTables] = None
         self._build(prep)
 
     def _build(self, prep: "LinguisticPreparation") -> None:
@@ -145,11 +168,9 @@ class SchemaVocabulary:
                 class_id = class_index[key] = len(self.classes)
                 self.classes.append(category)
                 self.class_is_dtype.append(key[0])
-                filtered = tuple(
-                    t for t in category.keywords if not t.ignored
+                self.class_keywords.append(
+                    tuple(t for t in category.keywords if not t.ignored)
                 )
-                self.class_keywords.append(filtered)
-                self.class_texts.append(tuple(t.text for t in filtered))
             for member in category.members:
                 element_classes.setdefault(
                     member.element_id, set()
@@ -177,6 +198,18 @@ class SchemaVocabulary:
             self.profile_members[profile_id].append(element_id)
             self.profile_of[element_id] = profile_id
 
+    def token_tables(self) -> "_TokenTables":
+        """The token-id tables the matrix path reads (built once).
+
+        Derived from the tables above, so nothing new is persisted.
+        Pure, so built without a lock: a racing first match wastes a
+        rebuild, never publishes a wrong table.
+        """
+        tables = self._tables
+        if tables is None:
+            tables = self._tables = _TokenTables(self)
+        return tables
+
     @property
     def n_names(self) -> int:
         return len(self.names)
@@ -191,6 +224,124 @@ class SchemaVocabulary:
             f"{self.n_names} names, {len(self.classes)} classes, "
             f"{self.n_profiles} profiles>"
         )
+
+
+class _IdLists:
+    """Per-item id lists over one axis, grouped by length.
+
+    ``lists[i]`` is item ``i``'s ids (empty when it has none). Under
+    numpy, ``counts`` holds the lengths as floats and ``groups`` one
+    ``(length, items, ids)`` triple per distinct length — the item ids
+    and their ``(n, length)`` id matrix, the shape one gather consumes.
+    """
+
+    __slots__ = ("lists", "empty", "counts", "groups")
+
+    def __init__(self, lists: List[List[int]]) -> None:
+        self.lists = lists
+        self.empty = not any(lists)
+        self.counts = None
+        self.groups: list = []
+        if _np is None:
+            return
+        by_length: Dict[int, List[int]] = {}
+        for item, ids in enumerate(lists):
+            if ids:
+                by_length.setdefault(len(ids), []).append(item)
+        self.counts = _np.array(
+            [len(ids) for ids in lists], dtype=_np.float64
+        )
+        self.groups = [
+            (
+                length,
+                _np.asarray(items, dtype=_np.intp),
+                _np.asarray([lists[i] for i in items], dtype=_np.intp),
+            )
+            for length, items in by_length.items()
+        ]
+
+
+class _TokenTables:
+    """A vocabulary's tables for the matrix path.
+
+    Token ids index :attr:`texts`, the vocabulary's distinct
+    non-ignored token texts (name tokens, then class keywords) — one
+    axis of a match's token-similarity matrix. :attr:`names` holds,
+    per token type, each name's token ids in the order the scalar
+    ``ns`` visits them; :attr:`classes` each class's keyword ids;
+    :attr:`profile_classes` each profile's class ids.
+    """
+
+    __slots__ = (
+        "texts",
+        "names",
+        "classes",
+        "profile_classes",
+        "profile_names",
+        "profiles_are_names",
+        "member_counts",
+        "class_is_dtype",
+        "class_has_profiles",
+    )
+
+    def __init__(self, vocab: "SchemaVocabulary") -> None:
+        index: Dict[str, int] = {}
+
+        def token_id(text: str) -> int:
+            tid = index.get(text)
+            if tid is None:
+                tid = index[text] = len(index)
+            return tid
+
+        per_type: Dict[TokenType, List[List[int]]] = {
+            token_type: [[] for _ in vocab.names] for token_type in TokenType
+        }
+        for name_id, name in enumerate(vocab.names):
+            for token in name.tokens:
+                if not token.ignored:
+                    per_type[token.token_type][name_id].append(
+                        token_id(token.text)
+                    )
+        self.names = {
+            token_type: _IdLists(lists)
+            for token_type, lists in per_type.items()
+        }
+        self.classes = _IdLists(
+            [
+                [token_id(token.text) for token in keywords]
+                for keywords in vocab.class_keywords
+            ]
+        )
+        self.texts = list(index)
+        profile_classes: List[List[int]] = [
+            [] for _ in range(vocab.n_profiles)
+        ]
+        for class_id, profiles in enumerate(vocab.class_profiles):
+            for profile_id in profiles:
+                profile_classes[profile_id].append(class_id)
+        self.profile_classes = _IdLists(profile_classes)
+        #: Profile p carries name p, for every profile (no name has two
+        #: class sets) — profile-indexed and name-indexed axes coincide.
+        self.profiles_are_names = vocab.profile_names == list(
+            range(vocab.n_profiles)
+        )
+        # numpy forms of the vocabulary's per-profile / per-class facts
+        # (None without numpy; the flat path reads the vocabulary).
+        self.profile_names = self.member_counts = None
+        self.class_is_dtype = self.class_has_profiles = None
+        if _np is not None:
+            self.profile_names = _np.asarray(
+                vocab.profile_names, dtype=_np.intp
+            )
+            self.member_counts = _np.asarray(
+                [len(m) for m in vocab.profile_members], dtype=_np.int64
+            )
+            self.class_is_dtype = _np.asarray(
+                vocab.class_is_dtype, dtype=bool
+            )
+            self.class_has_profiles = _np.asarray(
+                [bool(p) for p in vocab.class_profiles], dtype=bool
+            )
 
 
 class FactoredLsimTable(LsimTable):
@@ -362,193 +513,25 @@ def compute_factored_lsim(
     target_vocab: SchemaVocabulary,
     use_numpy: bool,
 ) -> FactoredLsimTable:
-    """Build the pair's lsim table over the distinct-name cross product.
+    """Build the pair's lsim table over the two vocabularies.
 
-    Three steps, each over deduplicated axes:
-
-    1. category-class compatibility (per class pair, via the shared
-       :class:`Categorizer` logic and memo);
-    2. the scale map as a profile×profile max matrix (numpy max-scatter
-       per compatible class pair, flat-loop fallback);
-    3. ``min(1, ns × scale)`` with ``ns`` computed once per distinct
-       name pair and broadcast by index gather.
+    One token-similarity matrix through the memo, then class
+    compatibility, the profile scale map and ``min(1, ns × scale)``
+    as matrix operations (see the module docstring); the stdlib
+    backend runs the same steps as flat-array loops.
     """
+    config = categorizer.config
+    s_tables = source_vocab.token_tables()
+    t_tables = target_vocab.token_tables()
+    sims = memo.token_matrix(s_tables.texts, t_tables.texts)
     p_s, p_t = source_vocab.n_profiles, target_vocab.n_profiles
-    size = p_s * p_t
-    scale = array("d", bytes(8 * size))
-    scale_np = (
-        _np.frombuffer(scale, dtype=_np.float64).reshape(p_s, p_t)
-        if use_numpy and size
-        else None
+    build = _lsim_np if use_numpy and p_s and p_t else _lsim_flat
+    values, compatible, profile_pairs, element_pairs, distinct_pairs = (
+        build(
+            sims, _ns_slots(config, s_tables, t_tables), config.thns,
+            source_vocab, target_vocab, s_tables, t_tables,
+        )
     )
-
-    # 1 + 2: compatibility per class pair, max-scattered onto the
-    # profile blocks that carry the two classes. Mirrors
-    # Categorizer.compatible_similarity — dtype classes pair only with
-    # dtype classes (partitioned up front instead of re-tested per
-    # pair), keyword similarity >= thns — through the memo's
-    # prefiltered probe, so values match the reference scan exactly.
-    thns = categorizer.config.thns
-    token_set_sim = memo.token_set_similarity_prefiltered
-    s_texts, t_texts = source_vocab.class_texts, target_vocab.class_texts
-    s_keywords = source_vocab.class_keywords
-    t_keywords = target_vocab.class_keywords
-    t_class_ids_by_kind = ([], [])  # [non-dtype ids], [dtype ids]
-    for j, is_dtype in enumerate(target_vocab.class_is_dtype):
-        t_class_ids_by_kind[is_dtype].append(j)
-    np_rows_cache: Dict[int, object] = {}
-    np_cols_cache: Dict[int, object] = {}
-    compatible_class_pairs = 0
-    for i, is_dtype in enumerate(source_vocab.class_is_dtype):
-        rows = source_vocab.class_profiles[i]
-        if not rows:
-            continue
-        texts1 = s_texts[i]
-        keywords1 = s_keywords[i]
-        for j in t_class_ids_by_kind[is_dtype]:
-            cols = target_vocab.class_profiles[j]
-            if not cols:
-                continue
-            cat_sim = token_set_sim(
-                (texts1, t_texts[j]), keywords1, t_keywords[j]
-            )
-            if cat_sim < thns:
-                continue
-            compatible_class_pairs += 1
-            if (
-                scale_np is not None
-                and len(rows) * len(cols) >= _VECTOR_MIN_CELLS
-            ):
-                np_rows = np_rows_cache.get(i)
-                if np_rows is None:
-                    np_rows = np_rows_cache[i] = _np.asarray(
-                        rows, dtype=_np.intp
-                    )[:, None]
-                np_cols = np_cols_cache.get(j)
-                if np_cols is None:
-                    np_cols = np_cols_cache[j] = _np.asarray(
-                        cols, dtype=_np.intp
-                    )
-                block = scale_np[np_rows, np_cols]
-                _np.maximum(block, cat_sim, out=block)
-                scale_np[np_rows, np_cols] = block
-            else:
-                for r in rows:
-                    base = r * p_t
-                    for c in cols:
-                        if cat_sim > scale[base + c]:
-                            scale[base + c] = cat_sim
-
-    # 3: one ns per distinct name pair, broadcast over the nonzero
-    # scale cells. min(1.0, ns * scale) with the same operand order as
-    # the reference loop keeps the values bit-identical.
-    values = array("d", bytes(8 * size))
-    names_s, names_t = source_vocab.names, target_vocab.names
-    v_t = len(names_t)
-    profile_pairs = 0
-    element_pairs = 0
-    distinct_pairs = 0
-    batched_pairs = 0
-
-    if scale_np is not None:
-        rows_nz, cols_nz = _np.nonzero(scale_np)
-        profile_pairs = int(rows_nz.size)
-        if profile_pairs:
-            vp_s = _np.asarray(source_vocab.profile_names, dtype=_np.intp)
-            vp_t = _np.asarray(target_vocab.profile_names, dtype=_np.intp)
-            members_s = _np.asarray(
-                [len(m) for m in source_vocab.profile_members],
-                dtype=_np.int64,
-            )
-            members_t = _np.asarray(
-                [len(m) for m in target_vocab.profile_members],
-                dtype=_np.int64,
-            )
-            element_pairs = int(
-                (members_s[rows_nz] * members_t[cols_nz]).sum()
-            )
-            ns_matrix = _np.zeros((len(names_s), v_t))
-            flat_ns = ns_matrix.reshape(-1)
-            # Fused (v1, v2) keys deduplicated in C — the distinct
-            # name pairs actually needing an ns computation.
-            unique_keys = _np.unique(vp_s[rows_nz] * v_t + vp_t[cols_nz])
-            distinct_pairs = int(unique_keys.size)
-            key_list = unique_keys.tolist()
-            if categorizer.config.linguistic_batch_ns:
-                ns_values = memo.element_name_similarity_batch(
-                    [
-                        (names_s[key // v_t], names_t[key % v_t])
-                        for key in key_list
-                    ],
-                    use_numpy=True,
-                )
-                batched_pairs = len(key_list)
-                for key, ns in zip(key_list, ns_values):
-                    flat_ns[key] = ns
-            else:
-                for key in key_list:
-                    flat_ns[key] = memo.element_name_similarity(
-                        names_s[key // v_t], names_t[key % v_t]
-                    )
-            values_np = _np.frombuffer(
-                values, dtype=_np.float64
-            ).reshape(p_s, p_t)
-            _np.multiply(
-                ns_matrix[vp_s[:, None], vp_t[None, :]],
-                scale_np,
-                out=values_np,
-            )
-            _np.minimum(values_np, 1.0, out=values_np)
-    else:
-        ns_cache: Dict[int, float] = {}
-        profile_names_t = target_vocab.profile_names
-        members_s = source_vocab.profile_members
-        members_t = target_vocab.profile_members
-        if categorizer.config.linguistic_batch_ns:
-            # Pre-resolve the distinct name pairs the nonzero scale
-            # cells will need with one batched memo call (flat-array
-            # fallback inside the memo); the fill loop below then
-            # always hits this cache. ns is pure per pair, so
-            # resolution order cannot change any value.
-            ordered: Dict[int, None] = {}
-            for r in range(p_s):
-                v_base = source_vocab.profile_names[r] * v_t
-                base = r * p_t
-                for c in range(p_t):
-                    if scale[base + c] != 0.0:
-                        ordered.setdefault(v_base + profile_names_t[c])
-            key_list = list(ordered)
-            ns_values = memo.element_name_similarity_batch(
-                [
-                    (names_s[key // v_t], names_t[key % v_t])
-                    for key in key_list
-                ],
-                use_numpy=False,
-            )
-            ns_cache = dict(zip(key_list, ns_values))
-            batched_pairs = len(key_list)
-        for r in range(p_s):
-            v1 = source_vocab.profile_names[r]
-            v_base = v1 * v_t
-            name1 = names_s[v1]
-            base = r * p_t
-            for c in range(p_t):
-                cat_scale = scale[base + c]
-                if cat_scale == 0.0:
-                    continue
-                profile_pairs += 1
-                element_pairs += len(members_s[r]) * len(members_t[c])
-                key = v_base + profile_names_t[c]
-                ns = ns_cache.get(key)
-                if ns is None:
-                    ns = memo.element_name_similarity(
-                        name1, names_t[profile_names_t[c]]
-                    )
-                    ns_cache[key] = ns
-                lsim = ns * cat_scale
-                values[base + c] = 1.0 if lsim > 1.0 else lsim
-        distinct_pairs = len(ns_cache)
-
     stats: Dict[str, object] = {
         "vocab_source_elements": source_vocab.n_elements,
         "vocab_target_elements": target_vocab.n_elements,
@@ -559,14 +542,10 @@ def compute_factored_lsim(
         "kernel_category_classes": (
             len(source_vocab.classes) * len(target_vocab.classes)
         ),
-        "kernel_compatible_class_pairs": compatible_class_pairs,
+        "kernel_compatible_class_pairs": compatible,
         "kernel_profile_pairs": profile_pairs,
         "kernel_element_pairs": element_pairs,
         "kernel_distinct_name_pairs": distinct_pairs,
-        # Distinct name pairs resolved through the memo's batched ns
-        # entry point (0 when linguistic_batch_ns is off or the
-        # backend skipped the kernel's vector paths entirely).
-        "kernel_ns_batched_pairs": batched_pairs,
         # Fraction of the reference path's per-element-pair ns lookups
         # the kernel answered from its distinct-name result.
         "kernel_hit_rate": (
@@ -576,3 +555,284 @@ def compute_factored_lsim(
     return FactoredLsimTable(
         source_vocab, target_vocab, values, kernel_stats=stats
     )
+
+
+def _ns_slots(config, s_tables: _TokenTables, t_tables: _TokenTables):
+    """``(source lists, target lists, weight)`` per ``ns`` weight slot,
+    in the config's order. The scalar loop skips a zero-weight slot,
+    and one that no name on either side has tokens of, for every pair,
+    so both are dropped."""
+    return [
+        (s_tables.names[token_type], t_tables.names[token_type], weight)
+        for token_type, weight in config.token_type_weights.items()
+        if weight != 0.0
+        and not (
+            s_tables.names[token_type].empty
+            and t_tables.names[token_type].empty
+        )
+    ]
+
+
+# ----------------------------------------------------------------------
+# numpy backend
+# ----------------------------------------------------------------------
+
+
+def _lsim_np(sims, slots, thns, source_vocab, target_vocab, s_tables,
+             t_tables):
+    sims_np = _np.frombuffer(sims, dtype=_np.float64).reshape(
+        len(s_tables.texts), len(t_tables.texts)
+    )
+    s_classes, t_classes = s_tables.classes, t_tables.classes
+    cat_sim = _set_similarity_matrix(
+        sims_np, s_classes, t_classes,
+        _np.add.outer(s_classes.counts, t_classes.counts),
+    )
+    # Categorizer.compatible_similarity per class pair, plus the
+    # reference scan's implicit rule that a class without profiles
+    # (no members) scatters nothing.
+    compatible = cat_sim >= thns
+    compatible &= (
+        s_tables.class_is_dtype[:, None] == t_tables.class_is_dtype[None, :]
+    )
+    compatible &= s_tables.class_has_profiles[:, None]
+    compatible &= t_tables.class_has_profiles[None, :]
+    compatible_pairs = int(_np.count_nonzero(compatible))
+    class_scale = _np.where(compatible, cat_sim, 0.0)
+    # The scale map: per target profile the max over its classes (a
+    # source-class × target-profile matrix), then per source profile
+    # the max over its classes.
+    by_target = _fold_groups(
+        class_scale, t_tables.profile_classes, _np.maximum, 1,
+        target_vocab.n_profiles,
+    )
+    scale = _fold_groups(
+        by_target, s_tables.profile_classes, _np.maximum, 0,
+        source_vocab.n_profiles,
+    )
+    del cat_sim, compatible, class_scale, by_target
+
+    values = array("d", bytes(8 * scale.size))
+    positive = scale > 0.0
+    profile_pairs = int(_np.count_nonzero(positive))
+    if not profile_pairs:
+        return values, compatible_pairs, 0, 0, 0
+    element_pairs = int(
+        s_tables.member_counts @ positive @ t_tables.member_counts
+    )
+    names_s, names_t = s_tables.profile_names, t_tables.profile_names
+    if s_tables.profiles_are_names and t_tables.profiles_are_names:
+        distinct_pairs = profile_pairs
+    else:
+        # Distinct name pairs under a nonzero scale cell: the true
+        # cells of a names × names mask (the pairs the reference path
+        # computes ns for, once each).
+        rows, cols = _np.nonzero(positive)
+        name_mask = _np.zeros(
+            (source_vocab.n_names, target_vocab.n_names), dtype=bool
+        )
+        name_mask[names_s[rows], names_t[cols]] = True
+        distinct_pairs = int(_np.count_nonzero(name_mask))
+        del rows, cols, name_mask
+    del positive
+
+    ns = _ns_matrix(
+        sims_np, slots, source_vocab.n_names, target_vocab.n_names
+    )
+    if not s_tables.profiles_are_names:
+        ns = ns.take(names_s, axis=0)
+    if not t_tables.profiles_are_names:
+        ns = ns.take(names_t, axis=1)
+    values_np = _np.frombuffer(values, dtype=_np.float64).reshape(
+        scale.shape
+    )
+    _np.multiply(ns, scale, out=values_np)
+    _np.minimum(values_np, 1.0, out=values_np)
+    return values, compatible_pairs, profile_pairs, element_pairs, (
+        distinct_pairs
+    )
+
+
+def _ns_matrix(sims, slots, n_source, n_target):
+    """``ns(m1, m2)`` for every source name × target name.
+
+    Per weight slot: the per-type ``ns`` by grouped gathers, then
+    ``weight · ns · count`` and ``weight · count`` accumulated in slot
+    order, exactly as the scalar loop does (exact zeros where it
+    skips).
+    """
+    numerator = _np.zeros((n_source, n_target))
+    denominator = _np.zeros((n_source, n_target))
+    count = _np.empty((n_source, n_target))
+    for lists1, lists2, weight in slots:
+        _np.add.outer(lists1.counts, lists2.counts, out=count)
+        per_type = _set_similarity_matrix(sims, lists1, lists2, count)
+        per_type *= weight
+        per_type *= count
+        numerator += per_type
+        count *= weight
+        denominator += count
+    _np.divide(
+        numerator, denominator, out=numerator, where=denominator > 0.0
+    )
+    return numerator
+
+
+def _set_similarity_matrix(sims, lists1, lists2, count):
+    """``ns(T1, T2)`` for every item pair of two id-list tables (0.0
+    where either list is empty); ``count`` holds ``|T1| + |T2|``.
+
+    Two one-sided passes instead of one per item pair. Forward: per
+    target item, the max over its token columns of the token matrix
+    (a source-token × target-item matrix); each source item then sums
+    those rows over its tokens, left to right. Backward mirrors it and
+    is added group by group. Then ``(forward + backward) / (|T1| +
+    |T2|)``, the scalar code's expression, elementwise.
+    """
+    n1, n2 = count.shape
+    out = _fold_groups(
+        _fold_groups(sims, lists2, _np.maximum, 1, n2),
+        lists1, _np.add, 0, n1,
+    )
+    best_per_source = _fold_groups(sims, lists1, _np.maximum, 0, n1)
+    for width, items, ids in lists2.groups:
+        out[:, items] += _fold(best_per_source, ids, width, _np.add, 1)
+    _np.divide(out, count, out=out, where=count > 0.0)
+    return out
+
+
+def _fold_groups(matrix, lists: _IdLists, ufunc, axis: int, n_items: int):
+    """Per item of ``lists``, :func:`_fold` over the rows (``axis=0``)
+    or columns (``axis=1``) of ``matrix`` its ids select; the result
+    has ``n_items`` rows (or columns), zero for items without ids."""
+    if axis == 0:
+        out = _np.zeros((n_items, matrix.shape[1]))
+    else:
+        out = _np.zeros((matrix.shape[0], n_items))
+    for width, items, ids in lists.groups:
+        if axis == 0:
+            out[items] = _fold(matrix, ids, width, ufunc, axis)
+        else:
+            out[:, items] = _fold(matrix, ids, width, ufunc, axis)
+    return out
+
+
+def _fold(matrix, ids, width: int, ufunc, axis: int):
+    """``ufunc`` folded left to right over the ``width`` id positions
+    of ``ids`` (one group's ``(n, width)`` id matrix), each position
+    taking rows or columns of ``matrix`` — one gather per position."""
+    acc = matrix.take(ids[:, 0], axis=axis)
+    for position in range(1, width):
+        ufunc(acc, matrix.take(ids[:, position], axis=axis), out=acc)
+    return acc
+
+
+# ----------------------------------------------------------------------
+# stdlib backend
+# ----------------------------------------------------------------------
+
+
+def _lsim_flat(sims, slots, thns, source_vocab, target_vocab, s_tables,
+               t_tables):
+    width = len(t_tables.texts)
+    p_s, p_t = source_vocab.n_profiles, target_vocab.n_profiles
+    scale = array("d", bytes(8 * p_s * p_t))
+    # Compatibility per class pair (dtype classes pair only with dtype
+    # classes), max-scattered onto the profiles carrying the classes.
+    t_keywords = t_tables.classes.lists
+    t_class_ids_by_kind: Tuple[List[int], List[int]] = ([], [])
+    for j, is_dtype in enumerate(target_vocab.class_is_dtype):
+        if target_vocab.class_profiles[j]:
+            t_class_ids_by_kind[is_dtype].append(j)
+    compatible = 0
+    for i, keywords in enumerate(s_tables.classes.lists):
+        rows = source_vocab.class_profiles[i]
+        if not rows:
+            continue
+        bases = [tid * width for tid in keywords]
+        for j in t_class_ids_by_kind[source_vocab.class_is_dtype[i]]:
+            cat_sim = _set_similarity(sims, bases, t_keywords[j])
+            if cat_sim < thns:
+                continue
+            compatible += 1
+            cols = target_vocab.class_profiles[j]
+            for r in rows:
+                base = r * p_t
+                for c in cols:
+                    if cat_sim > scale[base + c]:
+                        scale[base + c] = cat_sim
+
+    # ns once per distinct name pair under a nonzero scale cell, kept
+    # in a flat names × names array (``done`` marks computed cells).
+    # Each slot is the scalar ns loop's: ``weight · count`` into the
+    # denominator, ``weight · ns(T1i, T2i) · count`` into the numerator
+    # when both sides have tokens.
+    weights = [weight for _, _, weight in slots]
+    s_names = list(zip(*(
+        [[tid * width for tid in ids] for ids in lists1.lists]
+        for lists1, _, _ in slots
+    )))
+    t_names = list(zip(*(lists2.lists for _, lists2, _ in slots)))
+    v_t = target_vocab.n_names
+    ns_cells = array("d", bytes(8 * source_vocab.n_names * v_t))
+    done = bytearray(source_vocab.n_names * v_t)
+    names_s, names_t = source_vocab.profile_names, target_vocab.profile_names
+    members_s = [len(m) for m in source_vocab.profile_members]
+    members_t = [len(m) for m in target_vocab.profile_members]
+    values = array("d", bytes(8 * p_s * p_t))
+    profile_pairs = element_pairs = distinct_pairs = 0
+    for r in range(p_s):
+        v_s = names_s[r]
+        s_slots = s_names[v_s]
+        name_base = v_s * v_t
+        base = r * p_t
+        for c in range(p_t):
+            cat_scale = scale[base + c]
+            if cat_scale == 0.0:
+                continue
+            profile_pairs += 1
+            element_pairs += members_s[r] * members_t[c]
+            key = name_base + names_t[c]
+            if done[key]:
+                ns = ns_cells[key]
+            else:
+                numerator = denominator = 0.0
+                for weight, bases, cols in zip(
+                    weights, s_slots, t_names[names_t[c]]
+                ):
+                    if bases and cols:
+                        count = len(bases) + len(cols)
+                        denominator += weight * count
+                        numerator += (
+                            weight * _set_similarity(sims, bases, cols)
+                            * count
+                        )
+                    elif bases or cols:
+                        denominator += weight * (len(bases) + len(cols))
+                ns = ns_cells[key] = (
+                    0.0 if denominator == 0.0 else numerator / denominator
+                )
+                done[key] = 1
+                distinct_pairs += 1
+            lsim = ns * cat_scale
+            values[base + c] = 1.0 if lsim > 1.0 else lsim
+    return values, compatible, profile_pairs, element_pairs, distinct_pairs
+
+
+def _set_similarity(sims, bases, cols) -> float:
+    """Scalar ``ns(T1, T2)``: rows at pre-scaled ``bases`` of the flat
+    token matrix, columns ``cols``; 0.0 when either side is empty."""
+    if not bases or not cols:
+        return 0.0
+    if len(bases) == 1 and len(cols) == 1:
+        return sims[bases[0] + cols[0]]  # (x + x) / 2 == x exactly
+    forward = 0.0
+    col_max = None
+    for base in bases:
+        row = [sims[base + col] for col in cols]
+        forward += max(row)
+        col_max = row if col_max is None else list(map(max, col_max, row))
+    backward = 0.0
+    for value in col_max:
+        backward += value
+    return (forward + backward) / (len(bases) + len(cols))

@@ -172,7 +172,7 @@ class LinguisticMatcher:
     def kernel_applicable(self) -> bool:
         """Whether the distinct-name kernel may serve this matcher.
 
-        Requires the dense engine's memo (the kernel reads name
+        Requires the dense engine's memo (the kernel reads token
         similarities through it) and no description matching
         (description similarity depends on the *element*, not only its
         name, so broadcast-by-profile would be unsound). The single
@@ -180,11 +180,7 @@ class LinguisticMatcher:
         (:meth:`PreparedSchema.build_all`) consult it too, so they
         cannot drift from the match path.
         """
-        return (
-            self.config.linguistic_kernel
-            and self.memo is not None
-            and self._descriptions is None
-        )
+        return self.memo is not None and self._descriptions is None
 
     def compute_prepared(
         self,
@@ -198,9 +194,9 @@ class LinguisticMatcher:
         are bit-identical either way because preparation is pure.
 
         With the dense engine, routes through the distinct-name kernel
-        (:mod:`repro.linguistic.kernel`): similarity per distinct name
-        pair, broadcast to element pairs — same values, fewer
-        computations on repetitive schemas.
+        (:mod:`repro.linguistic.kernel`): ``ns`` as one matrix over the
+        two vocabularies' distinct names, broadcast to element pairs by
+        profile — the same values as the per-pair path.
         """
         if self.kernel_applicable():
             from repro.linguistic.kernel import (
@@ -261,12 +257,9 @@ class LinguisticMatcher:
             m2 = elements_by_id_t[id2]
             name1 = normalized_s[id1]
             name2 = normalized_t[id2]
-            if memo is not None:
-                ns = memo.element_name_similarity(name1, name2)
-            else:
-                ns = element_name_similarity(
-                    name1, name2, self.thesaurus, self.config
-                )
+            ns = element_name_similarity(
+                name1, name2, self.thesaurus, self.config, memo
+            )
             lsim = min(1.0, ns * cat_scale)
             if self._descriptions is not None:
                 # Annotations can only raise lsim: a strong description

@@ -14,23 +14,12 @@ Three layers, bottom-up:
 from __future__ import annotations
 
 from array import array
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.config import CupidConfig
 from repro.linguistic.normalizer import NormalizedName
 from repro.linguistic.thesaurus import Thesaurus
-from repro.linguistic.tokens import Token, TokenType
-
-try:  # optional acceleration, never a hard dependency
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised via REPRO_FORCE_STDLIB
-    _np = None
-
-
-#: Below this many name pairs, :meth:`NameSimilarityMemo.
-#: element_name_similarity_batch` routes through the scalar method —
-#: batch setup (index building, bucketing) costs more than it saves.
-_BATCH_MIN_PAIRS = 16
+from repro.linguistic.tokens import Token
 
 
 def _common_prefix_len(a: str, b: str) -> int:
@@ -84,14 +73,25 @@ def token_similarity(
 ) -> float:
     """``sim(t1, t2)``: identical → 1; thesaurus entry → its strength;
     otherwise substring similarity."""
+    return text_similarity(t1.text, t2.text, thesaurus, config)
+
+
+def text_similarity(
+    a: str,
+    b: str,
+    thesaurus: Thesaurus,
+    config: Optional[CupidConfig] = None,
+) -> float:
+    """:func:`token_similarity` on two token texts (it reads nothing
+    else of a token)."""
     ceiling = config.substring_sim_ceiling if config else 0.8
     floor = config.min_token_sim if config else 0.0
-    if t1.text == t2.text:
+    if a == b:
         return 1.0
-    related = thesaurus.relatedness(t1.text, t2.text)
+    related = thesaurus.relatedness(a, b)
     if related is not None:
         return max(related, floor)
-    return max(substring_similarity(t1.text, t2.text, ceiling), floor)
+    return max(substring_similarity(a, b, ceiling), floor)
 
 
 def token_set_similarity(
@@ -165,18 +165,25 @@ def element_name_similarity(
 
 
 class NameSimilarityMemo:
-    """Memoized token and element-name similarities (dense engine).
+    """Memoized token similarities (dense engine).
 
-    Schemas repeat both whole names (Street, City, ...) and tokens
-    across elements; the all-pairs linguistic phase of Section 5 pays
+    Schemas repeat tokens across elements and across every schema pair
+    a session matches; the all-pairs linguistic phase of Section 5 pays
     for each duplicate again. This cache keys ``sim(t1, t2)`` on the
-    token *texts* and ``ns(m1, m2)`` on the normalized names' raw
-    strings, so each distinct comparison is computed exactly once per
-    matcher. Both functions are pure given a fixed thesaurus and
-    config, so memoization cannot change any value — only skip
-    recomputation; the inlined loops below mirror the module functions
-    operation for operation (same iteration order, same float
+    token *texts* (and, for the per-pair path's category scan, ``ns(T1,
+    T2)`` on whole keyword-text tuples), so each distinct comparison is
+    computed exactly once per matcher. Both are pure given a fixed
+    thesaurus and config, so memoization cannot change any value — only
+    skip recomputation; the inlined loops below mirror the module
+    functions operation for operation (same iteration order, same float
     expressions) to keep results bit-identical to the reference path.
+
+    Nothing is cached per *name* pair: the distinct-name kernel
+    (:mod:`repro.linguistic.kernel`) computes ``ns(m1, m2)`` for a whole
+    match as one matrix from :meth:`token_matrix`, and the per-pair
+    path (descriptions on) computes it with the module-level
+    :func:`element_name_similarity`, reading token similarities
+    through this memo.
     """
 
     __slots__ = (
@@ -184,15 +191,10 @@ class NameSimilarityMemo:
         "config",
         "_token",
         "_set",
-        "_element",
-        "_buckets",
-        "_weight_entries",
         "token_hits",
         "token_misses",
         "set_hits",
         "set_misses",
-        "element_hits",
-        "element_misses",
     )
 
     def __init__(self, thesaurus: Thesaurus, config: CupidConfig) -> None:
@@ -202,21 +204,12 @@ class NameSimilarityMemo:
         # inner loops probe with one dict get and no tuple allocation.
         self._token: Dict[str, Dict[str, float]] = {}
         # (texts1, texts2) -> ns(T1, T2) for whole (filtered) token
-        # sets; what the category-compatibility scan repeats most.
+        # sets; what the per-pair category scan repeats most.
         self._set: Dict[Tuple[Tuple[str, ...], Tuple[str, ...]], float] = {}
-        self._element: Dict[Tuple[str, str], float] = {}
-        # raw name -> per-type non-ignored token lists, slot-aligned
-        # with _weight_entries (avoids enum hashing in the pair loop).
-        self._buckets: Dict[str, List[Optional[List[Token]]]] = {}
-        self._weight_entries: List[Tuple[TokenType, float]] = list(
-            config.token_type_weights.items()
-        )
         self.token_hits = 0
         self.token_misses = 0
         self.set_hits = 0
         self.set_misses = 0
-        self.element_hits = 0
-        self.element_misses = 0
 
     def token_similarity(self, t1: Token, t2: Token) -> float:
         row = self._token.get(t1.text)
@@ -231,6 +224,35 @@ class NameSimilarityMemo:
         row[t2.text] = value
         return value
 
+    def token_matrix(
+        self, texts1: Sequence[str], texts2: Sequence[str]
+    ) -> array:
+        """``sim`` over ``texts1 × texts2`` as a flat row-major
+        ``array('d')``, resolved through the token tier: one row dict
+        fetch per ``texts1`` entry, each cell counted once as a hit or
+        a miss (misses are computed and stored)."""
+        cache = self._token
+        width = len(texts2)
+        sims = array("d")
+        for a in texts1:
+            row = cache.get(a)
+            if row is None:
+                row = cache[a] = {}
+            values = list(map(row.get, texts2))
+            misses = values.count(None)
+            if misses:
+                self.token_misses += misses
+                for j, value in enumerate(values):
+                    if value is None:
+                        b = texts2[j]
+                        value = values[j] = text_similarity(
+                            a, b, self.thesaurus, self.config
+                        )
+                        row[b] = value
+            self.token_hits += width - misses
+            sims.extend(values)
+        return sims
+
     def token_set_similarity(
         self, tokens1: Sequence[Token], tokens2: Sequence[Token]
     ) -> float:
@@ -241,41 +263,14 @@ class NameSimilarityMemo:
         """
         t1 = [t for t in tokens1 if not t.ignored]
         t2 = [t for t in tokens2 if not t.ignored]
-        # Whole-set cache: after filtering, the value depends only on
-        # the token texts (token_similarity reads nothing else), so the
-        # text tuples are a sound pure-function key. The category scan
-        # compares the same keyword sets for every schema pair a
-        # session matches — this turns those repeats into one dict get.
-        return self.token_set_similarity_prefiltered(
-            (
-                tuple(t.text for t in t1),
-                tuple(t.text for t in t2),
-            ),
-            t1,
-            t2,
-        )
-
-    def token_set_similarity_prefiltered(
-        self,
-        key: Tuple[Tuple[str, ...], Tuple[str, ...]],
-        t1: Sequence[Token],
-        t2: Sequence[Token],
-    ) -> float:
-        """``ns(T1, T2)`` for pre-filtered token lists with a prebuilt
-        cache key.
-
-        The distinct-name kernel's category-class scan probes the same
-        keyword sets thousands of times per match; this entry point
-        skips the per-call ignored-token filtering and key-tuple
-        construction :meth:`token_set_similarity` performs (``t1`` /
-        ``t2`` must already exclude ignored tokens and ``key`` must be
-        their text tuples). Same arithmetic, same cache — values are
-        bit-identical to the generic path.
-        """
         if not t1 or not t2:
             return 0.0
         if len(t1) == 1 and len(t2) == 1:
             return self.token_similarity(t1[0], t2[0])
+        # Whole-set cache: after filtering, the value depends only on
+        # the token texts (token_similarity reads nothing else), so the
+        # text tuples are a sound pure-function key.
+        key = (tuple(t.text for t in t1), tuple(t.text for t in t2))
         value = self._set.get(key)
         if value is not None:
             self.set_hits += 1
@@ -330,375 +325,43 @@ class NameSimilarityMemo:
             backward += best
         return (forward + backward) / (len(t1) + len(t2))
 
-    def _type_buckets(
-        self, name: NormalizedName
-    ) -> List[Optional[List[Token]]]:
-        """Non-ignored tokens per type, slot-aligned with the weight
-        entries (so the pair loop below indexes instead of hashing).
-        Computed once per name."""
-        buckets = self._buckets.get(name.raw)
-        if buckets is None:
-            by_type: Dict[TokenType, List[Token]] = {}
-            for token in name.tokens:
-                if not token.ignored:
-                    by_type.setdefault(token.token_type, []).append(token)
-            buckets = [
-                by_type.get(token_type)
-                for token_type, _ in self._weight_entries
-            ]
-            self._buckets[name.raw] = buckets
-        return buckets
-
-    def element_name_similarity(
-        self, name1: NormalizedName, name2: NormalizedName
-    ) -> float:
-        key = (name1.raw, name2.raw)
-        value = self._element.get(key)
-        if value is not None:
-            self.element_hits += 1
-            return value
-        self.element_misses += 1
-
-        # Same weighted-mean formula as the module-level
-        # element_name_similarity (same weight iteration order, same
-        # float expressions), reading the cached type buckets.
-        buckets1 = self._type_buckets(name1)
-        buckets2 = self._type_buckets(name2)
-        numerator = 0.0
-        denominator = 0.0
-        for slot, (_token_type, weight) in enumerate(self._weight_entries):
-            t1 = buckets1[slot]
-            t2 = buckets2[slot]
-            count = (len(t1) if t1 else 0) + (len(t2) if t2 else 0)
-            if count == 0 or weight == 0.0:
-                continue
-            denominator += weight * count
-            if t1 and t2:
-                per_type = self._token_set_filtered(t1, t2)
-                numerator += weight * per_type * count
-        value = 0.0 if denominator == 0.0 else numerator / denominator
-        self._element[key] = value
-        return value
-
-    # ------------------------------------------------------------------
-    # Batched ns over a distinct-name cross product
-    # ------------------------------------------------------------------
-
-    def element_name_similarity_batch(
-        self,
-        pairs: Sequence[Tuple[NormalizedName, NormalizedName]],
-        use_numpy: bool = True,
-    ) -> List[float]:
-        """``ns(m1, m2)`` for many name pairs in one call.
-
-        The distinct-name kernel hands over its whole cross product of
-        uncovered name pairs at once. All the batch's setup is
-        per-*name* and per-*token*, never per-pair:
-
-        1. the distinct names on each side get compact ids and one
-           token-id list per weight slot (token texts are interned into
-           a per-side index as they are first seen);
-        2. every distinct token text pair is resolved exactly once into
-           a flat ``array('d')`` similarity matrix, through the token
-           cache (hits and misses counted per matrix cell);
-        3. under numpy the per-slot ``ns`` values are computed for the
-           whole distinct-name cross product at once — token-id gathers
-           grouped by token-count shape, vectorized row/col maxes, and
-           the weighted means assembled as elementwise matrix
-           arithmetic in the scalar code's slot order. The stdlib
-           fallback loops pair by pair but reads the flat matrix by
-           pre-scaled integer index instead of re-probing string-keyed
-           caches.
-
-        Every float expression replicates
-        :meth:`element_name_similarity` in the scalar accumulation
-        order (maxima summed left to right with elementwise adds; the
-        slot loop adds exact zeros where the scalar code skips), so
-        results are **bit-identical** to the scalar path — the parity
-        tests assert exact equality. Results land in the element cache
-        exactly as scalar calls would. Batches below
-        :data:`_BATCH_MIN_PAIRS` fall back to the scalar method
-        (per-pair overhead beats batch setup there).
-        """
-        if len(pairs) < _BATCH_MIN_PAIRS:
-            return [
-                self.element_name_similarity(n1, n2) for n1, n2 in pairs
-            ]
-        results: List[float] = [0.0] * len(pairs)
-        todo: List[Tuple[int, Tuple[str, str], NormalizedName,
-                         NormalizedName]] = []
-        for idx, (n1, n2) in enumerate(pairs):
-            key = (n1.raw, n2.raw)
-            value = self._element.get(key)
-            if value is not None:
-                self.element_hits += 1
-                results[idx] = value
-            else:
-                todo.append((idx, key, n1, n2))
-        if not todo:
-            return results
-        self.element_misses += len(todo)
-        # Compact per-side name ids (cross products repeat each name
-        # many times; everything expensive hangs off the distinct set).
-        names1: Dict[str, int] = {}
-        names2: Dict[str, int] = {}
-        reps_n1: List[NormalizedName] = []
-        reps_n2: List[NormalizedName] = []
-        for _idx, _key, n1, n2 in todo:
-            if n1.raw not in names1:
-                names1[n1.raw] = len(reps_n1)
-                reps_n1.append(n1)
-            if n2.raw not in names2:
-                names2[n2.raw] = len(reps_n2)
-                reps_n2.append(n2)
-        index1: Dict[str, int] = {}
-        index2: Dict[str, int] = {}
-        reps1: List[Token] = []
-        reps2: List[Token] = []
-        slots1 = [self._slot_ids(n, index1, reps1) for n in reps_n1]
-        slots2 = [self._slot_ids(n, index2, reps2) for n in reps_n2]
-        sims, width = self._token_matrix(reps1, reps2)
-        element = self._element
-        if use_numpy and _np is not None:
-            table = self._cross_ns_np(slots1, slots2, sims, width)
-            for idx, key, n1, n2 in todo:
-                value = table[names1[n1.raw]][names2[n2.raw]]
-                element[key] = value
-                results[idx] = value
-            return results
-        # stdlib fallback: per-pair slot loop in the scalar iteration
-        # order, reading the flat matrix by pre-scaled integer index.
-        bases1 = [
-            [
-                None if ids is None else [i * width for i in ids]
-                for ids in per_slot
-            ]
-            for per_slot in slots1
-        ]
-        weight_entries = self._weight_entries
-        for idx, key, n1, n2 in todo:
-            per_slot1 = bases1[names1[n1.raw]]
-            per_slot2 = slots2[names2[n2.raw]]
-            numerator = 0.0
-            denominator = 0.0
-            for slot, (_token_type, weight) in enumerate(weight_entries):
-                row_bases = per_slot1[slot]
-                cols = per_slot2[slot]
-                count = (
-                    (len(row_bases) if row_bases else 0)
-                    + (len(cols) if cols else 0)
-                )
-                if count == 0 or weight == 0.0:
-                    continue
-                denominator += weight * count
-                if row_bases and cols:
-                    forward = 0.0
-                    col_max: List[float] = []
-                    first = True
-                    for base in row_bases:
-                        best: Optional[float] = None
-                        for k, col in enumerate(cols):
-                            value = sims[base + col]
-                            if first:
-                                col_max.append(value)
-                            elif value > col_max[k]:
-                                col_max[k] = value
-                            if best is None or value > best:
-                                best = value
-                        first = False
-                        forward += best
-                    backward = 0.0
-                    for value in col_max:
-                        backward += value
-                    per_type = (forward + backward) / count
-                    numerator += weight * per_type * count
-            value = 0.0 if denominator == 0.0 else numerator / denominator
-            element[key] = value
-            results[idx] = value
-        return results
-
-    def _slot_ids(
-        self,
-        name: NormalizedName,
-        index: Dict[str, int],
-        reps: List[Token],
-    ) -> List[Optional[List[int]]]:
-        """The name's per-slot token-id lists under ``index`` (interning
-        unseen texts, with ``reps`` keeping one representative token per
-        text for similarity computation). Slot-aligned with
-        :attr:`_weight_entries`; ``None`` marks an empty bucket."""
-        out: List[Optional[List[int]]] = []
-        for bucket in self._type_buckets(name):
-            if not bucket:
-                out.append(None)
-                continue
-            ids = []
-            for token in bucket:
-                tid = index.get(token.text)
-                if tid is None:
-                    tid = index[token.text] = len(reps)
-                    reps.append(token)
-                ids.append(tid)
-            out.append(ids)
-        return out
-
-    def _token_matrix(
-        self, reps1: List[Token], reps2: List[Token]
-    ) -> Tuple[array, int]:
-        """Flat row-major similarity matrix over the distinct token
-        cross product, resolved through the token cache (each cell
-        counted once as a hit or miss)."""
-        width = len(reps2)
-        sims = array("d", bytes(8 * len(reps1) * width))
-        cache = self._token
-        for i, a in enumerate(reps1):
-            row = cache.get(a.text)
-            if row is None:
-                row = cache[a.text] = {}
-            base = i * width
-            for j, b in enumerate(reps2):
-                value = row.get(b.text)
-                if value is None:
-                    self.token_misses += 1
-                    value = token_similarity(
-                        a, b, self.thesaurus, self.config
-                    )
-                    row[b.text] = value
-                else:
-                    self.token_hits += 1
-                sims[base + j] = value
-        return sims, width
-
-    #: Gather-block budget for :meth:`_cross_ns_np` — chunk the
-    #: ``(k1, k2, r, c)`` blocks so no temporary exceeds ~32 MB.
-    _CROSS_BLOCK_CELLS = 1 << 22
-
-    def _cross_ns_np(
-        self,
-        slots1: List[List[Optional[List[int]]]],
-        slots2: List[List[Optional[List[int]]]],
-        sims: array,
-        width: int,
-    ) -> List[List[float]]:
-        """The full ``ns`` table over the distinct-name cross product.
-
-        Per weight slot, names are grouped by token count so each group
-        pair gathers a rectangular ``(k1, k2, r, c)`` block from the
-        token matrix; row/col maxima are summed left to right with
-        elementwise adds, and the weighted-mean accumulation adds exact
-        zeros where the scalar slot loop skips — every rounding step
-        matches :meth:`element_name_similarity`.
-        """
-        v1 = len(slots1)
-        v2 = len(slots2)
-        numerator = _np.zeros((v1, v2))
-        denominator = _np.zeros((v1, v2))
-        sims_np = None
-        if len(sims):
-            sims_np = _np.frombuffer(sims, dtype=_np.float64)
-            sims_np = sims_np.reshape(-1, width)
-        cnt1 = _np.empty(v1)
-        cnt2 = _np.empty(v2)
-        for slot, (_token_type, weight) in enumerate(self._weight_entries):
-            if weight == 0.0:
-                continue
-            by_r: Dict[int, List[int]] = {}
-            for nid, per_slot in enumerate(slots1):
-                ids = per_slot[slot]
-                cnt1[nid] = len(ids) if ids else 0
-                if ids:
-                    by_r.setdefault(len(ids), []).append(nid)
-            by_c: Dict[int, List[int]] = {}
-            for nid, per_slot in enumerate(slots2):
-                ids = per_slot[slot]
-                cnt2[nid] = len(ids) if ids else 0
-                if ids:
-                    by_c.setdefault(len(ids), []).append(nid)
-            count = cnt1[:, None] + cnt2[None, :]
-            if not count.any():
-                continue
-            ns = _np.zeros((v1, v2))
-            for r, nids1 in by_r.items():
-                a1 = _np.asarray(
-                    [slots1[n][slot] for n in nids1], dtype=_np.intp
-                )
-                rows = _np.asarray(nids1, dtype=_np.intp)[:, None]
-                for c, nids2 in by_c.items():
-                    a2 = _np.asarray(
-                        [slots2[n][slot] for n in nids2], dtype=_np.intp
-                    )
-                    cols = _np.asarray(nids2, dtype=_np.intp)[None, :]
-                    step = max(
-                        1,
-                        self._CROSS_BLOCK_CELLS // max(1, len(nids2) * r * c),
-                    )
-                    for lo in range(0, len(nids1), step):
-                        hi = lo + step
-                        block = sims_np[
-                            a1[lo:hi, None, :, None], a2[None, :, None, :]
-                        ]
-                        row_max = block.max(axis=3)
-                        col_max = block.max(axis=2)
-                        forward = row_max[..., 0].copy()
-                        for k in range(1, r):
-                            forward += row_max[..., k]
-                        backward = col_max[..., 0].copy()
-                        for k in range(1, c):
-                            backward += col_max[..., k]
-                        ns[rows[lo:hi], cols] = (
-                            (forward + backward) / (r + c)
-                        )
-            # Elementwise replication of the scalar slot loop: slots the
-            # scalar code skips contribute exact 0.0 terms here (count
-            # is 0 there, and ns is 0 wherever a side has no tokens).
-            denominator += weight * count
-            numerator += weight * ns * count
-        table = _np.zeros((v1, v2))
-        _np.divide(
-            numerator, denominator, out=table, where=denominator > 0.0
-        )
-        return table.tolist()
-
     # ------------------------------------------------------------------
     # Persistence (the repository's cross-process memo tier)
     # ------------------------------------------------------------------
 
     def export_cache(self) -> Dict[str, Dict[str, Dict[str, float]]]:
-        """The memo's persistable tiers as a JSON-compatible dict.
+        """The token tier as a JSON-compatible dict.
 
-        Exports the token-pair and element-name caches — the two tiers
-        whose entries are expensive (thesaurus probes, substring scans,
-        weighted means) and whose keys are plain strings. Both are pure
+        Token-pair entries are the expensive ones (thesaurus probes,
+        substring scans) and are keyed by plain strings. They are pure
         in (thesaurus, config), so a
         :class:`~repro.repository.SchemaRepository` persists them keyed
         by those fingerprints and preloads a fresh session's memo: the
-        cold-token cost of the category-class compatibility scan is
-        paid once per deployment, not once per process. Values
-        round-trip bit-exactly through JSON (repr-based floats).
+        cold-token cost is paid once per deployment, not once per
+        process. Values round-trip bit-exactly through JSON
+        (repr-based floats).
 
         Safe while other threads fill the memo: search threads write
         it without a lock, so nothing here iterates a live dict. Each
-        iteration runs over a snapshot taken by one C call (atomic under
-        the GIL): ``dict.copy()`` for the small token tier, the key list
-        for the large element tier (a full copy of it would double the
-        export's peak memory). Element entries are only ever added, so
-        every snapshotted key stays readable.
+        iteration runs over a snapshot taken by one C call (atomic
+        under the GIL): ``dict.copy()`` of the outer map and of every
+        row.
         """
         return {
-            "token": {a: row.copy() for a, row in self._token.copy().items()},
-            "element": self._nest(self._element),
+            "token": {a: row.copy() for a, row in self._token.copy().items()}
         }
 
     def preload_cache(
         self, data: Dict[str, Dict[str, Dict[str, float]]]
     ) -> int:
-        """Merge an :meth:`export_cache` dump into the live caches.
+        """Merge an :meth:`export_cache` dump into the token tier.
 
         Existing entries win (they were computed under this process's
         thesaurus/config, the dump merely claims to match). Returns the
-        number of entries added. Callers are responsible for checking
-        that the dump's thesaurus/config fingerprints match — a
-        mismatched dump would poison bit-parity.
+        number of entries added. Other sections — the ``element``
+        section older builds wrote — are ignored. Callers are
+        responsible for checking that the dump's thesaurus/config
+        fingerprints match — a mismatched dump would poison bit-parity.
         """
         added = 0
         for a, row in data.get("token", {}).items():
@@ -709,27 +372,20 @@ class NameSimilarityMemo:
                 if b not in live:
                     live[b] = value
                     added += 1
-        for raw1, row in data.get("element", {}).items():
-            for raw2, value in row.items():
-                key = (raw1, raw2)
-                if key not in self._element:
-                    self._element[key] = value
-                    added += 1
         return added
 
-    @staticmethod
-    def _nest(
-        flat: Dict[Tuple[str, str], float]
-    ) -> Dict[str, Dict[str, float]]:
-        nested: Dict[str, Dict[str, float]] = {}
-        for key in list(flat):
-            nested.setdefault(key[0], {})[key[1]] = flat[key]
-        return nested
+    def token_entries(self) -> int:
+        """Entries held by the token tier (over a snapshot of its rows,
+        like :meth:`export_cache`)."""
+        return sum(map(len, list(self._token.values())))
 
     def stats(self) -> Dict[str, float]:
-        """Hit/miss counters for ``--stats`` regression triage."""
+        """Hit/miss counters for ``--stats`` regression triage.
+
+        The ``element_sim_*`` keys read 0: there is no name-pair tier
+        any more, and the keys stay for readers that sum every tier.
+        """
         token_total = self.token_hits + self.token_misses
-        element_total = self.element_hits + self.element_misses
         set_total = self.set_hits + self.set_misses
         return {
             "token_sim_hits": self.token_hits,
@@ -742,9 +398,8 @@ class NameSimilarityMemo:
             "token_set_sim_hit_rate": (
                 self.set_hits / set_total if set_total else 0.0
             ),
-            "element_sim_hits": self.element_hits,
-            "element_sim_misses": self.element_misses,
-            "element_sim_hit_rate": (
-                self.element_hits / element_total if element_total else 0.0
-            ),
+            "element_sim_hits": 0,
+            "element_sim_misses": 0,
+            "element_sim_hit_rate": 0.0,
+            "memo_token_entries": self.token_entries(),
         }

@@ -342,6 +342,15 @@ class MatchPipeline:
                 # Distinct-name kernel counters (vocabulary sizes and
                 # the dedup rate of the linguistic phase).
                 stats.update(kernel_stats)
+            profile_values = getattr(
+                result.lsim_table, "profile_values", None
+            )
+            if profile_values is not None:
+                # Bytes of the kernel's profile × profile lsim matrix,
+                # beside the similarity planes' store_bytes.
+                stats["lsim_profile_bytes"] = (
+                    profile_values.itemsize * len(profile_values)
+                )
             stats["lsim_entries"] = len(result.lsim_table)
         stats["leaf_mappings"] = len(result.leaf_mapping)
         stats["nonleaf_mappings"] = len(result.nonleaf_mapping)

@@ -90,10 +90,10 @@ class MatchSession:
             "simcache_write_failures": 0,
         }
         # The repository's persistent memo tier, available to
-        # standalone sessions: a JSON dump of the token-pair and
-        # element-name caches, preloaded at construction and written
-        # back by save_simcache() / the context-manager exit. The path
-        # comes from the argument or config.simcache_path ("" = off).
+        # standalone sessions: a JSON dump of the token-pair cache,
+        # preloaded at construction and written back by
+        # save_simcache() / the context-manager exit. The path comes
+        # from the argument or config.simcache_path ("" = off).
         path = simcache_path or self.pipeline.config.simcache_path
         self._simcache_path = os.path.abspath(path) if path else ""
         self._simcache_baseline = 0
@@ -276,14 +276,14 @@ class MatchSession:
     # ------------------------------------------------------------------
 
     def _memo_computed_entries(self) -> int:
-        """Similarity entries this process computed itself (each memo
-        miss computes exactly one token or element entry; preloaded
-        entries arrive without misses). Gates the save: an unchanged
-        count means the file on disk is already current."""
+        """Token-tier entries this process computed itself (each token
+        miss computes exactly one entry of the tier the file holds;
+        preloaded entries arrive without misses). Gates the save: an
+        unchanged count means the file on disk is already current."""
         memo = self.pipeline.linguistic.memo
         if memo is None:
             return 0
-        return memo.token_misses + memo.element_misses
+        return memo.token_misses
 
     def _load_simcache(self) -> None:
         """Preload the memo from ``simcache_path`` if it matches.
@@ -292,9 +292,9 @@ class MatchSession:
         ``simcache.json``: a torn file is a cache miss, and a dump
         written under a different thesaurus or config fingerprint is
         silently dropped — entries computed under other knowledge
-        would poison bit-parity. The memo tiers are keyed by token
-        texts and raw names, not by prepared-schema identity, so LRU
-        eviction of prepared schemas never invalidates them.
+        would poison bit-parity. The token tier is keyed by token
+        texts, not by prepared-schema identity, so LRU eviction of
+        prepared schemas never invalidates it.
         """
         from repro.repository.artifacts import (
             FORMAT_VERSION,
@@ -325,7 +325,7 @@ class MatchSession:
         )
 
     def save_simcache(self) -> None:
-        """Write the memo's persistable tiers back to ``simcache_path``.
+        """Write the memo's token tier back to ``simcache_path``.
 
         No-op when no path is configured or nothing new was computed
         since the preload. Write failures (read-only mount, missing

@@ -403,8 +403,8 @@ def _restore_vocabulary(
     """Fill a :class:`SchemaVocabulary` from its serialized tables.
 
     Bypasses ``_build`` (that is the point — the factoring came off
-    disk) and reconstructs the derived keyword/text tuples exactly the
-    way the builder does.
+    disk) and reconstructs the derived keyword tuples exactly the way
+    the builder does.
     """
     vocabulary = SchemaVocabulary.__new__(SchemaVocabulary)
     vocabulary.names = [names[slot] for slot in spec["names"]]
@@ -417,12 +417,10 @@ def _restore_vocabulary(
     vocabulary.class_is_dtype = [
         bool(flag) for flag in spec["class_is_dtype"]
     ]
-    vocabulary.class_keywords = []
-    vocabulary.class_texts = []
-    for category in vocabulary.classes:
-        filtered = tuple(t for t in category.keywords if not t.ignored)
-        vocabulary.class_keywords.append(filtered)
-        vocabulary.class_texts.append(tuple(t.text for t in filtered))
+    vocabulary.class_keywords = [
+        tuple(t for t in category.keywords if not t.ignored)
+        for category in vocabulary.classes
+    ]
     vocabulary.class_profiles = [
         list(pids) for pids in spec["class_profiles"]
     ]
@@ -436,4 +434,5 @@ def _restore_vocabulary(
         for cid, pid in spec["profile_of"].items()
     }
     vocabulary.n_elements = len(linguistic.elements_by_id)
+    vocabulary._tables = None
     return vocabulary

@@ -14,8 +14,8 @@ makes the session's cache tiers durable:
 * **search(query, k, candidates=C)** runs the full pipeline only on
   the top-C candidates and returns ranked results with pruning stats;
 * a **persistent similarity cache** stores the linguistic memo's
-  token/element tiers between processes, keyed by thesaurus + config
-  fingerprints, amortizing the cold-token cost of the category scan.
+  token tier between processes, keyed by thesaurus + config
+  fingerprints, amortizing the cold-token cost of every match.
 
 Everything restored is bit-identical to freshly-prepared state, so a
 search against a reopened repository returns exactly the results the
@@ -888,7 +888,7 @@ class SchemaRepository:
                 [n.raw for n in rebuilt.names]
                 != [n.raw for n in vocabulary.names]
                 or rebuilt.class_is_dtype != vocabulary.class_is_dtype
-                or rebuilt.class_texts != vocabulary.class_texts
+                or rebuilt.class_keywords != vocabulary.class_keywords
                 or rebuilt.class_profiles != vocabulary.class_profiles
                 or rebuilt.profile_names != vocabulary.profile_names
                 or rebuilt.profile_members != vocabulary.profile_members
@@ -1138,16 +1138,17 @@ class SchemaRepository:
                 raise
 
     def _memo_computed_entries(self) -> int:
-        """How many similarity entries this process computed itself.
+        """How many token-tier entries this process computed itself.
 
-        Every memo miss computes (and stores) exactly one token or
-        element entry; preloaded entries arrive without misses. Used to
-        skip rewriting ``simcache.json`` when a session added nothing.
+        Every token miss computes (and stores) exactly one entry of the
+        tier ``simcache.json`` holds; preloaded entries arrive without
+        misses. Used to skip rewriting the file when a session added
+        nothing to it.
         """
         memo = self.session.pipeline.linguistic.memo
         if memo is None:
             return 0
-        return memo.token_misses + memo.element_misses
+        return memo.token_misses
 
     def _load_simcache(self) -> None:
         self._simcache_baseline = self._memo_computed_entries()
@@ -1209,7 +1210,13 @@ class SchemaRepository:
     # ------------------------------------------------------------------
 
     def cache_info(self) -> Dict[str, Any]:
-        """Repository counters merged with the session's cache tiers."""
+        """Repository counters merged with the session's cache tiers.
+
+        Also reports the linguistic memo's size once
+        (``memo_token_entries``): the memo is the pipeline's, shared by
+        this repository's session and every pooled serving session, so
+        no per-session count may carry it.
+        """
         with self._lock:
             info: Dict[str, Any] = dict(self._counters)
             info["repository_schemas"] = len(self._schemas)
@@ -1220,6 +1227,9 @@ class SchemaRepository:
             info["pending_index_adds"] = len(self._pending_adds)
             info["read_only"] = self._read_only_reason is not None
         info.update(self.session.cache_info())
+        memo = self.session.pipeline.linguistic.memo
+        if memo is not None:
+            info["memo_token_entries"] = memo.token_entries()
         return info
 
     @property

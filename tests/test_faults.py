@@ -549,9 +549,18 @@ class TestCompactionSupervision:
             # must keep rescheduling until the third succeeds.
             faults.arm(faults.parse_spec("segment.write:oserror@1,2"))
             service._maybe_compact()
+            # The segment count drops inside repository.compact(); the
+            # supervisor records the outcome only after compact()
+            # returns (segment files removed, simcache saved). Wait for
+            # that too: failures reset and no retry pending.
             deadline = time.monotonic() + 30.0
             while time.monotonic() < deadline:
-                if repo.segment_count() == 1:
+                if (
+                    repo.segment_count() == 1
+                    and service.stats()["recovery"]["compaction_failures"]
+                    == 0
+                    and service._compaction_timer is None
+                ):
                     break
                 time.sleep(0.02)
             assert repo.segment_count() == 1, "compaction never healed"

@@ -1,21 +1,21 @@
 """Randomized parity fuzz harness: every engine tier vs the oracle.
 
 The dense engine has interacting fast paths — dense vectorization,
-the distinct-name linguistic kernel with its batched ``ns``, and the
-dirty-set incremental recompute — whose pairwise interactions no
+the array-native distinct-name linguistic kernel, the leaf plane and
+the dirty-set incremental recompute — whose pairwise interactions no
 hand-picked test can cover. This suite generates seeded random schema
 pairs across the axes that select those paths (size × name repetition
-× tree/DAG shape × leaf_prune_depth × kernel on/off × batched ns ×
-backend × threshold band) and asserts **bit-identical** lsim tables,
+× tree/DAG shape × leaf_prune_depth × backend × threshold band) and
+asserts **bit-identical** lsim tables,
 wsim maps, and leaf/non-leaf mappings against the reference engine on
 every one, together with TreeMatch's compared / pruned / scaled pair
 counters.
 
 Tier-1 runs :data:`N_TIER1_PAIRS` schema pairs under the fixed
 :data:`FUZZ_SEED` (each pair checks :data:`VARIANTS_PER_PAIR` dense
-variants, so ≥200 engine comparisons total); the full sweep
-(:data:`N_FULL_PAIRS` pairs) runs with ``REPRO_FUZZ_FULL=1`` (select
-it with ``-m fuzz``). Failures print the reproducing case via the
+variants, one per backend, so ≥200 engine comparisons total); the
+full sweep (:data:`N_FULL_PAIRS` pairs) runs with ``REPRO_FUZZ_FULL=1``
+(select it with ``-m fuzz``). Failures print the reproducing case via the
 seed-report hook in ``conftest.py``::
 
     _case_params(<index>)   # -> the failing case's full description
@@ -43,10 +43,10 @@ pytestmark = pytest.mark.fuzz
 FUZZ_SEED = 20260728
 
 #: Schema pairs checked in tier-1 (each pair runs VARIANTS_PER_PAIR
-#: dense-vs-reference comparisons: 48 × 5 = 240 cases ≥ the 200-case
-#: floor).
-N_TIER1_PAIRS = 48
-VARIANTS_PER_PAIR = 5
+#: dense-vs-reference comparisons — the numpy and the stdlib backend:
+#: 100 × 2 = 200 cases, the 200-case floor).
+N_TIER1_PAIRS = 100
+VARIANTS_PER_PAIR = 2
 
 #: Full-sweep pair count (REPRO_FUZZ_FULL=1).
 N_FULL_PAIRS = 400
@@ -156,17 +156,11 @@ def _shared_config_kwargs(params: dict) -> dict:
 
 #: The dense-engine variants checked against the oracle on every pair
 #: (VARIANTS_PER_PAIR of them): the default backend and forced stdlib,
-#: each with and without the distinct-name kernel, plus the kernel's
-#: scalar (unbatched) ``ns`` loop.
+#: both through the distinct-name kernel — its numpy matrix path and
+#: its flat-array loops.
 VARIANTS = (
     ("kernel", {}),
-    ("no-kernel", {"linguistic_kernel": False}),
     ("stdlib+kernel", {"dense_backend": "stdlib"}),
-    (
-        "stdlib no-kernel",
-        {"dense_backend": "stdlib", "linguistic_kernel": False},
-    ),
-    ("scalar ns", {"linguistic_batch_ns": False}),
 )
 
 

@@ -11,6 +11,7 @@ from repro.linguistic.matcher import LinguisticMatcher, LsimTable
 from repro.linguistic.normalizer import Normalizer
 from repro.model.builder import schema_from_tree
 from repro.model.element import SchemaElement
+from repro.structure.dense import numpy_available
 
 
 @pytest.fixture
@@ -140,7 +141,7 @@ class TestFactoredLsimTable:
             thesaurus, CupidConfig(engine="dense")
         ).compute(*tiny_pair)
         plain = LinguisticMatcher(
-            thesaurus, CupidConfig(engine="dense", linguistic_kernel=False)
+            thesaurus, CupidConfig(engine="reference")
         ).compute(*tiny_pair)
         assert sorted(kernel.items()) == sorted(plain.items())
         assert len(kernel) == len(plain)
@@ -212,12 +213,12 @@ class TestFactoredLsimTable:
 
 
 class TestBatchedNs:
-    """The memo's batched ns entry point vs the scalar path.
+    """The kernel's whole-cross-product ``ns`` vs per-pair scalar ns.
 
-    The kernel resolves its distinct-name cross product through
-    ``NameSimilarityMemo.element_name_similarity_batch``; every value
-    must be bit-identical to per-pair ``element_name_similarity``
-    calls on both the vectorized and the flat-array resolution paths.
+    The kernel computes ``ns(m1, m2)`` for every source name × target
+    name at once — one matrix on numpy, flat-array loops on stdlib;
+    every value must be bit-identical to the per-pair scalar ``ns`` of
+    the module function, with and without the memo.
     """
 
     @pytest.fixture
@@ -237,55 +238,59 @@ class TestBatchedNs:
         return schema, other
 
     def _table(self, thesaurus, wide_pair, **overrides):
-        config = CupidConfig(engine="dense", **overrides)
+        config = CupidConfig(**overrides)
         return LinguisticMatcher(thesaurus, config).compute(*wide_pair)
 
-    def test_batched_matches_scalar(self, thesaurus, wide_pair):
-        batched = self._table(thesaurus, wide_pair)
-        scalar = self._table(
-            thesaurus, wide_pair, linguistic_batch_ns=False
+    @pytest.mark.skipif(not numpy_available(), reason="numpy not installed")
+    def test_batched_matches_scalar(self, thesaurus, config, wide_pair):
+        import numpy as np
+
+        from repro.linguistic import kernel
+        from repro.linguistic.name_similarity import (
+            element_name_similarity,
         )
-        assert sorted(batched.items()) == sorted(scalar.items())
-        assert batched.kernel_stats["kernel_ns_batched_pairs"] > 0
-        assert scalar.kernel_stats["kernel_ns_batched_pairs"] == 0
+
+        matcher = LinguisticMatcher(thesaurus, config)
+        source, target = (
+            matcher.vocabulary(matcher.prepare(schema))
+            for schema in wide_pair
+        )
+        s_tables, t_tables = source.token_tables(), target.token_tables()
+        sims = np.frombuffer(
+            matcher.memo.token_matrix(s_tables.texts, t_tables.texts)
+        ).reshape(len(s_tables.texts), len(t_tables.texts))
+        ns = kernel._ns_matrix(
+            sims,
+            kernel._ns_slots(config, s_tables, t_tables),
+            source.n_names,
+            target.n_names,
+        )
+        assert ns.shape == (source.n_names, target.n_names)
+        nonzero = 0
+        for i, name1 in enumerate(source.names):
+            for j, name2 in enumerate(target.names):
+                scalar = element_name_similarity(
+                    name1, name2, thesaurus, config
+                )
+                assert ns[i, j] == scalar, (name1.raw, name2.raw)
+                # The per-pair path's form: token sims through the memo.
+                assert scalar == element_name_similarity(
+                    name1, name2, thesaurus, config, matcher.memo
+                )
+                nonzero += scalar > 0.0
+        assert nonzero > 0
 
     def test_batched_matches_scalar_stdlib(self, thesaurus, wide_pair):
-        batched = self._table(
-            thesaurus, wide_pair, dense_backend="stdlib"
-        )
-        scalar = self._table(
-            thesaurus,
-            wide_pair,
-            dense_backend="stdlib",
-            linguistic_batch_ns=False,
-        )
-        assert sorted(batched.items()) == sorted(scalar.items())
-        assert batched.kernel_stats["kernel_ns_batched_pairs"] > 0
+        flat = self._table(thesaurus, wide_pair, dense_backend="stdlib")
+        reference = self._table(thesaurus, wide_pair, engine="reference")
+        assert sorted(flat.items()) == sorted(reference.items())
+        assert flat.kernel_stats["kernel_distinct_name_pairs"] > 0
 
     def test_backends_agree_batched(self, thesaurus, wide_pair):
         vectorized = self._table(thesaurus, wide_pair)
         flat = self._table(thesaurus, wide_pair, dense_backend="stdlib")
         assert sorted(vectorized.items()) == sorted(flat.items())
-
-    def test_small_batch_routes_scalar(
-        self, thesaurus, normalizer, config
-    ):
-        """Below the batch floor the entry point defers to the scalar
-        method — same results, no batch setup."""
-        from repro.linguistic.name_similarity import NameSimilarityMemo
-
-        names = [
-            normalizer.normalize(text)
-            for text in ("CustomerName", "ClientName", "OrderDate")
-        ]
-        memo = NameSimilarityMemo(thesaurus, config)
-        pairs = [(names[0], names[1]), (names[0], names[2])]
-        batched = memo.element_name_similarity_batch(pairs)
-        fresh = NameSimilarityMemo(thesaurus, config)
-        scalar = [
-            fresh.element_name_similarity(n1, n2) for n1, n2 in pairs
-        ]
-        assert batched == scalar
+        assert vectorized.kernel_stats == flat.kernel_stats
 
 
 class TestMemoExport:
@@ -297,20 +302,14 @@ class TestMemoExport:
 
         memo = NameSimilarityMemo(thesaurus, config)
         memo.preload_cache(
-            {
-                "token": {f"s{i}": {"x": i / 4096} for i in range(4096)},
-                "element": {f"s{i}": {"y": i / 4096} for i in range(4096)},
-            }
+            {"token": {f"s{i}": {"x": i / 4096} for i in range(4096)}}
         )
 
         def write(tag):
             for i in range(8000):
                 value = (i % 997) / 997
                 memo.preload_cache(
-                    {
-                        "token": {f"{tag}{i}": {"x": value}},
-                        "element": {f"{tag}{i}": {"y": value}},
-                    }
+                    {"token": {f"{tag}{i}": {"x": value, "y": value}}}
                 )
 
         errors = []
@@ -340,12 +339,30 @@ class TestMemoExport:
         # Entries are never rewritten, so the final export is the live
         # memo and every earlier one must agree with it.
         live = memo.export_cache()
+        assert list(live) == ["token"]
         for dump in dumps:
-            for tier in ("token", "element"):
-                for a, row in dump[tier].items():
-                    live_row = live[tier][a]
-                    for b, value in row.items():
-                        assert live_row[b] == value
+            for a, row in dump["token"].items():
+                live_row = live["token"][a]
+                for b, value in row.items():
+                    assert live_row[b] == value
+
+    def test_preload_ignores_element_section(self, thesaurus, config):
+        """A dump written by a build that still had a name-pair tier
+        preloads its token tier only."""
+        from repro.linguistic.name_similarity import NameSimilarityMemo
+
+        memo = NameSimilarityMemo(thesaurus, config)
+        added = memo.preload_cache(
+            {
+                "token": {"order": {"purchase": 0.5, "order": 1.0}},
+                "element": {"ordernumber": {"ponumber": 0.75}},
+            }
+        )
+        assert added == 2
+        assert memo.token_entries() == 2
+        assert memo.export_cache() == {
+            "token": {"order": {"purchase": 0.5, "order": 1.0}}
+        }
 
 
 class TestLinguisticMatcher:

@@ -225,6 +225,33 @@ class TestStatsKeepLsimLazy:
         assert len(result.lsim_table) == entries
 
 
+class TestMemoryFacts:
+    """``--stats`` / ``--format json`` and ``/stats`` report the sizes
+    of the big per-match and per-process structures: the kernel's
+    profile lsim matrix and the linguistic memo's token tier."""
+
+    def test_run_stats_reports_real_sizes(self):
+        schema, other = _pair(n_leaves=40, seed=31)
+        matcher = CupidMatcher()
+        result = matcher.match(schema, other)
+        stats = matcher.run_stats(result)
+        table = result.lsim_table
+        assert isinstance(table, FactoredLsimTable)
+        values = table.profile_values
+        assert stats["lsim_profile_bytes"] == (
+            values.buffer_info()[1] * values.itemsize
+        )
+        assert stats["lsim_profile_bytes"] == 8 * (
+            stats["vocab_source_profiles"] * stats["vocab_target_profiles"]
+        )
+        assert "store_bytes" in stats
+        memo = matcher.pipeline.linguistic.memo
+        real_entries = sum(
+            len(row) for row in memo.export_cache()["token"].values()
+        )
+        assert stats["memo_token_entries"] == real_entries > 0
+
+
 def _constant_time(expr) -> bool:
     """A constant, a name, or an attribute read off one of those."""
     while isinstance(expr, ast.Attribute):
@@ -475,6 +502,23 @@ class TestHTTPObservability:
             server, "/health", headers={"X-Request-Id": "client-abc"}
         )
         assert echoed == "client-abc"
+
+    def test_stats_reports_memo_size_once(self, server):
+        """Every pooled session shares the pipeline's memo, so its size
+        is a repository fact, never summed per session."""
+        from repro.io.json_io import schema_to_dict
+
+        query = schema_to_dict(self._query())
+        self._request(
+            server, "/search", {"schema": query, "k": 1, "candidates": 1}
+        )
+        stats, _ = self._request(server, "/stats")
+        memo = server.service.repository.session.pipeline.linguistic.memo
+        real_entries = sum(
+            len(row) for row in memo.export_cache()["token"].values()
+        )
+        assert stats["repository"]["memo_token_entries"] == real_entries > 0
+        assert "memo_token_entries" not in stats["session_pool"]
 
     def test_metrics_exposition_agrees_with_stats(self, server):
         from repro.io.json_io import schema_to_dict

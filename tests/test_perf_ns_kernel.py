@@ -1,13 +1,14 @@
-"""Perf-regression smoke for the batched distinct-name ns kernel.
+"""Perf-regression smoke for the distinct-name ns kernel.
 
 The recorded floor lives beside the benchmark results
 (``benchmarks/results/BENCH_ns_kernel_floor.json``): the linguistic
 phase on the sparse independent-pair workload must finish under its
-``floor_ms`` with batching on. Like ``test_perf_repetition``, the
-ceiling is generous (~20x the recorded measurement) — it catches the
-batch layer silently degenerating (routing every pair scalar, or the
-cross-product vectorization collapsing into per-pair Python), not
-small drifts. Real numbers live in ``benchmarks/bench_ns_kernel.py``.
+``floor_ms`` on the default (kernel) path. Like
+``test_perf_repetition``, the ceiling is generous (~20x the recorded
+measurement) — it catches the kernel silently degenerating (the
+cross-product matrix collapsing into per-pair Python, or the
+workload falling off the kernel), not small drifts. Real numbers
+live in ``benchmarks/bench_ns_kernel.py``.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ import pytest
 from repro import CupidMatcher
 from repro.config import CupidConfig
 from repro.datasets.generator import SchemaGenerator
+from repro.linguistic.kernel import FactoredLsimTable
 from repro.linguistic.lexicon import builtin_thesaurus
 from repro.linguistic.matcher import LinguisticMatcher
 
@@ -55,7 +57,6 @@ def _workload(spec):
 def test_batched_ns_under_floor(floor_record):
     source, target = _workload(floor_record["workload"])
     config = CupidConfig(thlow=0.0)
-    assert config.linguistic_batch_ns  # the floor guards the default
 
     best = None
     for _ in range(2):
@@ -68,18 +69,21 @@ def test_batched_ns_under_floor(floor_record):
 
     floor_ms = floor_record["floor_ms"]
     assert best < floor_ms, (
-        f"batched linguistic phase took {best:.1f} ms (recorded floor "
+        f"kernel linguistic phase took {best:.1f} ms (recorded floor "
         f"{floor_ms} ms, last measured "
-        f"{floor_record['measured_batched_ms']} ms) — the batch layer "
+        f"{floor_record['measured_batched_ms']} ms) — the kernel "
         "has regressed badly"
     )
 
 
 def test_workload_engages_batched_ns(floor_record):
-    """The floor only means something if the batch path is the one
-    running: the kernel must report batched pairs on this workload."""
+    """The floor only means something if the kernel is the path
+    running: the match must produce a live factored table that
+    computed distinct name pairs on this workload."""
     source, target = _workload(floor_record["workload"])
     matcher = CupidMatcher(config=CupidConfig(thlow=0.0))
     result = matcher.match(source, target)
+    assert isinstance(result.lsim_table, FactoredLsimTable)
+    assert result.lsim_table.factored_live
     stats = matcher.run_stats(result)
-    assert stats["kernel_ns_batched_pairs"] > 0
+    assert stats["kernel_distinct_name_pairs"] > 0

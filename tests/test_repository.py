@@ -21,6 +21,7 @@ from repro.datasets.figure2 import figure2_po, figure2_purchase_order
 from repro.datasets.generator import PerturbationConfig, SchemaGenerator
 from repro.datasets.rdb_star import rdb_schema, star_schema
 from repro.exceptions import RepositoryError
+from repro.model.builder import schema_from_tree
 from repro.repository import (
     FORMAT_VERSION,
     VocabularyIndex,
@@ -316,16 +317,17 @@ class TestIngestAndLoad:
             {"workers": 2, "parallel_leaf_threshold": 256},
             {"store": "blocked", "block_size": 8,
              "auto_store_leaf_threshold": 1},
+            {"linguistic_kernel": False, "linguistic_batch_ns": False},
         ],
-        ids=["parallel-knobs", "store-knobs"],
+        ids=["parallel-knobs", "store-knobs", "linguistic-knobs"],
     )
     def test_manifest_with_removed_config_keys_opens(
         self, tmp_path, removed_keys
     ):
         """Manifests written by older builds record config fields that
-        no longer exist (the removed parallel-layer and similarity-store
-        knobs). They must still open, verify, and search
-        bit-identically."""
+        no longer exist (the removed parallel-layer, similarity-store
+        and linguistic-path knobs). They must still open, verify, and
+        search bit-identically."""
         path = str(tmp_path / "repo")
         schemas = _corpus(3)
         with SchemaRepository(path) as repo:
@@ -572,6 +574,83 @@ class TestSimilarityCachePersistence:
         with SchemaRepository.open(path) as warm:
             warm.search(query, k=2)  # every similarity preloaded
         assert os.stat(simcache_path).st_mtime_ns == before
+
+    def test_save_without_new_token_entries_keeps_file(self, tmp_path):
+        """The simcache holds only the token tier, so a search that
+        computes new name pairs from known tokens must not rewrite it:
+        the next save leaves simcache.json byte- and mtime-identical."""
+        containers = {
+            "Customer": {"CustomerName": "string", "City": "string"},
+            "Order": {"OrderDate": "date", "Quantity": "integer"},
+        }
+        recombined = {
+            "Customer": {"CustomerCity": "string", "Name": "string"},
+            "Order": {"DateQuantity": "date", "OrderQuantity": "integer"},
+        }
+        path = str(tmp_path / "repo")
+        repo = SchemaRepository(path)
+        for schema in _corpus(2):
+            repo.ingest(schema)
+        repo.search(schema_from_tree("Query", containers), k=2, candidates=2)
+        repo.save()
+        simcache_path = os.path.join(path, "simcache.json")
+        with open(simcache_path, "rb") as handle:
+            before_bytes = handle.read()
+        before_mtime = os.stat(simcache_path).st_mtime_ns
+
+        memo = repo.session.pipeline.linguistic.memo
+        misses = memo.token_misses
+        search = repo.search(
+            schema_from_tree("Query", recombined), k=2, candidates=2
+        )
+        assert memo.token_misses == misses  # every token pair known
+        assert len(search) == 2
+        assert all(
+            m.result.lsim_table.kernel_stats["kernel_distinct_name_pairs"]
+            for m in search
+        )
+        repo.save()
+        with open(simcache_path, "rb") as handle:
+            assert handle.read() == before_bytes
+        assert os.stat(simcache_path).st_mtime_ns == before_mtime
+
+    def test_older_simcache_preloads_token_tier(self, tmp_path):
+        """A simcache written by a build with a name-pair tier (an
+        ``element`` section) still opens without a discard: its token
+        tier preloads, the element section is ignored, and the next
+        write drops it."""
+        corpus = _corpus(3)
+        path = str(tmp_path / "repo")
+        with SchemaRepository(path) as repo:
+            for schema in corpus:
+                repo.ingest(schema)
+            repo.search(_query_for(corpus[0]), k=2)
+        simcache_path = os.path.join(path, "simcache.json")
+        with open(simcache_path) as handle:
+            data = json.load(handle)
+        token_entries = sum(
+            len(row) for row in data["caches"]["token"].values()
+        )
+        data["caches"]["element"] = {
+            "customer name": {"client name": 0.8125, "city": 0.0}
+        }
+        with open(simcache_path, "w") as handle:
+            json.dump(data, handle)
+
+        repo = SchemaRepository.open(path)
+        info = repo.cache_info()
+        assert info["simcache_discarded"] == 0
+        assert info["simcache_preloaded_entries"] == token_entries > 0
+        assert info["memo_token_entries"] == token_entries
+        fresh_word = {"Zeppelin": {"Altitude": "integer"}}
+        repo.search(schema_from_tree("Airship", fresh_word), k=1)
+        repo.save()
+        with open(simcache_path) as handle:
+            rewritten = json.load(handle)
+        assert list(rewritten["caches"]) == ["token"]
+        assert sum(
+            len(row) for row in rewritten["caches"]["token"].values()
+        ) > token_entries
 
     def test_simcache_write_failure_is_not_fatal(self, tmp_path):
         """Persisting the simcache is an optimization; an unwritable
