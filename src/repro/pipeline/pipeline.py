@@ -315,24 +315,14 @@ class MatchPipeline:
                 compared_pairs=tm.compared_pairs,
                 pruned_pairs=tm.pruned_pairs,
                 scaled_pairs=tm.scaled_pairs,
+                # Which first-pass path ran: the number of waves of
+                # the wave schedule, or 0 for a per-pair loop (the
+                # reference engine, join-view DAGs, depth-pruned
+                # frontiers, trees mutated after their layout).
+                treematch_waves=tm.waves,
             )
             if tm.recompute_pairs:
-                # Dirty-set effectiveness of the incremental second
-                # TreeMatch pass (the reference engine always rescans:
-                # its dirty fraction reads 1.0).
-                stats.update(
-                    recompute_pairs=tm.recompute_pairs,
-                    recompute_dirty_pairs=tm.recompute_dirty,
-                    recompute_skipped_pairs=tm.recompute_skipped,
-                    # Pairs whose depth-pruned frontier contains
-                    # non-leaf stand-ins, so the dirty-set skip had to
-                    # stand down (explains skip rates under
-                    # leaf_prune_depth > 0).
-                    recompute_standdown_pairs=tm.recompute_standdown,
-                    recompute_dirty_fraction=round(
-                        tm.recompute_dirty / tm.recompute_pairs, 4
-                    ),
-                )
+                stats["recompute_pairs"] = tm.recompute_pairs
             describe = getattr(tm.sims, "describe", None)
             if describe is not None:
                 stats.update(describe())

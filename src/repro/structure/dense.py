@@ -29,7 +29,20 @@ This module replaces the hot path with contiguous-array arithmetic:
 * every leaf×leaf pair is handled as one plane: TreeMatch's first-pass
   context adjustment of all of them is :meth:`scale_leaf_plane`, their
   wsim entries read the plane through :class:`LeafPlaneWsim`, and the
-  leaf mapping starts from :meth:`leaf_column_maxima`.
+  leaf mapping starts from :meth:`leaf_column_maxima`;
+* on pure trees TreeMatch runs its pairs with a non-leaf in **waves**
+  (the schedule and its ordering argument are in
+  :mod:`repro.structure.treematch`), and a wave is one kernel call
+  per step: :meth:`wave_fractions` returns every pair's strong-link
+  fraction and :meth:`scale_wave` applies every cinc/cdec decision.
+  A wave's distinct sources have pairwise-disjoint leaf windows, and
+  so do its targets (:class:`WaveBlocks`). The numpy kernels take one
+  ``>= thaccept`` mask over the windows' bounding box, reduce it per
+  window with ``reduceat`` on each axis, and scale through a factor
+  block that holds 1.0 outside the scaled pairs: ×1.0 and an in-range
+  clamp are exact, and a cell's wsim recomputes to the value it
+  holds. Below the numpy floor, and on the stdlib backend, flat-array
+  loops do the same per pair.
 
 Every matrix cell is computed with exactly the scalar expressions the
 reference store uses (same operand order, same clamping), and the
@@ -238,6 +251,72 @@ class _FrontierIndex(_NodeIndex):
         return self.np_required
 
 
+class WaveBlocks:
+    """One TreeMatch wave as the store's wave kernels address it.
+
+    ``sources`` and ``targets`` are the wave's distinct nodes on each
+    side, in ascending order of their pairwise-disjoint ``[leaf_lo,
+    leaf_hi)`` windows (the trees are ones :meth:`DenseSimilarityStore.
+    begin_waves` accepted). Pair p is the block window ``pair_s[p]`` ×
+    window ``pair_t[p]``. ``cells`` sums the pairs' block sizes; it is
+    what the store's numpy floor is tested against.
+    """
+
+    __slots__ = ("sources", "targets", "pair_s", "pair_t", "cells", "_axes")
+
+    def __init__(
+        self,
+        sources: List[SchemaTreeNode],
+        targets: List[SchemaTreeNode],
+        pair_s: List[int],
+        pair_t: List[int],
+        cells: int,
+    ) -> None:
+        self.sources = sources
+        self.targets = targets
+        self.pair_s = pair_s
+        self.pair_t = pair_t
+        self.cells = cells
+        self._axes = None
+
+
+class _WaveAxis:
+    """One side of a wave in numpy form, relative to its windows'
+    bounding box ``[lo, hi)``: the box is cut into segments — each
+    window, plus any gap between two windows — starting at ``starts``
+    with lengths ``sizes``; ``window`` maps a window to its segment,
+    ``required`` flags each box position whose leaf is required from
+    its window's node (``leaf_opt <= level``; gap positions read False
+    and are dropped with their segments), and ``pairs`` holds each
+    pair's window on this side."""
+
+    __slots__ = ("lo", "hi", "starts", "sizes", "window", "required", "pairs")
+
+    def __init__(
+        self, nodes: List[SchemaTreeNode], leaf_opt, pairs: List[int]
+    ) -> None:
+        self.lo = lo = nodes[0].leaf_lo
+        self.hi = hi = nodes[-1].leaf_hi
+        starts: List[int] = []
+        levels: List[int] = []
+        window: List[int] = []
+        at = lo
+        for node in nodes:
+            if node.leaf_lo > at:
+                # A gap: below every optional level, so never required.
+                starts.append(at - lo)
+                levels.append(-2)
+            window.append(len(starts))
+            starts.append(node.leaf_lo - lo)
+            levels.append(node.level)
+            at = node.leaf_hi
+        self.starts = _np.asarray(starts, dtype=_np.intp)
+        self.sizes = _np.diff(self.starts, append=hi - lo)
+        self.window = _np.asarray(window, dtype=_np.intp)
+        self.required = leaf_opt[lo:hi] <= _np.repeat(levels, self.sizes)
+        self.pairs = _np.asarray(pairs, dtype=_np.intp)
+
+
 class DenseSimilarityStore(SimilarityStore):
     """Matrix-backed ssim/lsim/wsim over the two trees' leaf pairs.
 
@@ -283,23 +362,10 @@ class DenseSimilarityStore(SimilarityStore):
         self._leaf_idx_t: Dict[int, Optional[_NodeIndex]] = {}
         self._frontier_s: Dict[int, Optional[_FrontierIndex]] = {}
         self._frontier_t: Dict[int, Optional[_FrontierIndex]] = {}
-
-        # Dirty-set bookkeeping for the incremental second TreeMatch
-        # pass. A non-leaf pair's structural similarity reads only the
-        # *strong-link status* (wsim >= thaccept) of its leaf cells, so
-        # a mutation invalidates earlier-computed pairs only when a
-        # cell CROSSES thaccept — cinc/cdec scaling moves many values
-        # but flips few statuses. Each crossing event bumps the global
-        # sequence and stamps it on the rows/columns containing crossed
-        # cells; a pair is provably fresh since sequence S when none of
-        # its rows AND none of its columns were stamped after S
-        # (conservative: disjoint row/column events can flag a block no
-        # cell of which crossed — that costs a recompute, never
-        # correctness).
-        self.mutation_seq = 0
-        self._thaccept = config.thaccept
-        self._row_seq: List[int] = [0] * self._n_s
-        self._col_seq: List[int] = [0] * self._n_t
+        # Per-leaf optional levels of the trees begin_waves bound, and
+        # their numpy form once a numpy wave kernel needs it.
+        self._wave_opt: Tuple[Sequence[int], ...] = ()
+        self._wave_opt_np = None
 
         self._build_matrices(lsim_table)
 
@@ -453,21 +519,13 @@ class DenseSimilarityStore(SimilarityStore):
     def set_ssim(
         self, s: SchemaTreeNode, t: SchemaTreeNode, value: float
     ) -> None:
-        i = self._s_index.get(s.node_id)
-        j = self._t_index.get(t.node_id) if i is not None else None
-        if i is None or j is None:
+        pos = self._leaf_pos(s, t)
+        if pos is None:
             super().set_ssim(s, t, value)
             return
-        pos = i * self._n_t + j
         clamped = min(1.0, max(0.0, value))
-        old_wsim = self._W[pos]
-        new_wsim = self._wl * clamped + self._om * self._L[pos]
         self._S[pos] = clamped
-        self._W[pos] = new_wsim
-        threshold = self._thaccept
-        if (old_wsim >= threshold) != (new_wsim >= threshold):
-            self.mutation_seq += 1
-            self._row_seq[i] = self._col_seq[j] = self.mutation_seq
+        self._W[pos] = self._wl * clamped + self._om * self._L[pos]
 
     def lsim(self, s: SchemaTreeNode, t: SchemaTreeNode) -> float:
         pos = self._leaf_pos(s, t)
@@ -532,12 +590,9 @@ class DenseSimilarityStore(SimilarityStore):
         applies :meth:`scale_block`'s [0, 1] clamp and wsim refresh —
         the same IEEE operations in the same order, so each cell ends
         exactly where a 1×1 ``scale_block`` would leave it. Validation
-        keeps ``thlow < thaccept < thhigh``, ``cinc >= 1`` and
-        ``0 < cdec <= 1``, so the two cases never overlap and no cell
-        crosses ``thaccept`` (a cell above ``thhigh`` only grows, one
-        below ``thlow`` only shrinks): unlike ``scale_block`` there is
-        nothing to stamp. TreeMatch calls it on the pristine planes,
-        before any other first-pass write (the ordering argument is in
+        keeps ``thlow < thaccept < thhigh``, so the two cases never
+        overlap. TreeMatch calls it on the pristine planes, before any
+        other first-pass write (the ordering argument is in
         :mod:`repro.structure.treematch`). Returns the number of cells
         scaled.
         """
@@ -718,52 +773,34 @@ class DenseSimilarityStore(SimilarityStore):
         cells = len(s_entry.ids) * len(t_entry.ids)
 
         if self._use_numpy and cells >= self._VECTOR_MIN_CELLS:
-            threshold = self._thaccept
             if s_entry.lo is not None and t_entry.lo is not None:
                 rows = slice(s_entry.lo, s_entry.hi)
                 cols = slice(t_entry.lo, t_entry.hi)
-                wsim_block = self._Wnp[rows, cols]
-                old_strong = wsim_block >= threshold
                 block = self._Snp[rows, cols]
                 block *= factor
                 _np.clip(block, 0.0, 1.0, out=block)
-                wsim_block[...] = (
+                self._Wnp[rows, cols] = (
                     self._wl * block + self._om * self._Lnp[rows, cols]
                 )
-                crossed = old_strong != (wsim_block >= threshold)
             else:
                 ix = _np.ix_(s_entry.numpy_ids(), t_entry.numpy_ids())
-                old_strong = self._Wnp[ix] >= threshold
                 block = self._Snp[ix] * factor
                 _np.clip(block, 0.0, 1.0, out=block)
                 self._Snp[ix] = block
-                new_wsim = self._wl * block + self._om * self._Lnp[ix]
-                self._Wnp[ix] = new_wsim
-                crossed = old_strong != (new_wsim >= threshold)
-            if crossed.any():
-                self._mark_crossed(
-                    s_entry,
-                    t_entry,
-                    crossed.any(axis=1).tolist(),
-                    crossed.any(axis=0).tolist(),
-                )
+                self._Wnp[ix] = self._wl * block + self._om * self._Lnp[ix]
             return cells
 
         ssim_flat, lsim_flat, wsim_flat = self._S, self._L, self._W
         n_t = self._n_t
         wl, om = self._wl, self._om
-        threshold = self._thaccept
         t_ids = (
             range(t_entry.lo, t_entry.hi)
             if t_entry.lo is not None
             else t_entry.ids
         )
-        rows_crossed = [False] * len(s_entry.ids)
-        cols_crossed = [False] * len(t_ids)
-        any_crossed = False
-        for xi, x in enumerate(s_entry.ids):
+        for x in s_entry.ids:
             base = x * n_t
-            for yi, y in enumerate(t_ids):
+            for y in t_ids:
                 flat = base + y
                 value = ssim_flat[flat] * factor
                 if value > 1.0:
@@ -771,105 +808,8 @@ class DenseSimilarityStore(SimilarityStore):
                 elif value < 0.0:
                     value = 0.0
                 ssim_flat[flat] = value
-                old_wsim = wsim_flat[flat]
-                new_wsim = wl * value + om * lsim_flat[flat]
-                wsim_flat[flat] = new_wsim
-                if (old_wsim >= threshold) != (new_wsim >= threshold):
-                    any_crossed = True
-                    rows_crossed[xi] = True
-                    cols_crossed[yi] = True
-        if any_crossed:
-            self._mark_crossed(s_entry, t_entry, rows_crossed, cols_crossed)
+                wsim_flat[flat] = wl * value + om * lsim_flat[flat]
         return cells
-
-    # ------------------------------------------------------------------
-    # Dirty-set queries (incremental recompute_wsim)
-    # ------------------------------------------------------------------
-
-    def _mark_crossed(
-        self,
-        s_entry: _NodeIndex,
-        t_entry: _NodeIndex,
-        rows_crossed: List[bool],
-        cols_crossed: List[bool],
-    ) -> None:
-        """Stamp a fresh sequence on rows/columns with crossed cells.
-
-        ``rows_crossed`` aligns with ``s_entry.ids``; ``cols_crossed``
-        with ``t_entry``'s id sequence (``lo..hi`` when contiguous).
-        """
-        self.mutation_seq += 1
-        seq = self.mutation_seq
-        row_seq = self._row_seq
-        row_base = s_entry.lo
-        if row_base is not None:
-            for k, flag in enumerate(rows_crossed):
-                if flag:
-                    row_seq[row_base + k] = seq
-        else:
-            ids = s_entry.ids
-            for k, flag in enumerate(rows_crossed):
-                if flag:
-                    row_seq[ids[k]] = seq
-        col_seq = self._col_seq
-        col_base = t_entry.lo
-        if col_base is not None:
-            for k, flag in enumerate(cols_crossed):
-                if flag:
-                    col_seq[col_base + k] = seq
-        else:
-            ids = t_entry.ids
-            for k, flag in enumerate(cols_crossed):
-                if flag:
-                    col_seq[ids[k]] = seq
-
-    def block_dirty_since(
-        self, s: SchemaTreeNode, t: SchemaTreeNode, seq: int
-    ) -> Optional[bool]:
-        """Could any leaf cell of (subtree of s) × (subtree of t) have
-        crossed ``thaccept`` after sequence ``seq``?
-
-        False means provably fresh: a recompute of the pair's
-        structural similarity would reproduce the value computed at
-        ``seq`` exactly (the strong-link fraction reads only the
-        cells' >= thaccept statuses, none of which flipped). True is
-        conservative — a row-touching and a column-touching event can
-        flag a block even when no single event hit both. None means
-        the subtrees are not fully leaf-indexed (mutated tree);
-        callers must recompute.
-        """
-        s_entry = self._node_indices(s, source_side=True)
-        if s_entry is None:
-            return None
-        t_entry = self._node_indices(t, source_side=False)
-        if t_entry is None:
-            return None
-        # Only after the indexed-leaves check: non-indexed (dict-path)
-        # cells never stamp the sequence, so a global "nothing
-        # changed" short-circuit must not override the None contract.
-        if self.mutation_seq <= seq:
-            return False
-        row_seq = self._row_seq
-        rows = (
-            range(s_entry.lo, s_entry.hi)
-            if s_entry.lo is not None
-            else s_entry.ids
-        )
-        for i in rows:
-            if row_seq[i] > seq:
-                break
-        else:
-            return False
-        col_seq = self._col_seq
-        cols = (
-            range(t_entry.lo, t_entry.hi)
-            if t_entry.lo is not None
-            else t_entry.ids
-        )
-        for j in cols:
-            if col_seq[j] > seq:
-                return True
-        return False
 
     def structural_fraction(
         self,
@@ -956,24 +896,213 @@ class DenseSimilarityStore(SimilarityStore):
         return (s_linked + t_linked) / denominator
 
     # ------------------------------------------------------------------
+    # Wave kernels
+    # ------------------------------------------------------------------
 
-    def frontier_leaf_indexed(
-        self,
-        node: SchemaTreeNode,
-        frontier: Dict[SchemaTreeNode, bool],
-        source_side: bool,
-    ) -> bool:
-        """Is every node of this frontier a matrix-indexed real leaf?
+    def begin_waves(self, source_tree: SchemaTree, target_tree: SchemaTree) -> bool:
+        """Bind the wave kernels to these trees if they can address
+        them: both pure (no gather-tuple node, so every node's leaves
+        are its window and a leaf x is required from it exactly when
+        ``leaf_opt[x] <= level``) and indexed against this store's
+        layout."""
+        leaf_opt = []
+        for tree, leaves in (
+            (source_tree, self._s_leaves), (target_tree, self._t_leaves)
+        ):
+            enc = tree.root._enc
+            if enc is None or enc.leaves is not leaves or not tree.root.pure:
+                return False
+            leaf_opt.append(enc.leaf_opt)
+        self._wave_opt = tuple(leaf_opt)
+        self._wave_opt_np = None
+        return True
 
-        True exactly when the pair's structural fraction reads matrix
-        cells only — the condition under which the dirty-set crossing
-        stamps vouch for the whole read set even with
-        ``leaf_prune_depth > 0`` (a fully-leaf frontier at depth k is
-        the node's complete leaf set).
-        """
-        return (
-            self._frontier_indices(node, frontier, source_side) is not None
+    def _vectorized(self, wave: WaveBlocks) -> bool:
+        return self._use_numpy and wave.cells >= self._VECTOR_MIN_CELLS
+
+    def wave_fractions(
+        self, wave: WaveBlocks, thaccept: float, discount: bool
+    ) -> List[float]:
+        """:meth:`structural_fraction` of every pair of the wave, in
+        pair order, read from the wsim plane as it stands."""
+        if self._vectorized(wave):
+            return self._wave_fractions_numpy(wave, thaccept, discount)
+        wsim_flat = self._W
+        n_t = self._n_t
+        s_opt, t_opt = self._wave_opt
+        sources, targets = wave.sources, wave.targets
+        fractions: List[float] = []
+        for i, k in zip(wave.pair_s, wave.pair_t):
+            s, t = sources[i], targets[k]
+            s_lo, s_hi, t_lo, t_hi = s.leaf_lo, s.leaf_hi, t.leaf_lo, t.leaf_hi
+            # ``counted``: leaves without a strong link that still count
+            # in the denominator (required ones, or all of them when
+            # optional leaves are not discounted).
+            linked = counted = 0
+            level = s.level
+            for x in range(s_lo, s_hi):
+                base = x * n_t
+                for flat in range(base + t_lo, base + t_hi):
+                    if wsim_flat[flat] >= thaccept:
+                        linked += 1
+                        break
+                else:
+                    if not discount or s_opt[x] <= level:
+                        counted += 1
+            level = t.level
+            row_end = s_hi * n_t
+            for y in range(t_lo, t_hi):
+                for flat in range(s_lo * n_t + y, row_end, n_t):
+                    if wsim_flat[flat] >= thaccept:
+                        linked += 1
+                        break
+                else:
+                    if not discount or t_opt[y] <= level:
+                        counted += 1
+            denominator = linked + counted
+            fractions.append(linked / denominator if denominator else 0.0)
+        return fractions
+
+    def _wave_axes(self, wave: WaveBlocks) -> Tuple[_WaveAxis, _WaveAxis]:
+        if wave._axes is None:
+            if self._wave_opt_np is None:
+                self._wave_opt_np = tuple(
+                    _np.asarray(opt, dtype=_np.intp) for opt in self._wave_opt
+                )
+            s_opt, t_opt = self._wave_opt_np
+            wave._axes = (
+                _WaveAxis(wave.sources, s_opt, wave.pair_s),
+                _WaveAxis(wave.targets, t_opt, wave.pair_t),
+            )
+        return wave._axes
+
+    def wave_lsims(self, wave: WaveBlocks) -> List[float]:
+        """:meth:`lsim` of every pair of the wave, in pair order. A
+        factored table is read by profile, as its ``get`` reads it."""
+        table = self._lsim_table
+        sources, targets = wave.sources, wave.targets
+        if not (
+            isinstance(table, FactoredLsimTable) and table.factored_live
+        ):
+            get = table.get
+            return [
+                get(sources[i].element, targets[k].element)
+                for i, k in zip(wave.pair_s, wave.pair_t)
+            ]
+        s_profile = table.profile_of_source
+        t_profile = table.profile_of_target
+        # -1: an element without a profile, whose lsim reads 0.0.
+        rows = [s_profile.get(s.element.element_id, -1) for s in sources]
+        cols = [t_profile.get(t.element.element_id, -1) for t in targets]
+        values = table.profile_values
+        width = table.n_target_profiles
+        lsims = []
+        for i, k in zip(wave.pair_s, wave.pair_t):
+            p, q = rows[i], cols[k]
+            lsims.append(0.0 if p < 0 or q < 0 else values[p * width + q])
+        return lsims
+
+    def _wave_fractions_numpy(
+        self, wave: WaveBlocks, thaccept: float, discount: bool
+    ) -> List[float]:
+        rows, cols = self._wave_axes(wave)
+        strong = self._Wnp[rows.lo:rows.hi, cols.lo:cols.hi] >= thaccept
+        # Per row, per column segment: a strong link into it; per column,
+        # per row segment likewise. Counting those per segment gives
+        # every segment pair's linked leaves on each side.
+        row_links = _np.logical_or.reduceat(strong, cols.starts, axis=1)
+        col_links = _np.logical_or.reduceat(strong, rows.starts, axis=0)
+        del strong
+
+        def per_segment(row_flags, col_flags):
+            return _np.add.reduceat(
+                row_flags, rows.starts, axis=0, dtype=_np.intp
+            ) + _np.add.reduceat(
+                col_flags, cols.starts, axis=1, dtype=_np.intp
+            )
+
+        linked = per_segment(row_links, col_links)
+        if discount:
+            row_links |= rows.required[:, None]
+            col_links |= cols.required[None, :]
+            total = per_segment(row_links, col_links)
+        else:
+            total = rows.sizes[:, None] + cols.sizes[None, :]
+        ps = rows.window[rows.pairs]
+        pt = cols.window[cols.pairs]
+        denominator = total[ps, pt]
+        fractions = _np.zeros(len(ps))
+        _np.divide(
+            linked[ps, pt], denominator, out=fractions,
+            where=denominator != 0,
         )
+        return fractions.tolist()
+
+    def scale_wave(
+        self, wave: WaveBlocks, scaled: List[int], factors: List[float]
+    ) -> int:
+        """:meth:`scale_block` for each pair ``scaled[i]`` of the wave
+        by ``factors[i]``: multiply, clamp to [0, 1], refresh wsim.
+        The pairs' blocks are disjoint, so the order is free. Returns
+        the number of cells scaled."""
+        if self._vectorized(wave):
+            return self._scale_wave_numpy(wave, scaled, factors)
+        ssim_flat, lsim_flat, wsim_flat = self._S, self._L, self._W
+        n_t = self._n_t
+        wl, om = self._wl, self._om
+        sources, targets = wave.sources, wave.targets
+        pair_s, pair_t = wave.pair_s, wave.pair_t
+        cells = 0
+        for p, factor in zip(scaled, factors):
+            s, t = sources[pair_s[p]], targets[pair_t[p]]
+            t_lo, t_hi = t.leaf_lo, t.leaf_hi
+            cells += (s.leaf_hi - s.leaf_lo) * (t_hi - t_lo)
+            for x in range(s.leaf_lo, s.leaf_hi):
+                base = x * n_t
+                for flat in range(base + t_lo, base + t_hi):
+                    value = ssim_flat[flat] * factor
+                    if value > 1.0:
+                        value = 1.0
+                    elif value < 0.0:
+                        value = 0.0
+                    ssim_flat[flat] = value
+                    wsim_flat[flat] = wl * value + om * lsim_flat[flat]
+        return cells
+
+    def _scale_wave_numpy(
+        self, wave: WaveBlocks, scaled: List[int], factors: List[float]
+    ) -> int:
+        rows, cols = self._wave_axes(wave)
+        scaled = _np.asarray(scaled, dtype=_np.intp)
+        ps = rows.window[rows.pairs[scaled]]
+        pt = cols.window[cols.pairs[scaled]]
+        # Work on the segments the scaled pairs span. Every other cell
+        # of that box gets factor 1.0: ×1.0 and the clamp leave an
+        # in-range ssim as it is, and wsim recomputes to the bits it
+        # holds (every cell's wsim was last written by this very
+        # expression).
+        r0, r1 = int(ps.min()), int(ps.max()) + 1
+        c0, c1 = int(pt.min()), int(pt.max()) + 1
+        grid = _np.ones((r1 - r0, c1 - c0))
+        grid[ps - r0, pt - c0] = factors
+        factor_block = _np.repeat(
+            _np.repeat(grid, rows.sizes[r0:r1], axis=0),
+            cols.sizes[c0:c1], axis=1,
+        )
+        row_lo = rows.lo + int(rows.starts[r0])
+        col_lo = cols.lo + int(cols.starts[c0])
+        box = (
+            slice(row_lo, row_lo + factor_block.shape[0]),
+            slice(col_lo, col_lo + factor_block.shape[1]),
+        )
+        ssim = self._Snp[box]
+        ssim *= factor_block
+        _np.clip(ssim, 0.0, 1.0, out=ssim)
+        wsim = self._Wnp[box]
+        _np.multiply(ssim, self._wl, out=wsim)
+        _np.multiply(self._Lnp[box], self._om, out=factor_block)
+        wsim += factor_block
+        return int(_np.dot(rows.sizes[ps], cols.sizes[pt]))
 
     def store_bytes(self) -> int:
         """Bytes held by the similarity plane representation (the

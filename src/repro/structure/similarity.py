@@ -9,7 +9,7 @@ into the weighted similarity ``wsim``.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.config import CupidConfig
 from repro.linguistic.matcher import LsimTable
@@ -89,6 +89,26 @@ class SimilarityStore:
         else:
             wstruct = self._config.wstruct
         return wstruct * self.ssim(s, t) + (1.0 - wstruct) * self.lsim(s, t)
+
+    def set_nonleaf_ssims(
+        self,
+        keys: Sequence[Tuple[int, int]],
+        values: Sequence[float],
+        lsims: Sequence[float],
+    ) -> List[float]:
+        """:meth:`set_ssim` then :meth:`wsim` for node pairs with a
+        non-leaf, in bulk: ``keys`` are the pairs' ``(node_id,
+        node_id)``, ``lsims`` their :meth:`lsim`. The values are
+        strong-link fractions, already in [0, 1], so set_ssim's clamp
+        would return each one unchanged. Returns the wsims, each
+        computed in :meth:`wsim`'s operand order."""
+        self._ssim.update(zip(keys, values))
+        wstruct = self._config.wstruct
+        rest = 1.0 - wstruct
+        return [
+            wstruct * value + rest * lsim
+            for value, lsim in zip(values, lsims)
+        ]
 
     def explicit_pairs(self) -> int:
         """Number of pairs with explicitly stored ssim (for tests)."""

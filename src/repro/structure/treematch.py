@@ -29,11 +29,13 @@ contiguous window ``[leaf_lo, leaf_hi)`` of the layout order, required
 flags are the per-leaf comparison ``opt_level(leaf) <= level``, and
 depth-pruned frontiers are shrunken-window scans that skip a stand-in's
 ``subtree_size`` span; impure DAG nodes carry ascending gather tuples
-and answer through reference DFS. This loop consults those answers
-once per node pair (frontier dicts are memoized per pass below, since
-the tree cannot mutate mid-run); the dense store translates the same
-windows into ``[pre_lo, pre_hi)`` block addresses for its scans and
-multiplies. Nothing here invalidates anything: a structural mutation
+and answer through reference DFS. The per-pair loops consult those
+answers once per node pair (frontier dicts are memoized per pass
+below, since the tree cannot mutate mid-run); the dense store
+translates the same windows into ``[pre_lo, pre_hi)`` block addresses
+for its scans and multiplies, and its wave kernels read windows,
+levels and optional levels straight from the encoding. Nothing here
+invalidates anything: a structural mutation
 unindexes the touched ancestry at mutation time and the accessors fall
 back to DFS until the next reindex.
 
@@ -55,25 +57,59 @@ therefore leaves every later read, every non-leaf decision and every
 write in the same order on the same values. The counters follow by
 arithmetic: every leaf pair is compared (``leaf_count_ratio >= 1``
 never prunes a 1:1 pair), and each scaled leaf pair touched one cell.
-The plane operation crosses no cell over ``thaccept`` (its docstring
-says why), and it precedes every ``visit_seq`` snapshot, so it can
-never make a visited block dirty. The plane is used
-only when the trees' leaves are exactly the store's layout; a tree
-mutated after its layout was built takes the per-pair loop, which the
-reference engine always runs as the oracle.
+The plane is used only when the trees' leaves are exactly the store's
+layout; a tree mutated after its layout was built takes the per-pair
+loop, which the reference engine always runs as the oracle.
+
+Waves (dense engine, pure trees). After the plane, the pairs with a
+non-leaf run in **waves**: a wave is every compared pair with the same
+(source height, target height) — a leaf has height 0, a node 1 + the
+height of its highest child — and the waves run in lexicographic
+order, the plane being wave (0, 0). Each wave is one fraction-kernel
+call, its cinc/cdec decisions, and one scale call
+(:meth:`DenseSimilarityStore.wave_fractions` /
+:meth:`~DenseSimilarityStore.scale_wave`). This is exact:
+
+* Two pairs *conflict* when their blocks share a cell; pairs that do
+  not conflict touch disjoint cells and commute.
+* On a pure tree two nodes share a leaf only if one is the other or an
+  ancestor of it, and a strict ancestor is strictly higher.
+* Take two conflicting pairs. Either their source heights differ, and
+  the source-outer post-order ran the lower one's row first; or they
+  share the source and their target heights differ, and that row ran
+  the lower target first. Lexicographic (h_s, h_t) keeps that order,
+  and no two pairs of one wave conflict.
+* At ``leaf_prune_depth = 0`` a pair reads and writes only its own
+  block, and no other first-pass pair reads its non-leaf ssim. A wave
+  may therefore read all of its fractions before it applies any
+  scaling.
+
+``result.wsim`` keeps the post-order loop's key order. The second pass
+writes no plane cell, so it runs the same fraction kernel over every
+wave in any order. Waves need both trees pure (no gather-tuple node)
+and indexed against the store's layout
+(:meth:`DenseSimilarityStore.begin_waves`), and ``leaf_prune_depth =
+0``. A join-view DAG can have same-height nodes that share leaves (a
+join view and a table it joins are both height 1), and a depth-pruned
+fraction reads the non-leaf wsims of frontier stand-ins, so both run
+the same loop with one pair per wave, in post-order.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Tuple
+from dataclasses import dataclass
+from typing import Dict, Iterable, List, Mapping, NamedTuple, Optional, Tuple
 
 from repro.config import DEFAULT_CONFIG, CupidConfig
 from repro.linguistic.matcher import LsimTable
 from repro.obs import trace
 from repro.model.datatypes import TypeCompatibilityTable, default_compatibility_table
-from repro.structure.dense import DenseSimilarityStore, LeafPlaneWsim
+from repro.structure.dense import (
+    DenseSimilarityStore,
+    LeafPlaneWsim,
+    WaveBlocks,
+)
 from repro.structure.similarity import SimilarityStore
 from repro.tree.schema_tree import SchemaTree, SchemaTreeNode
 
@@ -104,21 +140,15 @@ class TreeMatchResult:
     #: Leaf-pair ssim cells touched by cinc/cdec context adjustments.
     scaled_pairs: int = 0
     engine: str = "reference"
-    #: Dense engine only: store mutation sequence observed when each
-    #: non-leaf pair's wsim was computed (before the pair's own
-    #: cinc/cdec event). :meth:`TreeMatch.recompute_wsim` compares it
-    #: against the rows/columns dirtied later to skip clean pairs.
-    visit_seq: Dict[Tuple[int, int], int] = field(default_factory=dict)
-    #: Second-pass (recompute_wsim) dirty-set counters: non-leaf pairs
-    #: considered, recomputed (dirty), and skipped as provably clean.
+    #: First-pass waves of the wave schedule, the leaf plane counted as
+    #: wave (0, 0); 0 when a per-pair loop ran (module docstring).
+    waves: int = 0
+    #: Pairs with a non-leaf that the second pass
+    #: (:meth:`TreeMatch.recompute_wsim`) recomputed.
     recompute_pairs: int = 0
-    recompute_dirty: int = 0
+    #: Second-pass pairs skipped: always 0, since every pair with a
+    #: non-leaf is recomputed.
     recompute_skipped: int = 0
-    #: Pairs the incremental skip had to stand down for because their
-    #: depth-pruned frontier contains non-leaf stand-ins the leaf
-    #: dirty stamps cannot vouch for (always recomputed). Explains a
-    #: low skip rate under ``leaf_prune_depth > 0`` in ``--stats``.
-    recompute_standdown: int = 0
 
     def wsim_of(self, s: SchemaTreeNode, t: SchemaTreeNode) -> float:
         return self.wsim.get((s.node_id, t.node_id), 0.0)
@@ -128,8 +158,8 @@ class TreeMatch:
     """Runs the Figure 3 algorithm over two schema trees."""
 
     #: Figure 3's cinc/cdec context adjustment (step 3). Clearing it
-    #: switches off both scaling sites, the leaf-plane operation and
-    #: the per-pair ``_scale_leaf_pairs`` calls.
+    #: switches off every scaling site: the leaf-plane operation, the
+    #: wave kernel and the per-pair ``_scale_leaf_pairs`` calls.
     adjusts_context = True
 
     def __init__(
@@ -232,11 +262,6 @@ class TreeMatch:
         target_root = result.target_tree.root
         thhigh, thlow = self._scaling_band()
         cinc, cdec = self.config.cinc, self.config.cdec
-        # Dense engine: remember the store state each non-leaf pair saw
-        # so the second pass can prove most of them clean and skip the
-        # strong-link rescan.
-        track_seq = isinstance(sims, DenseSimilarityStore)
-        visit_seq = result.visit_seq
 
         for s in source_order:
             s_leaf_count = s.leaf_count()
@@ -247,18 +272,10 @@ class TreeMatch:
                 ):
                     result.pruned_pairs += 1
                     continue
-                both_leaves = s_is_leaf and t.is_leaf
-                if not both_leaves:
+                if not (s_is_leaf and t.is_leaf):
                     sims.set_ssim(
                         s, t, self._structural_similarity(s, t, sims)
                     )
-                    if track_seq:
-                        # Snapshot BEFORE this pair's own scaling: a
-                        # pair that scales its own block must be
-                        # recomputed (the paper's pass-2 rationale).
-                        visit_seq[(s.node_id, t.node_id)] = (
-                            sims.mutation_seq
-                        )
                 # For a leaf pair the structural similarity IS the
                 # stored ssim, which wsim() reads directly — no
                 # separate probe needed.
@@ -282,37 +299,129 @@ class TreeMatch:
         target_order: List[Tuple[SchemaTreeNode, int]],
     ) -> None:
         """The first pass with every leaf×leaf pair hoisted into one
-        plane operation; the loop visits only pairs involving a
-        non-leaf (the ordering argument is in the module docstring)."""
+        plane operation, then the pairs with a non-leaf wave by wave
+        (both ordering arguments are in the module docstring)."""
         sims = result.sims
         thhigh, thlow = self._scaling_band()
         cinc, cdec = self.config.cinc, self.config.cdec
         result.scaled_pairs = sims.scale_leaf_plane(thhigh, thlow, cinc, cdec)
-        result.compared_pairs = sims.leaf_cells
         pairs: Dict[Tuple[int, int], float] = {}
         result.wsim = LeafPlaneWsim(pairs, sims)
-        visit_seq = result.visit_seq
-        row_of = self._target_rows(result, target_order, False)
-        for s in source_order:
-            row, pruned = row_of(s)
-            result.pruned_pairs += pruned
-            result.compared_pairs += len(row)
-            for _, t in row:
-                sims.set_ssim(s, t, self._structural_similarity(s, t, sims))
-                key = (s.node_id, t.node_id)
-                # Snapshot BEFORE this pair's own scaling: a pair that
-                # scales its own block must be recomputed.
-                visit_seq[key] = sims.mutation_seq
-                wsim = sims.wsim(s, t)
-                pairs[key] = wsim
+        waves, compared, result.pruned_pairs = self._waves(
+            result, source_order, target_order, pairs
+        )
+        result.compared_pairs = sims.leaf_cells + compared
+        if waves and waves[0].blocks is not None:
+            result.waves = 1 + len(waves)
+        for wave in waves:
+            wsims = self._wave_wsims(sims, wave)
+            pairs.update(zip(wave.keys, wsims))
+            scaled: List[int] = []
+            factors: List[float] = []
+            for p, wsim in enumerate(wsims):
                 if wsim > thhigh:
-                    result.scaled_pairs += self._scale_leaf_pairs(
-                        s, t, sims, cinc
-                    )
+                    scaled.append(p)
+                    factors.append(cinc)
                 elif wsim < thlow:
-                    result.scaled_pairs += self._scale_leaf_pairs(
-                        s, t, sims, cdec
-                    )
+                    scaled.append(p)
+                    factors.append(cdec)
+            if scaled:
+                result.scaled_pairs += self._scale_wave(
+                    sims, wave, scaled, factors
+                )
+
+    def _waves(
+        self,
+        result: TreeMatchResult,
+        source_order: List[SchemaTreeNode],
+        target_order: List[Tuple[SchemaTreeNode, int]],
+        slots: Dict[Tuple[int, int], float],
+    ) -> Tuple[List["_Wave"], int, int]:
+        """``(waves, compared, pruned)``: a pass's pairs with a non-leaf
+        in the groups it runs them in, and how many pairs it compares
+        and prunes besides the leaf plane.
+
+        On trees the store's wave kernels address, one wave per
+        (source height, target height) in lexicographic order;
+        otherwise one pair per wave, in post-order (module docstring).
+        Every pair's key goes into ``slots`` in post-order, so a map
+        filled wave by wave keeps the loop's key order.
+        """
+        sims = result.sims
+        row_of = self._target_rows(result, target_order, False)
+        waved = self.config.leaf_prune_depth == 0 and sims.begin_waves(
+            result.source_tree, result.target_tree
+        )
+        if waved:
+            s_height = _heights(source_order)
+            t_height = _heights(t for t, _ in target_order)
+        # Rows are shared by sources of one leaf count, leafness and
+        # rootness: derive each distinct row's ids and height groups once.
+        row_ids: Dict[int, List[int]] = {}
+        row_groups: Dict[int, List[Tuple[int, _Targets]]] = {}
+        entries: Dict[Tuple[int, int], list] = {}
+        waves: List[_Wave] = []
+        compared = pruned = 0
+        for s in source_order:
+            row, row_pruned = row_of(s)
+            pruned += row_pruned
+            compared += len(row)
+            t_ids = row_ids.get(id(row))
+            if t_ids is None:
+                t_ids = row_ids[id(row)] = [t.node_id for _, t in row]
+            s_id = s.node_id
+            keys = [(s_id, t_id) for t_id in t_ids]
+            slots.update(dict.fromkeys(keys))
+            if not waved:
+                waves.extend(
+                    _Wave([key], None, (s, t))
+                    for key, (_, t) in zip(keys, row)
+                )
+                continue
+            groups = row_groups.get(id(row))
+            if groups is None:
+                groups = row_groups[id(row)] = _Targets.by_height(
+                    row, t_height
+                )
+            h_s = s_height[s_id]
+            for h_t, targets in groups:
+                entries.setdefault((h_s, h_t), []).append((s, targets))
+        if waved:
+            waves = [_Wave.of(entries[key]) for key in sorted(entries)]
+        return waves, compared, pruned
+
+    def _wave_wsims(
+        self, sims: SimilarityStore, wave: "_Wave"
+    ) -> List[float]:
+        """Steps 1 and 2 of Figure 3 for every pair of a wave: stores
+        each pair's ssim and returns the wsims, in pair order."""
+        blocks = wave.blocks
+        if blocks is not None:
+            fractions = sims.wave_fractions(
+                blocks,
+                self.config.thaccept,
+                self.config.discount_optional_leaves,
+            )
+            lsims = sims.wave_lsims(blocks)
+        else:
+            s, t = wave.pair
+            fractions = [self._structural_similarity(s, t, sims)]
+            lsims = [sims.lsim(s, t)]
+        return sims.set_nonleaf_ssims(wave.keys, fractions, lsims)
+
+    def _scale_wave(
+        self,
+        sims: SimilarityStore,
+        wave: "_Wave",
+        scaled: List[int],
+        factors: List[float],
+    ) -> int:
+        """Step 3 of Figure 3 for pairs ``scaled`` of a wave; returns
+        the number of leaf-pair cells scaled."""
+        if wave.blocks is not None:
+            return sims.scale_wave(wave.blocks, scaled, factors)
+        s, t = wave.pair
+        return self._scale_leaf_pairs(s, t, sims, factors[0])
 
     @staticmethod
     def _on_leaf_plane(
@@ -524,7 +633,7 @@ class TreeMatch:
     # ------------------------------------------------------------------
 
     def recompute_wsim(
-        self, result: TreeMatchResult, force_full: bool = False
+        self, result: TreeMatchResult
     ) -> Mapping[Tuple[int, int], float]:
         """Second post-order pass re-computing non-leaf similarities.
 
@@ -532,39 +641,24 @@ class TreeMatch:
         traversal ... because the updating of leaf similarities during
         tree-match may affect the structural similarity of non-leaf
         nodes after they were first calculated." No threshold updates
-        happen here; leaf pair values pass through unchanged.
-
-        With the dense engine the pass is **incremental**: a non-leaf
-        pair whose leaf block provably did not change after its first-
-        pass visit (:meth:`DenseSimilarityStore.block_dirty_since`
-        against the recorded ``visit_seq``) would recompute to exactly
-        its stored value — the strong-link fraction reads only those
-        unchanged cells — so the rescan is skipped and the stored
-        value re-read. ``force_full=True`` disables the skip (the
-        parity tests use it as the oracle for the incremental path).
-        The reference engine always rescans: it is the correctness
-        oracle. On the leaf plane the loop visits only pairs involving
-        a non-leaf; leaf entries of the returned map (also stored as
-        ``result.wsim``) read the plane.
+        happen here; leaf pair values pass through unchanged, and
+        every pair with a non-leaf is recomputed. On the leaf plane
+        the pass visits only pairs involving a non-leaf, in the first
+        pass's waves (module docstring); leaf entries of the returned
+        map (also stored as ``result.wsim``) read the plane.
         """
         pass_span = trace.start_span("treematch.recompute")
         if pass_span is None:
-            return self._recompute_pass(result, force_full)
+            return self._recompute_pass(result)
         try:
-            refreshed = self._recompute_pass(result, force_full)
+            refreshed = self._recompute_pass(result)
         finally:
             trace.end_span(pass_span)
-        pass_span.annotate(
-            recompute_pairs=result.recompute_pairs,
-            recompute_dirty=result.recompute_dirty,
-            recompute_skipped=result.recompute_skipped,
-            recompute_standdown=result.recompute_standdown,
-            force_full=force_full,
-        )
+        pass_span.annotate(recompute_pairs=result.recompute_pairs)
         return refreshed
 
     def _recompute_pass(
-        self, result: TreeMatchResult, force_full: bool = False
+        self, result: TreeMatchResult
     ) -> Mapping[Tuple[int, int], float]:
         sims = result.sims
         self._frontier_memo = {}
@@ -573,70 +667,122 @@ class TreeMatch:
         target_order = [
             (t, t.leaf_count()) for t in result.target_tree.postorder()
         ]
-        # On the leaf plane the rows leave leaf×leaf pairs out: no
-        # threshold updates happen here, so their plane wsim is final.
-        on_plane = self._on_leaf_plane(sims, source_order, target_order)
-        row_of = self._target_rows(result, target_order, not on_plane)
-        incremental = not force_full and isinstance(
-            sims, DenseSimilarityStore
-        )
-        # Depth-pruned frontiers can contain non-leaf stand-ins whose
-        # dict wsims are stale at a pair's first-pass visit even when
-        # its leaf block never changes afterwards — leaf-cell
-        # cleanliness alone cannot prove those pairs fresh. The skip is
-        # therefore decided per pair: allowed exactly when both
-        # frontiers are fully real-leaf-indexed (then the frontier IS
-        # the node's complete leaf set and the crossing stamps cover
-        # every cell the fraction reads); stand-in pairs stand down and
-        # are counted in ``recompute_standdown``.
-        pruned_frontiers = incremental and self.config.leaf_prune_depth > 0
-        if pruned_frontiers:
-            # Frontier-indexed-ness is per node, not per pair: decide
-            # each target once up front and each source once per row.
-            t_frontier_ok = [
-                sims.frontier_leaf_indexed(
-                    t, self._effective_leaves(t), source_side=False
-                )
-                for t, _ in target_order
-            ]
-        visit_seq = result.visit_seq
+        if self._on_leaf_plane(sims, source_order, target_order):
+            # Nothing here writes the plane, so leaf-pair wsims are
+            # final and waves of many pairs may run in any order; the
+            # one-pair waves of depth-pruned frontiers keep post-order,
+            # since they read stand-in wsims this pass rewrites.
+            waves, result.recompute_pairs, _ = self._waves(
+                result, source_order, target_order, refreshed
+            )
+            for wave in waves:
+                refreshed.update(zip(wave.keys, self._wave_wsims(sims, wave)))
+            result.wsim = LeafPlaneWsim(refreshed, sims)
+            return result.wsim
+        row_of = self._target_rows(result, target_order, True)
         result.recompute_pairs = 0
-        result.recompute_dirty = 0
-        result.recompute_skipped = 0
-        result.recompute_standdown = 0
         for s in source_order:
             s_is_leaf = s.is_leaf
-            if pruned_frontiers:
-                s_frontier_ok = sims.frontier_leaf_indexed(
-                    s, self._effective_leaves(s), source_side=True
-                )
             row, _ = row_of(s)
-            for t_index, t in row:
-                key = (s.node_id, t.node_id)
+            for _, t in row:
                 if not (s_is_leaf and t.is_leaf):
                     result.recompute_pairs += 1
-                    allowed = incremental
-                    if pruned_frontiers:
-                        allowed = s_frontier_ok and t_frontier_ok[t_index]
-                        if not allowed:
-                            result.recompute_standdown += 1
-                    if allowed:
-                        seq = visit_seq.get(key)
-                        if (
-                            seq is not None
-                            and sims.block_dirty_since(s, t, seq) is False
-                        ):
-                            # Clean block: the stored ssim/wsim already
-                            # equal what a rescan would produce.
-                            result.recompute_skipped += 1
-                            refreshed[key] = sims.wsim(s, t)
-                            continue
-                    result.recompute_dirty += 1
                     sims.set_ssim(
                         s, t, self._structural_similarity(s, t, sims)
                     )
-                refreshed[key] = sims.wsim(s, t)
-        result.wsim = (
-            LeafPlaneWsim(refreshed, sims) if on_plane else refreshed
+                refreshed[(s.node_id, t.node_id)] = sims.wsim(s, t)
+        result.wsim = refreshed
+        return refreshed
+
+
+def _heights(order: Iterable[SchemaTreeNode]) -> Dict[int, int]:
+    """Node id -> height (a leaf is 0, a node 1 + its highest child's
+    height), from a post-order, which lists children first."""
+    height: Dict[int, int] = {}
+    for node in order:
+        height[node.node_id] = (
+            1 + max(height[child.node_id] for child in node.children)
+            if node.children
+            else 0
         )
-        return result.wsim
+    return height
+
+
+class _Targets(NamedTuple):
+    """The targets of one height in a row: nodes, their ids, and the
+    sum of their leaf counts."""
+
+    nodes: List[SchemaTreeNode]
+    ids: List[int]
+    cells: int
+
+    @classmethod
+    def by_height(
+        cls, row: list, height: Dict[int, int]
+    ) -> List[Tuple[int, "_Targets"]]:
+        """A ``(target index, target)`` row split by target height,
+        each group in row (post-)order."""
+        groups: Dict[int, List[SchemaTreeNode]] = {}
+        for _, t in row:
+            groups.setdefault(height[t.node_id], []).append(t)
+        return [
+            (h, cls(
+                nodes,
+                [t.node_id for t in nodes],
+                sum(t.leaf_hi - t.leaf_lo for t in nodes),
+            ))
+            for h, nodes in groups.items()
+        ]
+
+
+class _Wave:
+    """A group of node pairs a TreeMatch pass runs together, with their
+    ``(node_id, node_id)`` keys: either the store's
+    :class:`WaveBlocks` for the wave kernels, or a single ``pair`` for
+    the per-pair path."""
+
+    __slots__ = ("keys", "blocks", "pair")
+
+    def __init__(
+        self,
+        keys: List[Tuple[int, int]],
+        blocks: Optional[WaveBlocks],
+        pair: Optional[Tuple[SchemaTreeNode, SchemaTreeNode]] = None,
+    ) -> None:
+        self.keys = keys
+        self.blocks = blocks
+        self.pair = pair
+
+    @classmethod
+    def of(cls, entries: List[Tuple[SchemaTreeNode, _Targets]]) -> "_Wave":
+        """The wave of ``(source, targets)`` entries sharing one
+        (source height, target height), sources in post-order. Nodes
+        of one height are disjoint, so post-order is their window
+        order."""
+        sources = [s for s, _ in entries]
+        targets = entries[0][1].nodes
+        shared = all(group.nodes is targets for _, group in entries)
+        if shared:
+            columns = list(range(len(targets)))
+        else:
+            targets = sorted(
+                {t.node_id: t for _, group in entries for t in group.nodes}
+                .values(),
+                key=lambda t: t.leaf_lo,
+            )
+            column = {t.node_id: k for k, t in enumerate(targets)}
+        keys: List[Tuple[int, int]] = []
+        pair_s: List[int] = []
+        pair_t: List[int] = []
+        cells = 0
+        for i, (s, group) in enumerate(entries):
+            s_id = s.node_id
+            keys += [(s_id, t_id) for t_id in group.ids]
+            pair_s += [i] * len(group.ids)
+            pair_t += (
+                columns if shared else [column[t_id] for t_id in group.ids]
+            )
+            cells += (s.leaf_hi - s.leaf_lo) * group.cells
+        return cls(
+            keys, WaveBlocks(sources, targets, pair_s, pair_t, cells)
+        )

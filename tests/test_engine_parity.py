@@ -13,6 +13,9 @@ and depth-pruned-frontier configurations).
 
 from __future__ import annotations
 
+import itertools
+import random
+
 import pytest
 
 from repro import CupidMatcher
@@ -22,6 +25,7 @@ from repro.datasets.figure2 import figure2_po, figure2_purchase_order
 from repro.datasets.generator import PerturbationConfig, SchemaGenerator
 from repro.datasets.rdb_star import rdb_schema, star_schema
 from repro.mapping.generator import MappingGenerator
+from repro.model.builder import SchemaBuilder
 from repro.pipeline.pipeline import MatchPipeline
 from repro.structure.dense import (
     DenseSimilarityStore,
@@ -397,31 +401,46 @@ class TestNoContextParity:
 
 
 class TestLeafPlane:
+    @staticmethod
+    def _spy_store(monkeypatch):
+        """Count calls of the per-pair and the wave store kernels."""
+        calls = {}
+        for name in (
+            "scale_block", "structural_fraction", "wave_fractions",
+            "scale_wave",
+        ):
+            original = getattr(DenseSimilarityStore, name)
+
+            def spy(store, *args, _original=original, _name=name, **kw):
+                calls[_name] = calls.get(_name, 0) + 1
+                return _original(store, *args, **kw)
+
+            monkeypatch.setattr(DenseSimilarityStore, name, spy)
+        return calls
+
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_first_pass_scales_only_pairs_with_a_nonleaf(
         self, backend, monkeypatch
     ):
-        """On a generated 80-leaf pair the leaf plane must engage: no
-        per-leaf-pair ``scale_block`` call and no per-leaf-pair dict
-        entry, with every leaf pair still compared."""
+        """On a generated 80-leaf pair of pure trees the first pass
+        runs the leaf plane and then waves: no per-pair
+        ``scale_block`` or ``structural_fraction`` call, no
+        per-leaf-pair dict entry, and every leaf pair still
+        compared."""
         source, target = _generated_pair(11, 80)
         config = CupidConfig(dense_backend=backend)
         pipeline, prep_s, prep_t, table = _prepared(source, target, config)
-        calls = []
-        original = DenseSimilarityStore.scale_block
-
-        def spy(store, s, t, factor):
-            calls.append((s.is_leaf, t.is_leaf))
-            return original(store, s, t, factor)
-
-        monkeypatch.setattr(DenseSimilarityStore, "scale_block", spy)
+        calls = self._spy_store(monkeypatch)
         result = pipeline.treematch.run(
             prep_s.tree, prep_t.tree, table,
             source_layout=prep_s.leaf_layout,
             target_layout=prep_t.leaf_layout,
         )
-        assert calls
-        assert (True, True) not in calls
+        assert "scale_block" not in calls
+        assert "structural_fraction" not in calls
+        assert calls["wave_fractions"] > 1
+        assert 0 < calls["scale_wave"] <= calls["wave_fractions"]
+        assert result.waves == calls["wave_fractions"] + 1
         leaf_pairs = len(prep_s.tree.root.leaves()) * len(
             prep_t.tree.root.leaves()
         )
@@ -434,15 +453,42 @@ class TestLeafPlane:
         assert not any(
             nodes_s[s].is_leaf and nodes_t[t].is_leaf for s, t in wsim.pairs
         )
+        # The second pass runs the same fraction kernel, wave by wave.
+        calls.clear()
+        pipeline.treematch.recompute_wsim(result)
+        assert "structural_fraction" not in calls
+        assert calls["wave_fractions"] == result.waves - 1
+        assert result.recompute_pairs == len(wsim.pairs)
+
+    def test_join_view_dag_takes_the_plane_loop(self, monkeypatch):
+        """A join view and a table it joins share leaves at the same
+        height, so a DAG keeps the leaf plane but visits the pairs
+        with a non-leaf one at a time, in post-order."""
+        config = CupidConfig()
+        pipeline, prep_s, prep_t, table = _prepared(
+            rdb_schema(), star_schema(), config
+        )
+        assert any(not n.pure for n in prep_s.tree.nodes())
+        calls = self._spy_store(monkeypatch)
+        result = pipeline.treematch.run(
+            prep_s.tree, prep_t.tree, table,
+            source_layout=prep_s.leaf_layout,
+            target_layout=prep_t.leaf_layout,
+        )
+        assert isinstance(result.wsim, LeafPlaneWsim)
+        assert result.waves == 0
+        assert "wave_fractions" not in calls
+        assert "scale_wave" not in calls
+        assert calls["structural_fraction"] == len(result.wsim.pairs)
+        pipeline.treematch.recompute_wsim(result)
+        assert "wave_fractions" not in calls
 
     @pytest.mark.parametrize("vectorized", [False, True])
     def test_plane_op_equals_per_cell_scale_block(
         self, vectorized, monkeypatch
     ):
         """``scale_leaf_plane`` leaves every cell and count where one
-        1×1 ``scale_block`` per leaf pair would, and neither stamps a
-        crossing: a leaf pair's own scaling moves its cell away from
-        thaccept."""
+        1×1 ``scale_block`` per leaf pair would."""
         if vectorized:
             if not numpy_available():
                 pytest.skip("numpy not installed")
@@ -471,7 +517,6 @@ class TestLeafPlane:
         assert count == expected > 0
         assert list(plane._S) == list(cells._S)
         assert list(plane._W) == list(cells._W)
-        assert plane.mutation_seq == cells.mutation_seq == 0
 
     def test_wsim_map_contract(self):
         """``result.wsim`` answers get / [] / in / items() / len() like
@@ -541,6 +586,154 @@ class TestLeafPlane:
             generator.nonleaf_mapping(dense, dense_tm)
         ) == _mapping_signature(generator.nonleaf_mapping(reference, oracle))
         assert dense.wsim == reference.wsim
+
+
+_RAGGED_WORDS = (
+    "order", "customer", "city", "price", "amount", "name", "date",
+    "street", "phone", "total", "line", "item", "region", "code",
+)
+_RAGGED_TYPES = ("string", "integer", "decimal", "date", "money")
+
+
+def _ragged_pair(seed, n_leaves):
+    """A pure-tree pair with uneven depths (leaves at every level, so
+    waves hold leaf × non-leaf pairs), single-child chains (inner nodes
+    with one leaf, or one inner child, below them) and optional inner
+    nodes, against a perturbed copy."""
+    rng = random.Random(seed)
+    builder = SchemaBuilder(f"ragged{seed}")
+    serial = itertools.count()
+
+    def name():
+        words = rng.sample(_RAGGED_WORDS, rng.choice((1, 2)))
+        return "".join(w.capitalize() for w in words) + str(next(serial))
+
+    inner = [(builder.root, 0)]
+    childless = set()
+    leaves = 0
+    while leaves < n_leaves:
+        parent, depth = inner[rng.randrange(len(inner))]
+        if depth < 5 and rng.random() < 0.3:
+            child = builder.add_child(
+                parent, name(), optional=rng.random() < 0.25
+            )
+            inner.append((child, depth + 1))
+            childless.add(id(child))
+            if rng.random() < 0.3:
+                # A chain: this node gets exactly one (inner) child.
+                grandchild = builder.add_child(child, name())
+                inner.remove((child, depth + 1))
+                inner.append((grandchild, depth + 2))
+                childless.discard(id(child))
+                childless.add(id(grandchild))
+        else:
+            builder.add_leaf(
+                parent, name(), rng.choice(_RAGGED_TYPES),
+                optional=rng.random() < 0.2,
+            )
+            childless.discard(id(parent))
+            leaves += 1
+    for node, _ in inner:
+        if id(node) in childless:
+            builder.add_leaf(node, name(), rng.choice(_RAGGED_TYPES))
+    schema = builder.schema
+    copy, _ = SchemaGenerator(seed + 1).perturb(
+        schema, PerturbationConfig(abbreviate=0.3, synonym=0.2)
+    )
+    return schema, copy
+
+
+_FLOOR_VARIANTS = [("stdlib", None)] + (
+    [("numpy", 1), ("numpy", 10 ** 9)] if numpy_available() else []
+)
+
+
+class TestWaveSchedule:
+    """The wave schedule reorders the first pass's pairs with a non-leaf
+    (``treematch``'s module docstring argues why that is exact). The
+    same pure-tree pair run through the waves and through the
+    one-pair-per-wave post-order loop that join-view DAGs take must
+    leave every plane cell, non-leaf ssim, wsim entry (in key order)
+    and counter identical — on both backends, with every wave forced
+    through the numpy kernels (floor 1) and through the flat ones."""
+
+    CASES = [
+        ("ragged", 3, 40, {}),
+        ("ragged", 8, 70, {}),
+        ("ragged", 13, 30, {"prune_by_leaf_count": False}),
+        ("ragged", 21, 50, {"discount_optional_leaves": False}),
+        ("generated", 11, 60, {"prune_by_leaf_count": False}),
+        ("generated", 5, 45, {"leaf_count_ratio": 3.0}),
+    ]
+
+    @staticmethod
+    def _snapshot(result):
+        sims = result.sims
+        return {
+            "S": bytes(sims._S),
+            "W": bytes(sims._W),
+            "ssim": dict(sims._ssim),
+            "wsim": list(result.wsim.pairs.items()),
+            "counters": (
+                result.compared_pairs, result.pruned_pairs,
+                result.scaled_pairs, result.recompute_pairs,
+            ),
+        }
+
+    def _passes(self, pipeline, prep_s, prep_t, table):
+        result = pipeline.treematch.run(
+            prep_s.tree, prep_t.tree, table,
+            source_layout=prep_s.leaf_layout,
+            target_layout=prep_t.leaf_layout,
+        )
+        first = self._snapshot(result)
+        pipeline.treematch.recompute_wsim(result)
+        return result, first, self._snapshot(result)
+
+    @pytest.mark.parametrize("backend, floor", _FLOOR_VARIANTS)
+    @pytest.mark.parametrize("shape, seed, n_leaves, overrides", CASES)
+    def test_waves_equal_post_order_loop(
+        self, shape, seed, n_leaves, overrides, backend, floor, monkeypatch
+    ):
+        if floor is not None:
+            monkeypatch.setattr(
+                DenseSimilarityStore, "_VECTOR_MIN_CELLS", floor
+            )
+        make = _ragged_pair if shape == "ragged" else _generated_pair
+        source, target = make(seed, n_leaves)
+        config = CupidConfig(dense_backend=backend, **overrides)
+        pipeline, prep_s, prep_t, table = _prepared(source, target, config)
+        waved, wave_first, wave_second = self._passes(
+            pipeline, prep_s, prep_t, table
+        )
+        assert waved.waves > 2
+        heights = [n.subtree_depth() for n in prep_s.tree.nodes()]
+        assert max(heights) >= 2
+        monkeypatch.setattr(
+            DenseSimilarityStore, "begin_waves", lambda *_: False
+        )
+        looped, loop_first, loop_second = self._passes(
+            pipeline, prep_s, prep_t, table
+        )
+        assert looped.waves == 0
+        assert wave_first == loop_first
+        assert wave_second == loop_second
+        assert wave_first["counters"][2] > 0
+
+    def test_ragged_shapes_hold_what_the_argument_needs(self):
+        """The ragged pairs do produce waves of leaf × non-leaf pairs,
+        single-leaf inner nodes and optional inner nodes."""
+        source, _ = _ragged_pair(3, 40)
+        pipeline = MatchPipeline.default()
+        tree = pipeline.prepare(source).tree
+        inner = [n for n in tree.nodes() if not n.is_leaf]
+        assert any(n.leaf_count() == 1 for n in inner)
+        assert any(n.optional for n in inner)
+        assert any(
+            c.is_leaf for n in inner if n is not tree.root
+            for c in n.children
+        )
+        assert any(c.is_leaf for c in tree.root.children)
 
 
 class TestLeafMappingTieFallback:

@@ -2,7 +2,7 @@
 
 The dense engine has interacting fast paths — dense vectorization,
 the array-native distinct-name linguistic kernel, the leaf plane and
-the dirty-set incremental recompute — whose pairwise interactions no
+the wave-scheduled TreeMatch passes — whose pairwise interactions no
 hand-picked test can cover. This suite generates seeded random schema
 pairs across the axes that select those paths (size × name repetition
 × tree/DAG shape × leaf_prune_depth × backend × threshold band) and
@@ -290,8 +290,8 @@ class TestFuzzParityFull:
 @pytest.mark.skipif(not numpy_available(), reason="numpy not installed")
 class TestFuzzForcedVectorization:
     """A slice of the sweep with the dense store's vectorization
-    threshold forced to 1, so its numpy block paths (slices on pure
-    subtrees, ``np.ix_`` gathers on DAG join views, the profile
+    threshold forced to 1, so its numpy block paths (the wave kernels
+    on pure trees, ``np.ix_`` gathers on DAG join views, the profile
     gather) run even on these small schemas."""
 
     @pytest.fixture(autouse=True)

@@ -81,6 +81,26 @@ def test_run_stats_counters():
         assert stats[f"time_{phase}_ms"] >= 0.0
 
 
+def test_run_stats_names_the_treematch_path():
+    """``treematch_waves`` counts the first pass's waves on pure trees
+    and reads 0 where a per-pair loop ran: on a join-view DAG, and on
+    the reference engine."""
+    from repro.datasets.rdb_star import rdb_schema, star_schema
+
+    schema, copy = _workload(20)
+    matcher = CupidMatcher()
+    stats = matcher.run_stats(matcher.match(schema, copy))
+    assert stats["treematch_waves"] > 0
+    assert stats["recompute_pairs"] > 0
+    dag = matcher.run_stats(matcher.match(rdb_schema(), star_schema()))
+    assert dag["treematch_waves"] == 0
+    assert dag["recompute_pairs"] > 0
+    reference = CupidMatcher(config=CupidConfig(engine="reference"))
+    assert reference.run_stats(
+        reference.match(schema, copy)
+    )["treematch_waves"] == 0
+
+
 def test_reference_engine_has_no_memo():
     matcher = CupidMatcher(config=CupidConfig(engine="reference"))
     assert matcher.linguistic.memo is None

@@ -1,12 +1,15 @@
-"""Dirty-set incremental recompute_wsim parity.
+"""Second-pass parity: ``recompute_wsim`` against the reference engine.
 
-The dense engine's second TreeMatch pass skips node pairs whose leaf
-blocks provably saw no thaccept crossing since their first-pass visit
-(:meth:`DenseSimilarityStore.block_dirty_since`). These tests assert
-the property that makes the skip sound: on generated schemas (with and
-without numpy, with and without name repetition), the incremental pass
-produces *exactly* the map a forced full rescan produces, which in turn
-matches the reference engine's always-full rescan.
+The dense engine's second TreeMatch pass (Section 7) recomputes every
+node pair with a non-leaf: in waves on pure trees, one pair at a time
+in post-order on join-view DAGs and under ``leaf_prune_depth > 0``.
+These cases once held an incremental pass, which skipped pairs whose
+leaf blocks saw no ``thaccept`` crossing, to a forced full rescan; that
+skip is gone, and the same cases now hold the single pass to the
+reference engine's. On generated schemas (with and without numpy, with
+and without name repetition), a join-view DAG, and depth-pruned
+frontiers, the refreshed wsim map must be identical and cover the same
+pairs, and nothing may be skipped.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ import pytest
 from repro.config import CupidConfig
 from repro.datasets.generator import PerturbationConfig, SchemaGenerator
 from repro.pipeline.pipeline import MatchPipeline
-from repro.structure.dense import DenseSimilarityStore, numpy_available
+from repro.structure.dense import numpy_available
 
 
 def _workload(seed, n_leaves=40, repetition=0.0):
@@ -30,18 +33,20 @@ def _workload(seed, n_leaves=40, repetition=0.0):
     return schema, copy
 
 
-def _recompute_signature(source, target, config, force_full):
-    """Path-keyed refreshed wsim map of one full match + second pass."""
+def _recompute_signature(source, target, config):
+    """Path-keyed refreshed wsim map of one first + second pass."""
     pipeline = MatchPipeline.default(config=config)
     prep_s = pipeline.prepare(source)
     prep_t = pipeline.prepare(target)
     table = pipeline.linguistic.compute_prepared(
         prep_s.linguistic, prep_t.linguistic
     )
-    result = pipeline.treematch.run(prep_s.tree, prep_t.tree, table)
-    refreshed = pipeline.treematch.recompute_wsim(
-        result, force_full=force_full
+    result = pipeline.treematch.run(
+        prep_s.tree, prep_t.tree, table,
+        source_layout=prep_s.leaf_layout,
+        target_layout=prep_t.leaf_layout,
     )
+    refreshed = pipeline.treematch.recompute_wsim(result)
     source_paths = {n.node_id: n.path() for n in prep_s.tree.nodes()}
     target_paths = {n.node_id: n.path() for n in prep_t.tree.nodes()}
     signature = sorted(
@@ -51,150 +56,103 @@ def _recompute_signature(source, target, config, force_full):
     return signature, result
 
 
+def _assert_second_pass_parity(source, target, **overrides):
+    """Dense second pass == reference second pass; returns the dense
+    result."""
+    dense, dense_result = _recompute_signature(
+        source, target, CupidConfig(**overrides)
+    )
+    reference, reference_result = _recompute_signature(
+        source, target, CupidConfig(engine="reference", **overrides)
+    )
+    assert dense == reference
+    assert dense_result.recompute_pairs == reference_result.recompute_pairs
+    assert dense_result.recompute_pairs > 0
+    assert dense_result.recompute_skipped == 0
+    assert reference_result.recompute_skipped == 0
+    return dense_result
+
+
 BACKENDS = ["stdlib"] + (["numpy"] if numpy_available() else [])
 
 
 class TestIncrementalMatchesFullRescan:
+    """Named for the incremental pass these cases used to check; each
+    now runs the single second pass against the reference engine."""
+
     @pytest.mark.parametrize("seed", [3, 11, 29])
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_generated_schema(self, seed, backend):
         source, target = _workload(seed)
-        config = CupidConfig(dense_backend=backend)
-        incremental, inc_result = _recompute_signature(
-            source, target, config, force_full=False
+        result = _assert_second_pass_parity(
+            source, target, dense_backend=backend
         )
-        full, full_result = _recompute_signature(
-            source, target, config, force_full=True
-        )
-        assert incremental == full
-        assert inc_result.recompute_pairs == full_result.recompute_pairs
-        # force_full must really disable the skip.
-        assert full_result.recompute_skipped == 0
-        assert full_result.recompute_dirty == full_result.recompute_pairs
+        # Pure trees: both passes ran in waves.
+        assert result.waves > 0
 
     @pytest.mark.parametrize("seed", [7, 19])
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_duplicate_heavy_schema(self, seed, backend):
         source, target = _workload(seed, n_leaves=50, repetition=0.8)
-        config = CupidConfig(dense_backend=backend)
-        incremental, _ = _recompute_signature(
-            source, target, config, force_full=False
-        )
-        full, _ = _recompute_signature(
-            source, target, config, force_full=True
-        )
-        assert incremental == full
+        _assert_second_pass_parity(source, target, dense_backend=backend)
 
     @pytest.mark.parametrize("seed", [3, 11])
     def test_matches_reference_engine(self, seed):
+        """End to end: the wsim map the mapping stage leaves on the
+        result, and both mappings, equal the reference engine's."""
         source, target = _workload(seed)
-        incremental, _ = _recompute_signature(
-            source, target, CupidConfig(), force_full=False
-        )
-        reference, reference_result = _recompute_signature(
-            source, target, CupidConfig(engine="reference"),
-            force_full=False,
-        )
-        assert incremental == reference
-        # The reference engine never skips: it is the oracle.
-        assert reference_result.recompute_skipped == 0
+
+        def run(engine):
+            result = MatchPipeline.default(
+                config=CupidConfig(engine=engine)
+            ).run(source, target)
+            paths_s = {n.node_id: n.path() for n in result.source_tree.nodes()}
+            paths_t = {n.node_id: n.path() for n in result.target_tree.nodes()}
+            wsim = sorted(
+                (paths_s[s], paths_t[t], value)
+                for (s, t), value in result.treematch_result.wsim.items()
+            )
+            mappings = [
+                sorted(
+                    (e.source_path, e.target_path, e.similarity)
+                    for e in mapping
+                )
+                for mapping in (result.leaf_mapping, result.nonleaf_mapping)
+            ]
+            return wsim, mappings, result.treematch_result
+
+        dense_wsim, dense_maps, dense = run("dense")
+        ref_wsim, ref_maps, reference = run("reference")
+        assert dense_wsim == ref_wsim
+        assert dense_maps == ref_maps
+        assert dense.recompute_pairs == reference.recompute_pairs
 
     def test_join_view_dag(self):
-        """Gather-list (non-contiguous) leaf indices stay sound."""
+        """Gather-list (non-contiguous) leaf indices: the per-pair
+        second pass."""
         from repro.datasets.rdb_star import rdb_schema, star_schema
 
-        incremental, _ = _recompute_signature(
-            rdb_schema(), star_schema(), CupidConfig(), force_full=False
-        )
-        full, _ = _recompute_signature(
-            rdb_schema(), star_schema(), CupidConfig(), force_full=True
-        )
-        assert incremental == full
+        result = _assert_second_pass_parity(rdb_schema(), star_schema())
+        assert result.waves == 0
 
     @pytest.mark.parametrize("depth", [1, 2])
     @pytest.mark.parametrize("seed", [5, 11])
     def test_leaf_prune_depth_incremental_parity(self, seed, depth):
-        """Under leaf_prune_depth the skip is decided per pair: pairs
-        whose frontier is fully real leaves (frontier == complete leaf
-        set, every read covered by the crossing stamps) may skip; pairs
-        with non-leaf stand-ins stand down. The incremental pass must
-        still reproduce the forced full rescan exactly."""
+        """Depth-pruned frontiers read the non-leaf wsims of their
+        stand-ins, which the second pass itself rewrites, so it runs
+        pair by pair in post-order and must still equal the
+        reference."""
         source, target = _workload(seed, n_leaves=30)
-        config = CupidConfig(leaf_prune_depth=depth)
-        incremental, inc_result = _recompute_signature(
-            source, target, config, force_full=False
+        result = _assert_second_pass_parity(
+            source, target, leaf_prune_depth=depth
         )
-        full, full_result = _recompute_signature(
-            source, target, config, force_full=True
-        )
-        assert incremental == full
-        assert inc_result.recompute_pairs == full_result.recompute_pairs
-        assert full_result.recompute_skipped == 0
-
-    def test_leaf_prune_depth_standdown_counter(self):
-        """Stand-in frontier pairs are recomputed and counted, so
-        --stats can explain a depressed skip rate under pruning."""
-        source, target = _workload(5, n_leaves=30)
-        _, result = _recompute_signature(
-            source, target, CupidConfig(leaf_prune_depth=2),
-            force_full=False,
-        )
-        # Shallow subtrees (frontier == real leaves) may now skip ...
-        assert result.recompute_skipped > 0
-        # ... deep ones must stand down, and be accounted for.
-        assert result.recompute_standdown > 0
-        assert (
-            result.recompute_dirty + result.recompute_skipped
-            == result.recompute_pairs
-        )
-        assert result.recompute_standdown <= result.recompute_dirty
+        assert result.waves == 0
 
     def test_leaf_prune_depth_matches_reference(self):
-        """End to end: prune-depth incremental == the reference engine
-        (which recomputes everything from dicts)."""
-        source, target = _workload(11, n_leaves=30)
-        incremental, _ = _recompute_signature(
-            source, target, CupidConfig(leaf_prune_depth=1),
-            force_full=False,
-        )
-        reference, _ = _recompute_signature(
-            source, target,
-            CupidConfig(leaf_prune_depth=1, engine="reference"),
-            force_full=False,
-        )
-        assert incremental == reference
+        """Both fallbacks at once: a join-view DAG with a depth-pruned
+        frontier."""
+        from repro.datasets.rdb_star import rdb_schema, star_schema
 
-
-class TestDirtySetEffectiveness:
-    def test_skips_clean_pairs(self):
-        """On the standard perturbed workload a meaningful share of
-        second-pass pairs is provably clean — the optimization must
-        actually engage, not silently degrade to a full rescan."""
-        source, target = _workload(11, n_leaves=80)
-        _, result = _recompute_signature(
-            source, target, CupidConfig(), force_full=False
+        _assert_second_pass_parity(
+            rdb_schema(), star_schema(), leaf_prune_depth=1
         )
-        assert isinstance(result.sims, DenseSimilarityStore)
-        assert result.recompute_skipped > 0
-        assert (
-            result.recompute_dirty + result.recompute_skipped
-            == result.recompute_pairs
-        )
-
-    def test_no_context_variant_skips_everything(self):
-        """Without cinc/cdec scaling nothing ever crosses thaccept, so
-        every pair is clean on the second pass."""
-        source, target = _workload(3, n_leaves=30)
-        pipeline = MatchPipeline.default().with_variant(
-            "structural", "no-context"
-        )
-        prep_s = pipeline.prepare(source)
-        prep_t = pipeline.prepare(target)
-        table = pipeline.linguistic.compute_prepared(
-            prep_s.linguistic, prep_t.linguistic
-        )
-        treematch = pipeline.get_stage("structural").treematch
-        result = treematch.run(prep_s.tree, prep_t.tree, table)
-        treematch.recompute_wsim(result)
-        assert result.recompute_dirty == 0
-        assert result.recompute_skipped == result.recompute_pairs
