@@ -5,7 +5,9 @@ call into; the serving subsystem makes that literal — a daemon other
 processes reach over HTTP/JSON. This walkthrough:
 
 1. starts the daemon in-process on an ephemeral port (the same stack
-   ``python -m repro serve --repo DIR --port N`` runs standalone);
+   ``python -m repro serve --repo DIR --port N`` runs standalone) and
+   opens one keep-alive connection to it, as a long-lived client
+   does — every request below reuses it;
 2. ingests a small warehouse corpus over ``POST /ingest``;
 3. searches it with a perturbed query over ``POST /search`` — note
    the ``latency_ms`` block, byte-compatible with ``repro search
@@ -13,15 +15,17 @@ processes reach over HTTP/JSON. This walkthrough:
 4. matches two corpus schemas by repository id over ``POST /match``;
 5. reads the operational story from ``GET /stats``: per-endpoint
    p50/p95/p99 latency histograms, in-flight gauges, session-pool
-   cache counters.
+   cache counters. The one cached lsim table is the by-id match's:
+   the pool caches corpus schemas, while a request's own schemas (the
+   search query) leave it when the request ends.
 
 Run:  python examples/serving_client.py
 """
 
+import http.client
 import json
 import tempfile
 import threading
-import urllib.request
 
 from repro import SchemaRepository
 from repro.datasets.generator import PerturbationConfig, SchemaGenerator
@@ -29,15 +33,21 @@ from repro.io.json_io import schema_to_dict
 from repro.serving import MatchHTTPServer, MatchService
 
 
-def call(port, path, body=None):
-    data = json.dumps(body).encode() if body is not None else None
-    request = urllib.request.Request(
-        f"http://127.0.0.1:{port}{path}",
-        data=data,
-        headers={"Content-Type": "application/json"},
-    )
-    with urllib.request.urlopen(request, timeout=30) as response:
-        return json.loads(response.read())
+def call(conn, path, body=None):
+    """One request on the open keep-alive connection: GET without a
+    body, POST with one."""
+    if body is None:
+        conn.request("GET", path)
+    else:
+        conn.request(
+            "POST", path, body=json.dumps(body),
+            headers={"Content-Type": "application/json"},
+        )
+    response = conn.getresponse()
+    payload = json.loads(response.read())
+    if response.status != 200:
+        raise RuntimeError(f"{path}: HTTP {response.status}: {payload}")
+    return payload
 
 
 def main():
@@ -58,11 +68,12 @@ def main():
     server = MatchHTTPServer(("127.0.0.1", 0), service)
     threading.Thread(target=server.serve_forever, daemon=True).start()
     port = server.port
+    conn = http.client.HTTPConnection("127.0.0.1", port, timeout=30)
     print(f"daemon up on http://127.0.0.1:{port}")
-    print("health:", call(port, "/health"))
+    print("health:", call(conn, "/health"))
 
     # 2. Ingest the corpus in one batch (one index segment).
-    ingested = call(port, "/ingest", {
+    ingested = call(conn, "/ingest", {
         "schemas": [{"schema": schema_to_dict(s)} for s in corpus],
     })
     print(f"\ningested {len(ingested['ids'])} schemas "
@@ -70,7 +81,7 @@ def main():
 
     # 3. Search: serialized-schema body; "text"+"format" (sql/xml/
     #    dtd/oo) works too for raw schema sources.
-    found = call(port, "/search", {
+    found = call(conn, "/search", {
         "schema": schema_to_dict(query), "k": 3, "candidates": 4,
     })
     print(f"\ntop matches for {found['query_schema']!r} "
@@ -83,7 +94,7 @@ def main():
 
     # 4. Match two corpus members by repository id — no schema bytes
     #    cross the wire; the daemon loads its own artifacts.
-    pair = call(port, "/match", {
+    pair = call(conn, "/match", {
         "source": {"id": ingested["ids"][0]},
         "target": {"id": ingested["ids"][1]},
     })
@@ -91,7 +102,7 @@ def main():
           f"score {pair['score']:.4f}")
 
     # 5. Operational readout.
-    stats = call(port, "/stats")
+    stats = call(conn, "/stats")
     print("\nper-endpoint latency (ms):")
     for endpoint, snap in stats["endpoints"].items():
         print(f"  {endpoint:8s} count={snap['count']:<3d} "
@@ -101,8 +112,10 @@ def main():
     print(f"session pool: {pool['prepare_hits']} prepare hits / "
           f"{pool['prepare_misses']} misses across "
           f"{stats['health']['sessions']} sessions; "
-          f"{stats['health']['segments']} index segment(s) on disk")
+          f"{stats['health']['segments']} index segment(s) on disk; "
+          f"{pool['cached_lsim_pairs']} cached lsim table(s)")
 
+    conn.close()
     server.shutdown()
     server.server_close()
     service.close()

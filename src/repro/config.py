@@ -153,10 +153,12 @@ class CupidConfig:
     #: :class:`~repro.pipeline.session.MatchSession` retains (0 =
     #: unbounded). When set, the least-recently-matched prepared schema
     #: (and its cached lsim tables) is evicted once the bound is
-    #: exceeded, so long-lived serving sessions — a repository serving
-    #: heavy search traffic — hold O(bound) memory instead of one
-    #: PreparedSchema per schema ever seen. Eviction counts appear in
-    #: ``MatchSession.cache_info()``.
+    #: exceeded. Eviction counts appear in
+    #: ``MatchSession.cache_info()``. Searches and serving ``match``
+    #: requests release the schemas they bring
+    #: (``MatchSession.transient``), so a serving session holds at most
+    #: one PreparedSchema per corpus schema even when unbounded; the
+    #: bound caps that corpus share.
     max_prepared_schemas: int = 0
 
     #: Path of a persistent linguistic memo cache (``simcache.json``)

@@ -29,7 +29,8 @@ from __future__ import annotations
 
 import os
 import threading
-from typing import Dict, Iterable, List, Optional, Tuple
+from contextlib import contextmanager
+from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 from repro.config import CupidConfig
 from repro.linguistic.matcher import LsimTable
@@ -49,6 +50,15 @@ class MatchSession:
     custom ``pipeline`` to run a substituted stage sequence under the
     same caching (the session only caches what the pipeline's stages
     actually consume).
+
+    Entries are keyed by object identity, so a schema that is never
+    matched again — a search query parsed from one request — is never
+    hit again either. :meth:`release` drops such a schema with every
+    lsim table it is in, and :meth:`transient` scopes one to a single
+    call: prepared on entry, released on exit unless it was registered
+    before the call. The repository's search and the serving pool's
+    ``match`` use it for the schemas a request brings, so a long-lived
+    session holds only the corpus it keeps matching against.
     """
 
     def __init__(
@@ -121,6 +131,27 @@ class MatchSession:
         Accepts an already-prepared schema (registered so later calls
         with its raw schema hit the same artifact).
         """
+        return self._prepare(schema)[0]
+
+    @contextmanager
+    def transient(self, schema: SchemaLike) -> Iterator[PreparedSchema]:
+        """Prepare ``schema`` for the duration of one call.
+
+        Yields the session's :class:`PreparedSchema` for it, as
+        :meth:`prepare` does. On exit — also when the call raises —
+        :meth:`release` drops it if this call registered it; a schema
+        registered before the call (say by the caller's own
+        :meth:`prepare`) stays registered.
+        """
+        prepared, registered = self._prepare(schema)
+        try:
+            yield prepared
+        finally:
+            if registered:
+                self.release(prepared)
+
+    def _prepare(self, schema: SchemaLike) -> Tuple[PreparedSchema, bool]:
+        """:meth:`prepare`, plus whether this call registered it."""
         if isinstance(schema, PreparedSchema):
             with self._tier_lock:
                 registered = self._prepared.get(id(schema.schema))
@@ -130,15 +161,15 @@ class MatchSession:
                     # cannot be reused by a new object.
                     self._counters["prepare_hits"] += 1
                     self._touch(id(schema.schema))
-                    return registered[1]
+                    return registered[1], False
                 self._register(id(schema.schema), schema.schema, schema)
-                return schema
+                return schema, True
         with self._tier_lock:
             entry = self._prepared.get(id(schema))
             if entry is not None:
                 self._counters["prepare_hits"] += 1
                 self._touch(id(schema))
-                return entry[1]
+                return entry[1], False
         # Preparation runs outside the lock — it is the expensive part
         # and a pure function of the schema, so two threads racing on
         # the same schema compute identical artifacts and the first to
@@ -149,10 +180,24 @@ class MatchSession:
             if entry is not None:
                 self._counters["prepare_hits"] += 1
                 self._touch(id(schema))
-                return entry[1]
+                return entry[1], False
             self._counters["prepare_misses"] += 1
             self._register(id(schema), schema, prepared)
-        return prepared
+        return prepared, True
+
+    def release(self, prepared: PreparedSchema) -> None:
+        """Forget ``prepared`` and every cached lsim table it is in.
+
+        A no-op unless ``prepared`` is the session's registered
+        artifact for its schema (it may have been evicted, or never
+        registered). Not counted as an eviction: the eviction counters
+        measure pressure on ``config.max_prepared_schemas`` only.
+        """
+        with self._tier_lock:
+            key = id(prepared.schema)
+            entry = self._prepared.get(key)
+            if entry is not None and entry[1] is prepared:
+                self._drop(key)
 
     def _touch(self, key: int) -> None:
         """Move ``key``'s entry to the recently-used end."""
@@ -168,14 +213,21 @@ class MatchSession:
             self._evict_oldest()
 
     def _evict_oldest(self) -> None:
-        """Drop the least-recently-matched prepared schema.
+        """Drop the least-recently-matched prepared schema."""
+        self._counters["prepared_evictions"] += 1
+        self._counters["lsim_evictions"] += self._drop(
+            next(iter(self._prepared))
+        )
 
-        Its cached lsim tables go with it: their keys embed the
-        evicted object's id(), which a future PreparedSchema could
-        legitimately reuse once this reference is dropped.
+    def _drop(self, key: int) -> int:
+        """Unregister the entry under ``key``; returns how many cached
+        lsim tables went with it.
+
+        Its lsim tables must go: their keys embed the dropped object's
+        id(), which a future PreparedSchema could legitimately reuse
+        once this reference is gone.
         """
-        victim_key = next(iter(self._prepared))
-        _, prepared = self._prepared.pop(victim_key)
+        _, prepared = self._prepared.pop(key)
         prep_id = id(prepared)
         self._live_prep_ids.discard(prep_id)
         stale = [
@@ -184,8 +236,7 @@ class MatchSession:
         ]
         for pair in stale:
             del self._lsim_cache[pair]
-        self._counters["prepared_evictions"] += 1
-        self._counters["lsim_evictions"] += len(stale)
+        return len(stale)
 
     def _cached_lsim(
         self, prep_s: PreparedSchema, prep_t: PreparedSchema

@@ -727,6 +727,12 @@ class SchemaRepository:
         taken under the repository lock, so a search concurrent with
         ingest sees a consistent prefix of the corpus: every ranked id
         is loadable, and no half-registered schema ranks.
+
+        The query is prepared for this search only
+        (:meth:`MatchSession.transient`): when the search returns or
+        raises, ``session`` forgets it and its lsim tables again,
+        unless it held the query before the call. The candidates stay
+        cached.
         """
         if k < 1:
             raise RepositoryError(f"search k must be >= 1 (got {k})")
@@ -737,56 +743,56 @@ class SchemaRepository:
         search_span = trace.start_span("repo.search", k=k)
         try:
             session = session or self.session
-            prep_q = session.prepare(self._disown_foreign(query))
-            # The index/match child spans share the exact boundaries of
-            # the time_index_ms / time_match_ms stats, so the span tree
-            # and the latency block always tell the same story.
-            index_span = trace.start_span("repo.search.index")
-            index_start = time.perf_counter()
-            try:
-                with self._lock:
-                    ranking = self._index.score(
-                        token_profile(prep_q.linguistic), self.thesaurus
-                    )
-                    names = {
-                        sid: self._schemas[sid]["name"]
-                        for sid, _ in ranking
-                    }
-                    corpus = len(self._schemas)
-            finally:
-                trace.end_span(index_span)
-            index_elapsed = time.perf_counter() - index_start
-            shortlist = [sid for sid, _ in ranking]
-            if candidates is not None:
-                shortlist = shortlist[:candidates]
+            with session.transient(self._disown_foreign(query)) as prep_q:
+                # The index/match child spans share the exact boundaries of
+                # the time_index_ms / time_match_ms stats, so the span tree
+                # and the latency block always tell the same story.
+                index_span = trace.start_span("repo.search.index")
+                index_start = time.perf_counter()
+                try:
+                    with self._lock:
+                        ranking = self._index.score(
+                            token_profile(prep_q.linguistic), self.thesaurus
+                        )
+                        names = {
+                            sid: self._schemas[sid]["name"]
+                            for sid, _ in ranking
+                        }
+                        corpus = len(self._schemas)
+                finally:
+                    trace.end_span(index_span)
+                index_elapsed = time.perf_counter() - index_start
+                shortlist = [sid for sid, _ in ranking]
+                if candidates is not None:
+                    shortlist = shortlist[:candidates]
 
-            match_span = trace.start_span(
-                "repo.search.match", candidates=len(shortlist)
-            )
-            match_start = time.perf_counter()
-            try:
-                matches = []
-                for position, sid in enumerate(shortlist):
-                    if deadline is not None:
-                        deadline.check(
-                            f"search {prep_q.schema.name!r} after "
-                            f"{position} of {len(shortlist)} candidate "
-                            "matches"
+                match_span = trace.start_span(
+                    "repo.search.match", candidates=len(shortlist)
+                )
+                match_start = time.perf_counter()
+                try:
+                    matches = []
+                    for position, sid in enumerate(shortlist):
+                        if deadline is not None:
+                            deadline.check(
+                                f"search {prep_q.schema.name!r} after "
+                                f"{position} of {len(shortlist)} candidate "
+                                "matches"
+                            )
+                        matches.append(
+                            RankedMatch(
+                                schema_id=sid,
+                                schema_name=names[sid],
+                                score=0.0,
+                                result=session.match(prep_q, self.load(sid)),
+                            )
                         )
-                    matches.append(
-                        RankedMatch(
-                            schema_id=sid,
-                            schema_name=names[sid],
-                            score=0.0,
-                            result=session.match(prep_q, self.load(sid)),
-                        )
-                    )
-                for match in matches:
-                    match.score = match_score(match.result)
-            finally:
-                trace.end_span(match_span)
-            match_elapsed = time.perf_counter() - match_start
-            matches.sort(key=lambda m: (-m.score, m.schema_id))
+                    for match in matches:
+                        match.score = match_score(match.result)
+                finally:
+                    trace.end_span(match_span)
+                match_elapsed = time.perf_counter() - match_start
+                matches.sort(key=lambda m: (-m.score, m.schema_id))
 
             with self._lock:
                 self._counters["searches"] += 1

@@ -6,6 +6,14 @@ is parsed on the connection thread and executed through the service's
 session pool, so the daemon inherits the service's admission control,
 deadlines, and metrics.
 
+Connections are HTTP/1.1 keep-alive: a client may send any number of
+requests on one connection, each answered in turn. Every accepted
+socket has ``TCP_NODELAY`` set. A response is two sends (headers,
+then body), and with Nagle's algorithm on the body would wait for the
+client to ACK the headers — which a keep-alive peer delays by ~40 ms
+on Linux. One connection costs one handler thread for as long as the
+client keeps it open.
+
 Endpoints (all JSON except /metrics)::
 
     GET  /health          liveness + corpus size + in-flight gauge
@@ -189,6 +197,12 @@ class MatchRequestHandler(BaseHTTPRequestHandler):
 
     server: "MatchHTTPServer"
     protocol_version = "HTTP/1.1"
+    # Set TCP_NODELAY on every accepted socket (StreamRequestHandler's
+    # setup() hook). A response goes out in two sends, end_headers()
+    # and then the body. With Nagle on, the body waits until the
+    # client ACKs the headers, and on a keep-alive connection Linux
+    # delays that ACK by ~40 ms: every response would stall that long.
+    disable_nagle_algorithm = True
 
     # ------------------------------------------------------------------
     # Routing

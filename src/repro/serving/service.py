@@ -18,7 +18,9 @@ a warm request's time is spent in vectorized code. Each worker session
 keeps its own prepared/lsim LRU tiers (bounded by
 ``config.max_prepared_schemas``) but all sessions share one pipeline —
 and therefore one linguistic memo, preloaded from the repository's
-``simcache.json``.
+``simcache.json``. A request's own schemas (a search query, an inline
+``match`` side) leave those tiers when it ends, so they hold corpus
+schemas only.
 
 Admission control is explicit: at most ``config.serving_queue_depth``
 requests may be admitted-but-unfinished; beyond that the service
@@ -43,6 +45,7 @@ embedding event loops use.
 from __future__ import annotations
 
 import asyncio
+import contextlib
 import contextvars
 import os
 import queue
@@ -289,11 +292,6 @@ class MatchService:
             )
         )
 
-    def _resolve(self, schema: Union[SchemaLike, str]) -> SchemaLike:
-        if isinstance(schema, str):
-            return self.repository.load(schema)
-        return schema
-
     def _do_match(
         self,
         session: MatchSession,
@@ -302,7 +300,16 @@ class MatchService:
         target: Union[SchemaLike, str],
     ) -> CupidResult:
         deadline.check("match before execution")
-        return session.match(self._resolve(source), self._resolve(target))
+        # A side given as a repository id is corpus and stays cached in
+        # the pool session; a side the request brought is prepared for
+        # this match only, like a search query.
+        with contextlib.ExitStack() as request:
+            sides = [
+                self.repository.load(side) if isinstance(side, str)
+                else request.enter_context(session.transient(side))
+                for side in (source, target)
+            ]
+            return session.match(*sides)
 
     def ingest(
         self,

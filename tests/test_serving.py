@@ -17,7 +17,9 @@ import http.client
 import json
 import os
 import random
+import statistics
 import threading
+import time
 import urllib.error
 import urllib.request
 
@@ -177,6 +179,72 @@ class TestMatchService:
             assert service.metrics.endpoint("search").snapshot()[
                 "timeouts"
             ] == 1
+
+    def test_requests_leave_no_per_request_artifacts(self, repo):
+        """A pool session caches the corpus, never what one request
+        brought: queries and inline match sides are parsed anew by
+        every request, so a cached copy could never be hit again and
+        would only grow the daemon's heap."""
+        corpus = _corpus(5)
+        with MatchService(repo, sessions=2) as service:
+            service.search(_query_for(corpus[0]), k=2, candidates=3)
+            for i in range(20):
+                service.search(
+                    _query_for(corpus[i % 5], seed=100 + i),
+                    k=2, candidates=3,
+                )
+            for i in range(5):
+                service.match(
+                    _query_for(corpus[i], seed=200 + i),
+                    _query_for(corpus[(i + 1) % 5], seed=300 + i),
+                )
+            with pytest.raises(RequestTimeoutError):
+                service.search(_query_for(corpus[1]), timeout=1e-9)
+            for session in service._sessions:
+                info = session.cache_info()
+                assert info["cached_lsim_pairs"] == 0, info
+                assert info["prepared_schemas"] <= len(repo), info
+
+    def test_search_releases_query_when_deadline_expires(self, repo):
+        class ExpiresAfter:
+            def __init__(self, checks):
+                self.checks = checks
+
+            def check(self, context):
+                if not self.checks:
+                    raise RequestTimeoutError(context)
+                self.checks -= 1
+
+        session = MatchSession(pipeline=repo.session.pipeline)
+        with pytest.raises(RequestTimeoutError, match="after 2 of 3"):
+            repo.search(
+                _query_for(_corpus(5)[0]), k=2, candidates=3,
+                session=session, deadline=ExpiresAfter(2),
+            )
+        info = session.cache_info()
+        assert info["matches"] == 2
+        assert info["cached_lsim_pairs"] == 0
+        assert info["prepared_schemas"] == 2  # the matched candidates
+
+    def test_caller_registered_query_stays_registered(self, repo):
+        """Library use: a query the caller prepared on its session
+        before searching is the caller's to keep."""
+        query = _query_for(_corpus(5)[2])
+        session = MatchSession(pipeline=repo.session.pipeline)
+        held = session.prepare(query)
+        repo.search(query, k=2, candidates=3, session=session)
+        assert session.prepare(query) is held
+        assert session.cache_info()["cached_lsim_pairs"] == 3
+
+    def test_match_by_id_keeps_corpus_cached(self, repo):
+        ids = repo.schema_ids()
+        with MatchService(repo, sessions=1) as service:
+            first = service.match(ids[0], ids[1])
+            again = service.match(ids[0], ids[1])
+            assert _mapping_signature(again) == _mapping_signature(first)
+            info = service.stats()["session_pool"]
+        assert info["lsim_hits"] == 1
+        assert info["cached_lsim_pairs"] == 1
 
     def test_closed_service_rejects(self, repo):
         service = MatchService(repo, sessions=1)
@@ -521,6 +589,44 @@ class TestHTTPDaemon:
         assert stats["endpoints"]["ingest"]["count"] == 1
         assert stats["health"]["schemas"] == 7
         assert stats["session_pool"]["matches"] >= 3
+
+    def test_keep_alive_connection_does_not_stall(self, server):
+        """Many requests on one connection, as a long-lived client
+        sends them. A response is two sends; if the body waited for
+        the client's delayed ACK of the headers, every request after
+        the first would take ~40 ms longer."""
+        conn = http.client.HTTPConnection(
+            "127.0.0.1", server.port, timeout=30
+        )
+        try:
+            conn.connect()
+            sock = conn.sock
+            health_ms = []
+            for _ in range(20):
+                start = time.perf_counter()
+                conn.request("GET", "/health")
+                response = conn.getresponse()
+                response.read()
+                health_ms.append((time.perf_counter() - start) * 1000.0)
+                assert response.status == 200
+            body = json.dumps({
+                "schema": schema_to_dict(_query_for(_corpus(5)[1])),
+                "k": 2,
+                "candidates": 3,
+            })
+            for _ in range(3):
+                conn.request(
+                    "POST", "/search", body=body,
+                    headers={"Content-Type": "application/json"},
+                )
+                response = conn.getresponse()
+                payload = json.loads(response.read())
+                assert response.status == 200
+                assert len(payload["matches"]) == 2
+            assert conn.sock is sock  # one connection throughout
+        finally:
+            conn.close()
+        assert statistics.median(health_ms) < 20.0, health_ms
 
     def test_text_formats_parse_on_the_wire(self, server):
         search = self._request(server, "/search", {

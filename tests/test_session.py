@@ -306,3 +306,75 @@ class TestSessionLru:
         results = session.match_many(source, targets)
         again = session.rematch(results[0])
         assert_identical(again, results[0])
+
+
+class TestRelease:
+    """``release`` / ``transient``: one code path with LRU eviction,
+    but not counted as eviction, and never dropping what the caller
+    registered itself."""
+
+    def test_release_drops_schema_and_its_lsim_tables(self):
+        source, targets = _batch_workload(n_targets=2)
+        session = MatchSession()
+        results = session.match_many(source, targets)
+        prep_t0 = session.prepare(targets[0])
+        session.release(prep_t0)
+        info = session.cache_info()
+        assert info["prepared_schemas"] == 2     # source + targets[1]
+        assert info["cached_lsim_pairs"] == 1    # (source, targets[1])
+        assert info["prepared_evictions"] == 0
+        assert info["lsim_evictions"] == 0
+        # A released schema is prepared afresh, with identical results.
+        assert session.prepare(targets[0]) is not prep_t0
+        assert_identical(session.match(source, targets[0]), results[0])
+
+    def test_release_of_unregistered_schema_is_a_no_op(self):
+        source, targets = _batch_workload(n_targets=1)
+        session = MatchSession()
+        session.match(source, targets[0])
+        foreign = MatchSession().prepare(source)
+        session.release(foreign)  # same raw schema, not this artifact
+        assert session.cache_info()["prepared_schemas"] == 2
+        assert session.cache_info()["cached_lsim_pairs"] == 1
+
+    def test_transient_releases_only_what_it_registered(self):
+        source, targets = _batch_workload(n_targets=2)
+        session = MatchSession()
+        held = session.prepare(source)
+        with session.transient(source) as prep_s:
+            assert prep_s is held
+            with session.transient(targets[0]) as prep_t:
+                session.match(prep_s, prep_t)
+                assert session.cache_info()["cached_lsim_pairs"] == 1
+        info = session.cache_info()
+        assert info["prepared_schemas"] == 1
+        assert info["cached_lsim_pairs"] == 0
+        assert session.prepare(source) is held
+
+    def test_transient_releases_when_the_call_raises(self):
+        source, targets = _batch_workload(n_targets=1)
+        session = MatchSession()
+        with pytest.raises(RuntimeError):
+            with session.transient(targets[0]) as prep_t:
+                session.match(source, prep_t)
+                raise RuntimeError("request failed")
+        info = session.cache_info()
+        assert info["prepared_schemas"] == 1     # source only
+        assert info["cached_lsim_pairs"] == 0
+
+    def test_lru_eviction_still_counts(self):
+        source, targets = _batch_workload(n_targets=3)
+        session = MatchSession(
+            config=CupidConfig().replace(max_prepared_schemas=2)
+        )
+        for target in targets:
+            with session.transient(source) as prep_s:
+                session.match(prep_s, target)
+        info = session.cache_info()
+        # Each pass registers source and a target in a 2-slot cache:
+        # the previous target is evicted (and counted); the source is
+        # released at the end of each pass (not counted).
+        assert info["prepared_evictions"] == 2
+        assert info["lsim_evictions"] == 0
+        assert info["prepared_schemas"] == 1
+        assert info["cached_lsim_pairs"] == 0
