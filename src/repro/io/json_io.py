@@ -18,6 +18,23 @@ from repro.model.element import ElementKind, SchemaElement
 from repro.model.relationships import RelationshipKind
 from repro.model.schema import Schema
 
+#: Serialized value -> enum member, for the loader's per-element and
+#: per-relationship lookups (an ``Enum(value)`` call runs the enum's
+#: Python-level constructor every time).
+_ELEMENT_KINDS = {kind.value: kind for kind in ElementKind}
+_DATA_TYPES = {data_type.value: data_type for data_type in DataType}
+_RELATIONSHIP_KINDS = {kind.value: kind for kind in RelationshipKind}
+
+
+def _member(members: Dict[Any, Any], enum_cls, value: Any):
+    """``enum_cls(value)`` through the ``members`` map. A value the map
+    does not hold (unknown, unhashable) goes to ``enum_cls`` itself, so
+    it raises the enum's own error."""
+    try:
+        return members[value]
+    except (KeyError, TypeError):
+        return enum_cls(value)
+
 
 def schema_to_dict(schema: Schema) -> Dict[str, Any]:
     """Serialize a schema graph to a JSON-compatible dict."""
@@ -90,8 +107,11 @@ def schema_from_dict_with_ids(
     for spec in data["elements"]:
         element = SchemaElement(
             name=spec["name"],
-            kind=ElementKind(spec["kind"]),
-            data_type=DataType(spec["data_type"]) if spec["data_type"] else None,
+            kind=_member(_ELEMENT_KINDS, ElementKind, spec["kind"]),
+            data_type=(
+                _member(_DATA_TYPES, DataType, spec["data_type"])
+                if spec["data_type"] else None
+            ),
             optional=spec.get("optional", False),
             is_key=spec.get("is_key", False),
             not_instantiated=spec.get("not_instantiated", False),
@@ -122,7 +142,7 @@ def schema_from_dict_with_ids(
         RelationshipKind.REFERENCE: schema.add_reference,
     }
     for rel in data["relationships"]:
-        kind = RelationshipKind(rel["kind"])
+        kind = _member(_RELATIONSHIP_KINDS, RelationshipKind, rel["kind"])
         adders[kind](by_id[rel["source"]], by_id[rel["target"]])
     return schema, by_id
 

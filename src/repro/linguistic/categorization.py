@@ -29,9 +29,12 @@ from repro.linguistic.name_similarity import token_set_similarity
 from repro.linguistic.normalizer import NormalizedName, Normalizer
 from repro.linguistic.thesaurus import Thesaurus
 from repro.linguistic.tokens import Token, TokenType
-from repro.model.datatypes import BROAD_CLASS
+from repro.model.datatypes import BROAD_CLASS, DataType
 from repro.model.element import SchemaElement
 from repro.model.schema import Schema
+
+#: Token types whose name tokens each name a category (step 1b).
+_KEYWORD_TYPES = (TokenType.CONTENT, TokenType.CONCEPT)
 
 
 @dataclass
@@ -64,78 +67,120 @@ class Categorizer:
     def categorize(self, schema: Schema) -> Dict[str, Category]:
         """Assign every named element of ``schema`` to its categories.
 
-        Returns categories keyed by their unique key. Each element may
-        appear in several categories (concept + data type + container).
+        Returns categories keyed by their unique key, in creation order;
+        each lists its members in element order. An element may appear
+        in several categories (concept + name token + data type +
+        container).
+
+        What an element joins depends only on its name, its data type
+        and its container, so each distinct name, data type and
+        container is resolved once per call, and a category's keyword
+        tokens are built only when the category is created.
         """
         categories: Dict[str, Category] = {}
 
-        def get_or_create(
-            key: str, keywords: Tuple[Token, ...], source: str
+        def create(
+            key: str, source: str, keywords: Tuple[Token, ...]
         ) -> Category:
-            category = categories.get(key)
-            if category is None:
-                category = Category(key=key, keywords=keywords, source=source)
-                categories[key] = category
+            # Callers look ``key`` up first: each creates a new key.
+            category = categories[key] = Category(
+                key=key, keywords=keywords, source=source
+            )
             return category
 
         # The schema root belongs to a dedicated category so roots are
         # linguistically comparable across schemas (they have no
         # container, data type, or — usually — concept of their own).
-        root_category = get_or_create(
-            "root", (Token("schema", TokenType.CONTENT),), "container"
-        )
-        root_category.members.append(schema.root)
+        create(
+            "root", "container", (Token("schema", TokenType.CONTENT),)
+        ).members.append(schema.root)
 
-        for element in schema.elements:
-            if element.not_instantiated or not element.name:
-                continue
-            normalized = self.normalizer.normalize(element.name)
+        # What each distinct concept, name word, name, data type and
+        # container resolves to, filled on first sight.
+        by_concept: Dict[str, Category] = {}
+        by_word: Dict[str, Category] = {}
+        by_name: Dict[str, List[Category]] = {}
+        by_type: Dict[DataType, Category] = {}
+        by_container: Dict[str, Optional[Category]] = {}
 
+        def concept_category(concept: str) -> Category:
+            category = by_concept[concept] = create(
+                f"concept:{concept}", "concept",
+                (Token(concept, TokenType.CONCEPT),),
+            )
+            return category
+
+        def word_category(word: str) -> Category:
+            category = by_word[word] = create(
+                f"name:{word}", "name", (Token(word, TokenType.CONTENT),)
+            )
+            return category
+
+        def name_categories(name: str) -> List[Category]:
+            normalized = self.normalizer.normalize(name)
+            found = by_name[name] = []
             # 1. Concept tagging: a category per unique concept tag.
             for concept in sorted(normalized.concepts):
-                category = get_or_create(
-                    f"concept:{concept}",
-                    (Token(concept, TokenType.CONCEPT),),
-                    "concept",
+                found.append(
+                    by_concept.get(concept) or concept_category(concept)
                 )
-                category.members.append(element)
-
             # 1b. Name tokens: keywords are "derived from concepts,
             # data types, and element names" (Section 5.2) — the money
             # category example includes elements where the keyword
             # "appears in its name". One category per significant
             # (content/concept) name token.
-            for token in normalized.comparable_tokens():
-                if token.token_type in (TokenType.CONTENT, TokenType.CONCEPT):
-                    category = get_or_create(
-                        f"name:{token.text}",
-                        (Token(token.text, TokenType.CONTENT),),
-                        "name",
+            for token in normalized.tokens:
+                if not token.ignored and token.token_type in _KEYWORD_TYPES:
+                    found.append(
+                        by_word.get(token.text) or word_category(token.text)
                     )
-                    category.members.append(element)
+            return found
 
+        def type_category(data_type: DataType) -> Category:
             # 2. Broad data type: Number, Text, Temporal, ...
+            broad = BROAD_CLASS[data_type]
+            key = f"dtype:{broad}"
+            category = by_type[data_type] = categories.get(key) or create(
+                key, "dtype", (Token(broad.lower(), TokenType.CONTENT),)
+            )
+            return category
+
+        def container_category(container: SchemaElement) -> Optional[Category]:
+            # 3. Container: the containing element names a category.
+            category = None
+            if container.name and not container.not_instantiated:
+                keywords = tuple(
+                    self.normalizer.normalize(container.name)
+                    .comparable_tokens()
+                )
+                if keywords:
+                    category = create(
+                        f"container:{container.element_id}", "container",
+                        keywords,
+                    )
+            by_container[container.element_id] = category
+            return category
+
+        for element in schema.elements:
+            if element.not_instantiated or not element.name:
+                continue
+            joined = by_name.get(element.name)
+            if joined is None:
+                joined = name_categories(element.name)
+            for category in joined:
+                category.members.append(element)
             if element.data_type is not None:
-                broad = BROAD_CLASS[element.data_type]
-                category = get_or_create(
-                    f"dtype:{broad}",
-                    (Token(broad.lower(), TokenType.CONTENT),),
-                    "dtype",
+                category = by_type.get(element.data_type) or type_category(
+                    element.data_type
                 )
                 category.members.append(element)
-
-            # 3. Container: the containing element names a category.
             container = schema.container_of(element)
-            if container is not None and container.name and not container.not_instantiated:
-                container_tokens = tuple(
-                    self.normalizer.normalize(container.name).comparable_tokens()
-                )
-                if container_tokens:
-                    category = get_or_create(
-                        f"container:{container.element_id}",
-                        container_tokens,
-                        "container",
-                    )
+            if container is not None:
+                if container.element_id in by_container:
+                    category = by_container[container.element_id]
+                else:
+                    category = container_category(container)
+                if category is not None:
                     category.members.append(element)
 
         return categories

@@ -72,7 +72,10 @@ under a nonzero scale cell.
 from __future__ import annotations
 
 from array import array
-from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Tuple
+from itertools import chain
+from typing import (
+    TYPE_CHECKING, Dict, FrozenSet, Iterable, List, Optional, Tuple,
+)
 
 from repro.linguistic.matcher import LsimTable
 from repro.linguistic.tokens import TokenType
@@ -154,10 +157,11 @@ class SchemaVocabulary:
 
     def _build(self, prep: "LinguisticPreparation") -> None:
         class_index: Dict[Tuple, int] = {}
-        # element id -> set of class ids (categories can list an
-        # element twice; the reference scale loop just re-maxes, so a
-        # set keeps the same semantics).
-        element_classes: Dict[str, set] = {}
+        # element id -> the class ids of its categories, in category
+        # order; an element can sit in two categories of one class
+        # (the reference scale loop just re-maxes), so profiles key on
+        # the distinct ids.
+        element_classes: Dict[str, List[int]] = {}
         for category in prep.categories.values():
             key = (
                 category.source == "dtype",
@@ -172,20 +176,25 @@ class SchemaVocabulary:
                     tuple(t for t in category.keywords if not t.ignored)
                 )
             for member in category.members:
-                element_classes.setdefault(
-                    member.element_id, set()
-                ).add(class_id)
+                class_ids = element_classes.get(member.element_id)
+                if class_ids is None:
+                    element_classes[member.element_id] = [class_id]
+                else:
+                    class_ids.append(class_id)
 
         normalized = prep.normalized
-        profile_index: Dict[Tuple[int, Tuple[int, ...]], int] = {}
+        name_index = self.name_index
+        profile_index: Dict[Tuple[int, FrozenSet[int]], int] = {}
         self.class_profiles = [[] for _ in self.classes]
         for element_id, class_ids in element_classes.items():
-            raw = normalized[element_id].raw
-            vocab_id = self.name_index.get(raw)
+            name = normalized[element_id]
+            vocab_id = name_index.get(name.raw)
             if vocab_id is None:
-                vocab_id = self.name_index[raw] = len(self.names)
-                self.names.append(normalized[element_id])
-            profile_key = (vocab_id, tuple(sorted(class_ids)))
+                vocab_id = name_index[name.raw] = len(self.names)
+                self.names.append(name)
+            # A set key: profiles are equal when their class sets are,
+            # and each class lists its profiles in creation order.
+            profile_key = (vocab_id, frozenset(class_ids))
             profile_id = profile_index.get(profile_key)
             if profile_id is None:
                 profile_id = profile_index[profile_key] = len(
@@ -244,18 +253,25 @@ class _IdLists:
         self.groups: list = []
         if _np is None:
             return
+        self.counts = _np.fromiter(
+            map(len, lists), dtype=_np.float64, count=len(lists)
+        )
         by_length: Dict[int, List[int]] = {}
         for item, ids in enumerate(lists):
             if ids:
-                by_length.setdefault(len(ids), []).append(item)
-        self.counts = _np.array(
-            [len(ids) for ids in lists], dtype=_np.float64
-        )
+                items = by_length.get(len(ids))
+                if items is None:
+                    by_length[len(ids)] = [item]
+                else:
+                    items.append(item)
         self.groups = [
             (
                 length,
                 _np.asarray(items, dtype=_np.intp),
-                _np.asarray([lists[i] for i in items], dtype=_np.intp),
+                _np.fromiter(
+                    chain.from_iterable(lists[i] for i in items),
+                    dtype=_np.intp, count=len(items) * length,
+                ).reshape(len(items), length),
             )
             for length, items in by_length.items()
         ]
@@ -296,12 +312,22 @@ class _TokenTables:
         per_type: Dict[TokenType, List[List[int]]] = {
             token_type: [[] for _ in vocab.names] for token_type in TokenType
         }
+        # Each distinct token object resolves its type's lists and its
+        # id once — the normalizer shares one Token per distinct text,
+        # so that is once per vocabulary word, not per occurrence. Keyed
+        # by identity, which stays unique while vocab.names holds every
+        # token.
+        resolved: Dict[int, Tuple[List[List[int]], int]] = {}
         for name_id, name in enumerate(vocab.names):
             for token in name.tokens:
-                if not token.ignored:
-                    per_type[token.token_type][name_id].append(
-                        token_id(token.text)
+                if token.ignored:
+                    continue
+                hit = resolved.get(id(token))
+                if hit is None:
+                    hit = resolved[id(token)] = (
+                        per_type[token.token_type], token_id(token.text)
                     )
+                hit[0][name_id].append(hit[1])
         self.names = {
             token_type: _IdLists(lists)
             for token_type, lists in per_type.items()

@@ -16,7 +16,7 @@ four steps:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Set, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.linguistic.thesaurus import Thesaurus
 from repro.linguistic.tokenizer import tokenize
@@ -78,28 +78,49 @@ def _classify(text: str, thesaurus: Thesaurus) -> Tuple[TokenType, bool]:
 class Normalizer:
     """Applies the four normalization steps with a given thesaurus.
 
-    Normalization is pure and memoized per raw name: schemas repeat
-    names constantly (Street, City, ...) and the matcher normalizes
-    every element of both schemas.
+    Normalization is pure and memoized twice:
+
+    * **per raw name** — schemas repeat names constantly (Street, City,
+      ...) and the matcher normalizes every element of both schemas;
+    * **per token text** — steps 3 and 4 read nothing but a token's
+      text, so each distinct text is classified and concept-tagged
+      once, and every occurrence shares one frozen :class:`Token`
+      (and one concept tag token). Distinct names are mostly new
+      arrangements of a small vocabulary; this cache holds one entry
+      per distinct token text seen, fewer than the per-name cache.
+
+    Both caches hold pure values and take no lock: a racing thread
+    recomputes an equal value.
     """
 
     def __init__(self, thesaurus: Thesaurus) -> None:
         self.thesaurus = thesaurus
         self._cache: Dict[str, NormalizedName] = {}
+        #: token text -> (its token, the CONCEPT token it tags or None)
+        self._tokens: Dict[str, Tuple[Token, Optional[Token]]] = {}
+
+    def _type_token(self, text: str) -> Tuple[Token, Optional[Token]]:
+        """Steps 3 and 4 for one token text (the per-token cache's miss
+        path)."""
+        token_type, ignored = _classify(text, self.thesaurus)
+        concept = self.thesaurus.concept_of(text)
+        entry = self._tokens[text] = (
+            Token(text, token_type, ignored),
+            Token(concept, TokenType.CONCEPT) if concept else None,
+        )
+        return entry
 
     def normalize(self, name: str) -> NormalizedName:
         cached = self._cache.get(name)
         if cached is not None:
             return cached
 
-        expanded: List[str] = []
         # Whole-name lookup first: mixed-case acronyms like "UoM" would
         # otherwise be split by the camel-case tokenizer into "uo"+"m"
         # and never match their thesaurus entry.
-        whole = self.thesaurus.expansion(name.lower())
-        if whole:
-            expanded.extend(whole)
-        else:
+        expanded = self.thesaurus.expansion(name.lower())
+        if not expanded:
+            expanded = []
             for raw_token in tokenize(name):
                 expansion = self.thesaurus.expansion(raw_token)
                 if expansion:
@@ -107,23 +128,22 @@ class Normalizer:
                 else:
                     expanded.append(raw_token)
 
+        known = self._tokens
         tokens: List[Token] = []
-        concepts: Set[str] = set()
+        tags: Dict[str, Token] = {}
         for text in expanded:
-            token_type, ignored = _classify(text, self.thesaurus)
-            tokens.append(Token(text, token_type, ignored))
-            concept = self.thesaurus.concept_of(text)
-            if concept:
-                concepts.add(concept)
-
+            token, tag = known.get(text) or self._type_token(text)
+            tokens.append(token)
+            if tag is not None:
+                tags[tag.text] = tag
         # Tagging: the concept names join the token set as CONCEPT
         # tokens, so semantically tagged elements (Price, Cost) share
         # concept tokens (money) even when their words differ.
-        for concept in sorted(concepts):
-            tokens.append(Token(concept, TokenType.CONCEPT))
+        for concept in sorted(tags):
+            tokens.append(tags[concept])
 
         normalized = NormalizedName(
-            raw=name, tokens=tuple(tokens), concepts=frozenset(concepts)
+            raw=name, tokens=tuple(tokens), concepts=frozenset(tags)
         )
         self._cache[name] = normalized
         return normalized

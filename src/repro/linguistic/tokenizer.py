@@ -17,25 +17,28 @@ import re
 from typing import List
 
 #: Characters treated as special-symbol tokens in their own right.
-_SPECIAL_CHARS = set("#$%&@*+!?")
-
-#: Split points: non-alphanumeric runs are separators, except the
-#: special symbols above, which are kept as tokens.
-_SEPARATOR_RE = re.compile(r"[^A-Za-z0-9#$%&@*+!?]+")
+_SPECIAL_CHARS = "#$%&@*+!?"
 
 #: Case/digit transitions inside an alphanumeric word:
 #:   lower→Upper    (poLines   → po | Lines)
 #:   ACRONYMWord    (POLines   → PO | Lines)
 #:   letter→digit   (Street4   → Street | 4)
 #:   digit→letter   (4thStreet → 4 | thStreet)
-_CAMEL_RE = re.compile(
-    r"""
+_CAMEL_PATTERN = r"""
     [A-Z]+(?=[A-Z][a-z])   # acronym followed by a capitalized word
     | [A-Z]?[a-z]+          # capitalized or lowercase word
     | [A-Z]+                # trailing acronym
     | [0-9]+                # digit run
-    """,
-    re.VERBOSE,
+"""
+_CAMEL_RE = re.compile(_CAMEL_PATTERN, re.VERBOSE)
+
+#: Every token of a raw name in one scan: the camel pieces of each
+#: ASCII alphanumeric run, and each special symbol on its own. Any
+#: other character is a separator: no alternative matches it, and no
+#: alternative (lookahead included) reads across it, so a run's pieces
+#: are exactly what splitting on separators first would give.
+_TOKEN_RE = re.compile(
+    _CAMEL_PATTERN + "| [" + re.escape(_SPECIAL_CHARS) + "]", re.VERBOSE
 )
 
 
@@ -56,29 +59,4 @@ def tokenize(name: str) -> List[str]:
     >>> tokenize("Item#")
     ['item', '#']
     """
-    if not name:
-        return []
-    tokens: List[str] = []
-    # Separate out special-symbol characters first so "#": survives.
-    pieces: List[str] = []
-    current = []
-    for ch in name:
-        if ch in _SPECIAL_CHARS:
-            if current:
-                pieces.append("".join(current))
-                current = []
-            pieces.append(ch)
-        else:
-            current.append(ch)
-    if current:
-        pieces.append("".join(current))
-
-    for piece in pieces:
-        if piece in _SPECIAL_CHARS:
-            tokens.append(piece)
-            continue
-        for word in _SEPARATOR_RE.split(piece):
-            if not word:
-                continue
-            tokens.extend(part.lower() for part in split_camel(word))
-    return tokens
+    return [piece.lower() for piece in _TOKEN_RE.findall(name)]

@@ -12,7 +12,11 @@ socket has ``TCP_NODELAY`` set. A response is two sends (headers,
 then body), and with Nagle's algorithm on the body would wait for the
 client to ACK the headers — which a keep-alive peer delays by ~40 ms
 on Linux. One connection costs one handler thread for as long as the
-client keeps it open.
+client keeps it open, or until it sits idle for
+``MatchRequestHandler.timeout`` seconds, when the daemon closes it. A
+client that resets its connection is a closed connection, not an
+error: no traceback (one structured ``connection_reset`` line on
+stderr when the daemon runs verbose).
 
 Endpoints (all JSON except /metrics)::
 
@@ -65,6 +69,7 @@ import itertools
 import json
 import random
 import signal
+import sys
 import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -203,6 +208,16 @@ class MatchRequestHandler(BaseHTTPRequestHandler):
     # client ACKs the headers, and on a keep-alive connection Linux
     # delays that ACK by ~40 ms: every response would stall that long.
     disable_nagle_algorithm = True
+    # Idle timeout, in seconds, for every socket operation on the
+    # connection (StreamRequestHandler's setup() applies it). A client
+    # that opens a connection and goes quiet would otherwise park this
+    # handler thread in readline() until it disconnects, and admission
+    # control counts requests, not connections. A keep-alive client
+    # idles between its requests only briefly (a closed-loop client
+    # waits at most for another client's ingest); 60 s is far above
+    # that. The timeout never bounds a request's own work, which does
+    # not touch the socket.
+    timeout = 60
 
     # ------------------------------------------------------------------
     # Routing
@@ -421,7 +436,15 @@ class MatchRequestHandler(BaseHTTPRequestHandler):
                 f"request body of {length} bytes exceeds the "
                 f"{MAX_BODY_BYTES}-byte limit"
             )
-        raw = self.rfile.read(length)
+        try:
+            raw = self.rfile.read(length)
+        except TimeoutError:
+            # The client stalled mid-body for a whole idle timeout; what
+            # follows on this connection could not be framed.
+            self.close_connection = True
+            raise BadRequestError(
+                f"request body not received within {self.timeout} s"
+            ) from None
         try:
             body = json.loads(
                 raw.decode("utf-8"), parse_constant=_reject_constant
@@ -553,6 +576,22 @@ class MatchHTTPServer(ThreadingHTTPServer):
         ``itertools.count`` is atomic under the GIL, so connection
         threads need no extra lock."""
         return f"r{next(self._request_counter):06d}"
+
+    def handle_error(self, request, client_address) -> None:
+        """A connection reset by its client ends that connection, the
+        way a clean close does: no traceback, and one structured
+        ``connection_reset`` line on stderr when verbose. Any other
+        exception escaping a handler keeps socketserver's traceback."""
+        error = sys.exc_info()[1]
+        if isinstance(error, (ConnectionResetError, BrokenPipeError)):
+            if self.verbose:
+                trace.log_event(
+                    "connection_reset",
+                    client=f"{client_address[0]}:{client_address[1]}",
+                    error=type(error).__name__,
+                )
+            return
+        super().handle_error(request, client_address)
 
     def retry_after_s(self) -> Optional[int]:
         """Jittered ``Retry-After`` value for 503 responses.

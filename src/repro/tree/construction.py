@@ -14,11 +14,10 @@ deferral of cyclic schemas.
 
 from __future__ import annotations
 
-from typing import List, Optional, Set
+from typing import Set
 
 from repro.exceptions import CyclicSchemaError
 from repro.model.element import SchemaElement
-from repro.model.relationships import RelationshipKind
 from repro.model.schema import Schema
 from repro.tree.schema_tree import SchemaTree, SchemaTreeNode
 
@@ -61,30 +60,19 @@ def _construct(
         )
     in_progress.add(current_se.element_id)
     try:
-        for kind in (RelationshipKind.CONTAINMENT,
-                     RelationshipKind.IS_DERIVED_FROM):
-            for target in _outgoing(schema, current_se, kind):
-                if kind is RelationshipKind.CONTAINMENT:
-                    if target.not_instantiated:
-                        # Keys, shared-type declarations, RefInt
-                        # scaffolding: ignored during construction.
-                        continue
-                    child_node = SchemaTreeNode(target)
-                    current_stn.add_child(child_node)
-                    _construct(schema, target, child_node,
-                               via_containment=True, in_progress=in_progress)
-                else:
-                    # IsDerivedFrom: substitute the type's members in
-                    # place — no node for the type element itself.
-                    _construct(schema, target, current_stn,
-                               via_containment=False, in_progress=in_progress)
+        for target in schema.contained_children(current_se):
+            if target.not_instantiated:
+                # Keys, shared-type declarations, RefInt scaffolding:
+                # ignored during construction.
+                continue
+            child_node = SchemaTreeNode(target)
+            current_stn.add_child(child_node)
+            _construct(schema, target, child_node,
+                       via_containment=True, in_progress=in_progress)
+        for base in schema.derived_bases(current_se):
+            # IsDerivedFrom: substitute the type's members in place —
+            # no node for the type element itself.
+            _construct(schema, base, current_stn,
+                       via_containment=False, in_progress=in_progress)
     finally:
         in_progress.discard(current_se.element_id)
-
-
-def _outgoing(
-    schema: Schema, element: SchemaElement, kind: RelationshipKind
-) -> List[SchemaElement]:
-    if kind is RelationshipKind.CONTAINMENT:
-        return schema.contained_children(element)
-    return schema.derived_bases(element)

@@ -84,10 +84,11 @@ class _TreeEncoding:
     None). ``leaves`` is the global leaf order; ``leaf_opt`` aligns
     with it; ``pre_nodes`` is the full pre-order node sequence with
     ``node_opt`` aligned to it (max optional level on the primary
-    root path, -1 when the path has no optional node).
+    root path, -1 when the path has no optional node); ``post_nodes``
+    is :meth:`SchemaTree.postorder`'s order (``post`` indexes it).
     """
 
-    __slots__ = ("leaves", "leaf_opt", "pre_nodes", "node_opt")
+    __slots__ = ("leaves", "leaf_opt", "pre_nodes", "node_opt", "post_nodes")
 
     def __init__(
         self,
@@ -95,11 +96,13 @@ class _TreeEncoding:
         leaf_opt: List[int],
         pre_nodes: Tuple["SchemaTreeNode", ...],
         node_opt: List[int],
+        post_nodes: Tuple["SchemaTreeNode", ...],
     ) -> None:
         self.leaves = leaves
         self.leaf_opt = leaf_opt
         self.pre_nodes = pre_nodes
         self.node_opt = node_opt
+        self.post_nodes = post_nodes
 
 
 class SchemaTreeNode:
@@ -185,16 +188,31 @@ class SchemaTreeNode:
 
     def _unindex_ancestry(self) -> None:
         """Drop the interval stamp here and on every ancestor (all
-        parents — the mutation changes their subtrees too). DAG-safe
-        via visited set. Unindexed nodes answer through the DFS
-        fallbacks until the next :meth:`SchemaTree.reindex`."""
-        seen: Set[int] = set()
+        parents — the mutation changes their subtrees too). Unindexed
+        nodes answer through the DFS fallbacks until the next
+        :meth:`SchemaTree.reindex`.
+
+        The walk stops at a node that is already unindexed, because
+        every ancestor of an unindexed node is unindexed too:
+
+        * :meth:`SchemaTree.reindex` stamps exactly the nodes reachable
+          from the root, and a stamped node's descendants are reachable
+          (stamped) as well;
+        * a node gains ancestors only through a new link, and both
+          linking methods unindex the new parent, whose ancestors are
+          unindexed by this walk — completely, by the same argument;
+        * unindexing a node together with its ancestors keeps it so.
+
+        So building a tree that was never indexed costs one check per
+        link, and a mutation of an indexed tree (join views) unindexes
+        each stamped ancestor once. The stop also makes the walk safe
+        on DAGs without a visited set.
+        """
         stack: List[SchemaTreeNode] = [self]
         while stack:
             node = stack.pop()
-            if node.node_id in seen:
+            if node._enc is None:
                 continue
-            seen.add(node.node_id)
             node._enc = None
             node.pre = -1
             if node.parent is not None:
@@ -408,7 +426,17 @@ class SchemaTree:
         insertion order, which — because join views are appended after
         the ordinary children — compares join views after the tables
         they join, the ordering the paper suggests.
+
+        While the root's interval encoding is current this is the order
+        :meth:`reindex` recorded (any link added to the tree unindexes
+        the root); otherwise a fresh DFS.
         """
+        enc = self.root._enc
+        if enc is not None:
+            return list(enc.post_nodes)
+        return self._postorder_dfs()
+
+    def _postorder_dfs(self) -> List[SchemaTreeNode]:
         order: List[SchemaTreeNode] = []
         visited: Set[int] = set()
         # Iterative DFS with explicit phase to get true post-order.
@@ -513,7 +541,8 @@ class SchemaTree:
         # disjoint and adjacent, so the window is the children's union
         # and sizes simply add). Impure DAG nodes get an explicit
         # distinct-leaf gather tuple in ascending global order.
-        for post, node in enumerate(self.postorder()):
+        post_nodes = self._postorder_dfs()
+        for post, node in enumerate(post_nodes):
             node.post = post
             children = node.children
             if not children:
@@ -576,7 +605,10 @@ class SchemaTree:
         root.leaf_hi = len(leaves)
         root._leaf_ids = None
 
-        enc = _TreeEncoding(tuple(leaves), leaf_opt, tuple(pre_nodes), node_opt)
+        enc = _TreeEncoding(
+            tuple(leaves), leaf_opt, tuple(pre_nodes), node_opt,
+            tuple(post_nodes),
+        )
         for node in pre_nodes:
             node._enc = enc
         self.encoding = enc
@@ -647,6 +679,8 @@ def verify_interval_encoding(tree: SchemaTree) -> None:
 
     enc = tree.encoding
     root = tree.root
+    if tree.postorder() != tree._postorder_dfs():
+        fail(root, "postorder() diverges from a fresh post-order DFS")
     by_id = {node.node_id: node for node in tree.nodes()}
     for node in by_id.values():
         expected_leaves = _oracle_leaves(node)

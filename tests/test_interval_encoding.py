@@ -20,7 +20,8 @@ from repro.serving.service import available_cpu_count
 from repro.tree.construction import construct_schema_tree
 from repro.tree.lazy import construct_schema_tree_lazy
 from repro.tree.refint import augment_with_join_views
-from repro.tree.schema_tree import verify_interval_encoding
+from repro.model.element import SchemaElement
+from repro.tree.schema_tree import SchemaTreeNode, verify_interval_encoding
 
 _DDL_S = """
 CREATE TABLE Customer (
@@ -135,6 +136,49 @@ class TestMutationWithoutReindex:
         tree.reindex()
         verify_interval_encoding(tree)
         assert set(po.leaves()) == before | {address}
+
+
+    def test_second_mutation_unindexes_every_ancestor(self):
+        """The unindex walk stops at an already-unindexed node. After
+        one mutation high in the tree, a second one deeper down (and
+        under a node with an extra parent) must still unindex every
+        stamped ancestor along both parents."""
+        tree = construct_schema_tree(parse_sql_ddl(_DDL_S, "Orders"))
+        customer = tree.node_for_path("Customer")
+        po = tree.node_for_path("PurchaseOrder")
+        name = tree.node_for_path("Customer", "Name")
+        po.add_shared_child(customer)  # DAG: customer has two parents
+        tree.reindex()
+        assert all(node.pre >= 0 for node in tree.nodes())
+
+        tree.root.add_child(SchemaTreeNode(SchemaElement(name="Extra")))
+        assert tree.root.pre == -1 and po.pre >= 0 and customer.pre >= 0
+        leaf = SchemaTreeNode(SchemaElement(name="Nickname"))
+        name.add_child(leaf)  # below both customer's parents
+        for node in (name, customer, po, tree.root):
+            assert node.pre == -1, node
+        assert leaf in po.leaves() and leaf in customer.leaves()
+        assert name not in tree.root.leaves()
+        tree.reindex()
+        verify_interval_encoding(tree)
+        assert leaf in po.leaves()
+
+    def test_postorder_comes_from_the_encoding_until_a_mutation(self):
+        tree = construct_schema_tree(parse_sql_ddl(_DDL_S, "Orders"))
+        order = tree.postorder()
+        assert order == tree._postorder_dfs()
+        assert [node.post for node in order] == list(range(len(order)))
+        order.clear()  # each call hands out its own list
+        assert tree.postorder() == tree._postorder_dfs()
+
+        customer = tree.node_for_path("Customer")
+        extra = SchemaTreeNode(SchemaElement(name="Extra"))
+        customer.add_child(extra)
+        assert tree.root.pre == -1
+        assert extra in tree.postorder()  # the DFS, not a stale order
+        tree.reindex()
+        assert extra in tree.postorder()
+        assert tree.postorder() == tree._postorder_dfs()
 
 
 class TestAugmentAfterCompletedBuild:

@@ -131,6 +131,62 @@ class TestJsonRoundTrip:
         rebuilt = schema_from_json(text)
         assert rebuilt.name == schema.name
 
+    def test_every_enum_value_round_trips(self):
+        """Each element kind, data type and relationship kind loads back
+        as the same member."""
+        from repro.model.builder import SchemaBuilder
+        from repro.model.element import ElementKind, SchemaElement
+
+        builder = SchemaBuilder("Kinds")
+        table = builder.add_child(builder.root, "T")
+        for i, data_type in enumerate(DataType):
+            kind = list(ElementKind)[i % len(ElementKind)]
+            builder.add_leaf(table, f"c{i}", data_type, kind=kind)
+        base = builder.add_shared_type("Base")
+        builder.derive_from(table, base)
+        view = builder.schema.add_element(
+            SchemaElement(name="V", kind=ElementKind.VIEW)
+        )
+        builder.schema.add_containment(builder.root, view)
+        builder.schema.add_aggregation(view, table)
+        builder.schema.add_reference(view, base)
+        data = schema_to_dict(builder.schema)
+        rebuilt = schema_to_dict(schema_from_dict(data))
+
+        def without_ids(specs):
+            return [
+                {k: v for k, v in spec.items() if k != "id"}
+                for spec in specs
+            ]
+
+        assert without_ids(rebuilt["elements"]) == without_ids(
+            data["elements"]
+        )
+        assert [r["kind"] for r in rebuilt["relationships"]] == [
+            r["kind"] for r in data["relationships"]
+        ]
+
+    @pytest.mark.parametrize(
+        "where, field, value, enum_name",
+        [
+            ("elements", "kind", "no_such_kind", "ElementKind"),
+            ("elements", "kind", ["table"], "ElementKind"),
+            ("elements", "data_type", "no_such_type", "DataType"),
+            ("elements", "data_type", {"string": 1}, "DataType"),
+            ("relationships", "kind", "no_such_kind", "RelationshipKind"),
+            ("relationships", "kind", ["containment"], "RelationshipKind"),
+        ],
+    )
+    def test_unknown_or_unhashable_enum_value_is_value_error(
+        self, schema, where, field, value, enum_name
+    ):
+        """The loader's error for a bad enum value is the enum's own."""
+        data = schema_to_dict(schema)
+        data[where][-1][field] = value
+        with pytest.raises(ValueError) as info:
+            schema_from_dict(data)
+        assert str(info.value) == f"{value!r} is not a valid {enum_name}"
+
     def test_mapping_serialization(self):
         mapping = Mapping("S", "T")
         mapping.add(

@@ -1,6 +1,11 @@
 """Tests for repro.linguistic.tokenizer — Section 5.1 tokenization."""
 
+import re
+import string
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.linguistic.tokenizer import split_camel, tokenize
 
@@ -61,3 +66,64 @@ class TestSplitCamel:
 
     def test_digits(self):
         assert split_camel("Street42b") == ["Street", "42", "b"]
+
+
+# ----------------------------------------------------------------------
+# Oracle: the per-character tokenizer the one-scan regex replaced
+# ----------------------------------------------------------------------
+
+_ORACLE_SPECIALS = set("#$%&@*+!?")
+_ORACLE_SEPARATOR_RE = re.compile(r"[^A-Za-z0-9#$%&@*+!?]+")
+
+
+def _oracle_tokenize(name):
+    """Split out special symbols character by character, then split
+    each remaining piece on separators and camel-case transitions."""
+    if not name:
+        return []
+    tokens = []
+    pieces = []
+    current = []
+    for ch in name:
+        if ch in _ORACLE_SPECIALS:
+            if current:
+                pieces.append("".join(current))
+                current = []
+            pieces.append(ch)
+        else:
+            current.append(ch)
+    if current:
+        pieces.append("".join(current))
+    for piece in pieces:
+        if piece in _ORACLE_SPECIALS:
+            tokens.append(piece)
+            continue
+        for word in _ORACLE_SEPARATOR_RE.split(piece):
+            if word:
+                tokens.extend(part.lower() for part in split_camel(word))
+    return tokens
+
+
+#: Names mixing everything the grammar distinguishes: case runs,
+#: digits, special symbols, separators, and non-ASCII letters and
+#: digits (separators here, since the word class is ASCII).
+_TRICKY = (
+    string.ascii_letters + string.digits + "#$%&@*+!?" + "_-. /()\t\n"
+    + "éÄßİıǅΣ٣"
+)
+tricky_names = st.text(alphabet=_TRICKY, max_size=32) | st.text(max_size=16)
+
+
+class TestTokenizeMatchesOracle:
+    @settings(max_examples=400, deadline=None)
+    @given(tricky_names)
+    def test_equals_per_character_tokenizer(self, name):
+        assert tokenize(name) == _oracle_tokenize(name)
+
+    @pytest.mark.parametrize(
+        "name",
+        ["a-#b", "##", "#a#", "AB#Cd", "x__y", "POLines#2", "İstanbul",
+         "Net-Amount (USD)", "eéf", "4thStreet!", "?"],
+    )
+    def test_boundary_cases(self, name):
+        assert tokenize(name) == _oracle_tokenize(name)

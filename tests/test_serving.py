@@ -17,7 +17,9 @@ import http.client
 import json
 import os
 import random
+import socket
 import statistics
+import struct
 import threading
 import time
 import urllib.error
@@ -44,7 +46,11 @@ from repro.serving import (
     MatchHTTPServer,
     MatchService,
 )
-from repro.serving.http import MAX_BODY_BYTES, schema_from_spec
+from repro.serving.http import (
+    MAX_BODY_BYTES,
+    MatchRequestHandler,
+    schema_from_spec,
+)
 
 
 def _corpus(n=6, size=12, seed=5):
@@ -627,6 +633,122 @@ class TestHTTPDaemon:
         finally:
             conn.close()
         assert statistics.median(health_ms) < 20.0, health_ms
+
+    @staticmethod
+    def _record_handler_threads(monkeypatch):
+        """The threads that run a handler from now on, in accept order."""
+        threads = []
+        setup = MatchRequestHandler.setup
+
+        def recording_setup(handler):
+            threads.append(threading.current_thread())
+            setup(handler)
+
+        monkeypatch.setattr(MatchRequestHandler, "setup", recording_setup)
+        return threads
+
+    def test_idle_keep_alive_connection_is_closed(self, server, monkeypatch):
+        """A client that sends one request and goes quiet must not
+        hold a handler thread until it disconnects: after the idle
+        timeout the daemon closes the connection and the thread ends."""
+        # The handler declares a finite idle timeout (the stdlib default
+        # is None: wait forever); shortened here so the test is quick.
+        assert MatchRequestHandler.timeout is not None
+        assert MatchRequestHandler.timeout > 0
+        monkeypatch.setattr(MatchRequestHandler, "timeout", 0.5)
+        threads = self._record_handler_threads(monkeypatch)
+        conn = http.client.HTTPConnection(
+            "127.0.0.1", server.port, timeout=5
+        )
+        try:
+            conn.request("GET", "/health")
+            response = conn.getresponse()
+            response.read()
+            assert response.status == 200
+            # Idle from here on. The daemon's close reads as EOF; with
+            # no idle timeout this recv would block until the client's
+            # own 5 s timeout.
+            assert conn.sock.recv(1) == b""
+        finally:
+            conn.close()
+        assert len(threads) == 1
+        threads[0].join(timeout=5)
+        assert not threads[0].is_alive()
+
+    def test_body_stalled_past_idle_timeout_is_400_and_close(
+        self, server, monkeypatch
+    ):
+        monkeypatch.setattr(MatchRequestHandler, "timeout", 0.5)
+        sock = socket.create_connection(("127.0.0.1", server.port), timeout=5)
+        try:
+            sock.sendall(
+                b"POST /search HTTP/1.1\r\nHost: 127.0.0.1\r\n"
+                b"Content-Length: 100\r\n\r\n{\"k\": 1"
+            )
+            reply = b""
+            while True:  # the daemon answers, then closes
+                chunk = sock.recv(4096)
+                if not chunk:
+                    break
+                reply += chunk
+        finally:
+            sock.close()
+        head, _, body = reply.partition(b"\r\n\r\n")
+        assert head.startswith(b"HTTP/1.1 400")
+        assert b"Connection: close" in head
+        assert "not received" in json.loads(body)["message"]
+
+    def test_client_reset_prints_no_traceback(self, server, monkeypatch,
+                                              capsys):
+        """Resetting a keep-alive connection with a response unread is
+        a closed connection, not a daemon error worth a traceback."""
+        threads = self._record_handler_threads(monkeypatch)
+        for _ in range(3):
+            sock = socket.create_connection(
+                ("127.0.0.1", server.port), timeout=10
+            )
+            sock.sendall(
+                b"GET /health HTTP/1.1\r\nHost: 127.0.0.1\r\n\r\n"
+            )
+            # Wait until the response has arrived, and leave it unread.
+            assert sock.recv(1, socket.MSG_PEEK)
+            # SO_LINGER 0: close() sends a RST instead of a FIN.
+            sock.setsockopt(
+                socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0)
+            )
+            sock.close()
+        assert len(threads) == 3
+        for thread in threads:
+            thread.join(timeout=5)
+            assert not thread.is_alive()
+        assert capsys.readouterr().err == ""
+
+    def test_reset_logs_one_line_when_verbose(self, repo, capsys):
+        service = MatchService(repo, sessions=1)
+        httpd = MatchHTTPServer(("127.0.0.1", 0), service, verbose=True)
+        try:
+            for error in (ConnectionResetError, BrokenPipeError):
+                try:
+                    raise error("client went away")
+                except error:
+                    httpd.handle_error(None, ("127.0.0.1", 4242))
+            err = capsys.readouterr().err.splitlines()
+            assert [json.loads(line)["event"] for line in err] == [
+                "connection_reset", "connection_reset",
+            ]
+            assert [json.loads(line)["error"] for line in err] == [
+                "ConnectionResetError", "BrokenPipeError",
+            ]
+            # Any other exception keeps socketserver's traceback.
+            try:
+                raise ValueError("handler bug")
+            except ValueError:
+                httpd.handle_error(None, ("127.0.0.1", 4242))
+            err = capsys.readouterr().err
+            assert "Traceback" in err and "ValueError: handler bug" in err
+        finally:
+            httpd.server_close()
+            service.close()
 
     def test_text_formats_parse_on_the_wire(self, server):
         search = self._request(server, "/search", {
