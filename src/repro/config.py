@@ -161,13 +161,6 @@ class CupidConfig:
     #: bound caps that corpus share.
     max_prepared_schemas: int = 0
 
-    #: Path of a persistent linguistic memo cache (``simcache.json``)
-    #: for standalone :class:`~repro.pipeline.session.MatchSession`
-    #: use — the same dirty-gated, fingerprint-checked store the schema
-    #: repository keeps next to its artifacts (PR 5), wired to sessions
-    #: that have no repository. Empty (the default) disables it.
-    simcache_path: str = ""
-
     #: Number of index segments a repository accumulates before a
     #: flush auto-compacts them into one (0 = never auto-compact;
     #: ``SchemaRepository.compact()`` stays available). Each ingest
@@ -256,6 +249,11 @@ class CupidConfig:
             )
         if self.leaf_prune_depth < 0:
             raise ConfigError("leaf_prune_depth must be >= 0")
+        if not 0.0 <= self.initial_mapping_lsim <= 1.0:
+            raise ConfigError(
+                f"initial_mapping_lsim={self.initial_mapping_lsim} "
+                "outside [0, 1]"
+            )
         if not 0.0 <= self.description_weight <= 1.0:
             raise ConfigError(
                 f"description_weight={self.description_weight} outside [0, 1]"

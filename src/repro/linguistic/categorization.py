@@ -185,12 +185,8 @@ class Categorizer:
 
         return categories
 
-    def category_similarity(
-        self, c1: Category, c2: Category, memo=None
-    ) -> float:
+    def category_similarity(self, c1: Category, c2: Category) -> float:
         """Name similarity of two categories' keyword token sets."""
-        if memo is not None:
-            return memo.token_set_similarity(c1.keywords, c2.keywords)
         return token_set_similarity(
             c1.keywords, c2.keywords, self.thesaurus, self.config
         )
@@ -207,7 +203,7 @@ class Categorizer:
         return self.compatible_similarity(c1, c2) is not None
 
     def compatible_similarity(
-        self, c1: Category, c2: Category, memo=None
+        self, c1: Category, c2: Category
     ) -> Optional[float]:
         """The category similarity if the pair is compatible, else None.
 
@@ -217,5 +213,5 @@ class Categorizer:
         """
         if (c1.source == "dtype") != (c2.source == "dtype"):
             return None
-        similarity = self.category_similarity(c1, c2, memo)
+        similarity = self.category_similarity(c1, c2)
         return similarity if similarity >= self.config.thns else None

@@ -14,7 +14,11 @@ with the same thesaurus-aware token similarity as name matching.
 :class:`~repro.linguistic.matcher.LinguisticMatcher` when
 ``CupidConfig.use_descriptions`` is on: the final lsim becomes the
 maximum of the name-based lsim and the weighted description similarity,
-so a missing description never hurts.
+so a missing description never hurts. An undescribed element scores 0,
+so only pairs of described elements can change. The reference engine
+takes that maximum pair by pair; the dense engine computes the
+name-based table with its kernel and writes each described pair whose
+weighted description similarity is higher as an override on it.
 """
 
 from __future__ import annotations

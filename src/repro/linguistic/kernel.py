@@ -74,7 +74,7 @@ from __future__ import annotations
 from array import array
 from itertools import chain
 from typing import (
-    TYPE_CHECKING, Dict, FrozenSet, Iterable, List, Optional, Tuple,
+    TYPE_CHECKING, Dict, FrozenSet, Iterator, List, Optional, Tuple,
 )
 
 from repro.linguistic.matcher import LsimTable
@@ -371,22 +371,20 @@ class _TokenTables:
 
 
 class FactoredLsimTable(LsimTable):
-    """An :class:`LsimTable` stored as a profile-level value matrix.
+    """An :class:`LsimTable` stored as a profile-level value matrix
+    plus per-pair overrides.
 
     ``values`` is row-major ``n_source_profiles × n_target_profiles``;
     cell (p, q) holds the lsim shared by every element pair drawn from
     the two profiles' member lists (0.0 where incompatible or the name
     similarity is zero — exactly the pairs the reference table omits).
 
-    Three lifecycle states:
-
-    * **factored** — reads gather through ``profile_of``; nothing
-      materialized. The dense engine consumes this form directly.
-    * **materialized** — ``items()`` filled the dict form (same
-      entries the reference path stores); reads still gather.
-      ``len()`` counts those entries without materializing.
-    * **mutated** — the first ``set()`` (initial-mapping hints)
-      materializes and switches reads to the dict permanently.
+    :attr:`overrides` holds the element pairs whose lsim is not their
+    profile cell's: initial-mapping hints (``set``) and description
+    matches. Reads consult it before the matrix. The matrix is never
+    written after construction, so copies share it and copy only the
+    overrides, and the dense engine gathers it by profile and then
+    scatters the overrides.
     """
 
     def __init__(
@@ -401,8 +399,6 @@ class FactoredLsimTable(LsimTable):
         self._target_vocab = target_vocab
         self._values = values
         self._np_values = None
-        self._materialized = False
-        self._factored_live = True
         #: Counter dump for ``--stats`` (vocabulary sizes, kernel
         #: dedup rates); shared by copies.
         self.kernel_stats: Dict[str, object] = kernel_stats or {}
@@ -410,9 +406,10 @@ class FactoredLsimTable(LsimTable):
     # -- factored accessors (consumed by the dense engine's gather) ----
 
     @property
-    def factored_live(self) -> bool:
-        """True while the factored form is authoritative (no ``set``)."""
-        return self._factored_live
+    def overrides(self) -> Dict[Tuple[str, str], float]:
+        """``(source id, target id) -> lsim`` for the pairs that do not
+        read their profile cell (the inherited sparse dict)."""
+        return self._table
 
     @property
     def profile_of_source(self) -> Dict[str, int]:
@@ -445,8 +442,16 @@ class FactoredLsimTable(LsimTable):
     # -- LsimTable API -------------------------------------------------
 
     def get_by_id(self, source_id: str, target_id: str) -> float:
-        if not self._factored_live:
-            return self._table.get((source_id, target_id), 0.0)
+        if self._table:
+            value = self._table.get((source_id, target_id))
+            if value is not None:
+                return value
+        return self._profile_value(source_id, target_id)
+
+    def get(self, source, target) -> float:
+        return self.get_by_id(source.element_id, target.element_id)
+
+    def _profile_value(self, source_id: str, target_id: str) -> float:
         p = self._source_vocab.profile_of.get(source_id)
         if p is None:
             return 0.0
@@ -455,39 +460,45 @@ class FactoredLsimTable(LsimTable):
             return 0.0
         return self._values[p * self._target_vocab.n_profiles + q]
 
-    def get(self, source, target) -> float:
-        return self.get_by_id(source.element_id, target.element_id)
-
-    def set(self, source, target, value: float) -> None:
-        # Hints invalidate the factored form: broadcast-by-profile can
-        # no longer represent a single overridden pair.
-        self._ensure_materialized()
-        self._factored_live = False
-        super().set(source, target, value)
-
-    def items(self) -> Iterable[Tuple[Tuple[str, str], float]]:
-        self._ensure_materialized()
-        return self._table.items()
+    def items(self) -> Iterator[Tuple[Tuple[str, str], float]]:
+        """The reference table's entries: every member pair of a
+        nonzero profile cell that no override replaces, then the
+        overrides."""
+        overrides = self._table
+        values = self._values
+        n_t = self._target_vocab.n_profiles
+        t_members = self._target_vocab.profile_members
+        for p, s_ids in enumerate(self._source_vocab.profile_members):
+            base = p * n_t
+            for q, t_ids in enumerate(t_members):
+                value = values[base + q]
+                if value > 0.0:
+                    for id1 in s_ids:
+                        for id2 in t_ids:
+                            if (id1, id2) not in overrides:
+                                yield (id1, id2), value
+        yield from overrides.items()
 
     def __len__(self) -> int:
-        if not self._factored_live:
-            return len(self._table)
-        # Count what _ensure_materialized would write — every member
-        # pair of a profile cell > 0.0 — without building the dict.
+        # Member pairs of the nonzero profile cells, counted without
+        # enumerating them, then the overrides that add a pair.
+        added = sum(
+            1 for pair in self._table if self._profile_value(*pair) <= 0.0
+        )
         s_counts = [len(m) for m in self._source_vocab.profile_members]
         t_counts = [len(m) for m in self._target_vocab.profile_members]
         if not s_counts or not t_counts:
-            return 0
+            return added
         if _np is not None:
             positive = self.numpy_values() > 0.0
-            return int(
+            return added + int(
                 _np.asarray(s_counts, dtype=_np.int64)
                 @ positive
                 @ _np.asarray(t_counts, dtype=_np.int64)
             )
         values = self._values
         n_t = len(t_counts)
-        total = 0
+        total = added
         for p, count in enumerate(s_counts):
             row = values[p * n_t:(p + 1) * n_t]
             total += count * sum(
@@ -496,40 +507,17 @@ class FactoredLsimTable(LsimTable):
         return total
 
     def copy(self) -> LsimTable:
-        if not self._factored_live:
-            return super().copy()
-        # Factored copies share the immutable vocabulary/value arrays;
-        # a later set() on the copy materializes its own dict, so the
-        # session's cached original stays pristine.
-        return FactoredLsimTable(
+        # Copies share the immutable vocabulary/value arrays and own
+        # their overrides, so a hint on a copy never reaches the
+        # session's cached original.
+        duplicate = FactoredLsimTable(
             self._source_vocab,
             self._target_vocab,
             self._values,
             kernel_stats=self.kernel_stats,
         )
-
-    def _ensure_materialized(self) -> None:
-        """Broadcast the profile matrix into the dict form (once).
-
-        Entry set and values are exactly what the reference path
-        stores: every member-pair of a nonzero profile cell, nothing
-        else.
-        """
-        if self._materialized:
-            return
-        values = self._values
-        n_t = self._target_vocab.n_profiles
-        t_members = self._target_vocab.profile_members
-        table = self._table
-        for p, s_ids in enumerate(self._source_vocab.profile_members):
-            base = p * n_t
-            for q, t_ids in enumerate(t_members):
-                value = values[base + q]
-                if value > 0.0:
-                    for id1 in s_ids:
-                        for id2 in t_ids:
-                            table[(id1, id2)] = value
-        self._materialized = True
+        duplicate._table = dict(self._table)
+        return duplicate
 
 
 def compute_factored_lsim(

@@ -68,6 +68,16 @@ class LsimTable:
         return len(self._table)
 
 
+def described_elements(schema: Schema) -> List[SchemaElement]:
+    """The elements the ``use_descriptions`` extension compares: those
+    with a description that categorization can hold — every
+    instantiated element, and the root, which it always holds."""
+    return [
+        e for e in schema.elements
+        if e.description and (not e.not_instantiated or e is schema.root)
+    ]
+
+
 @dataclass
 class LinguisticPreparation:
     """One schema's share of the linguistic phase (Section 5).
@@ -107,8 +117,9 @@ class LinguisticMatcher:
         self.config.validate()
         self.normalizer = Normalizer(thesaurus)
         self.categorizer = Categorizer(thesaurus, self.normalizer, self.config)
-        #: Similarity memo for the dense engine; the reference engine
-        #: recomputes every pair (it is the correctness oracle).
+        #: The dense engine's token-similarity memo, which the kernel
+        #: reads; None on the reference engine (the correctness
+        #: oracle recomputes every pair).
         self.memo: Optional[NameSimilarityMemo] = (
             NameSimilarityMemo(thesaurus, self.config)
             if self.config.engine == "dense"
@@ -138,10 +149,7 @@ class LinguisticMatcher:
                 for e in schema.elements
             },
             elements_by_id={e.element_id: e for e in schema.elements},
-            described=[
-                e for e in schema.elements
-                if e.description and not e.not_instantiated
-            ],
+            described=described_elements(schema),
         )
 
     def compute(self, source: Schema, target: Schema) -> LsimTable:
@@ -170,17 +178,11 @@ class LinguisticMatcher:
         return prep.vocabulary
 
     def kernel_applicable(self) -> bool:
-        """Whether the distinct-name kernel may serve this matcher.
-
-        Requires the dense engine's memo (the kernel reads token
-        similarities through it) and no description matching
-        (description similarity depends on the *element*, not only its
-        name, so broadcast-by-profile would be unsound). The single
-        source of the applicability rule — eager builders
+        """Whether matches run the distinct-name kernel, which is
+        whether the engine is the dense one. Eager builders
         (:meth:`PreparedSchema.build_all`) consult it too, so they
-        cannot drift from the match path.
-        """
-        return self.memo is not None and self._descriptions is None
+        build a vocabulary exactly when a match would read one."""
+        return self.memo is not None
 
     def compute_prepared(
         self,
@@ -196,36 +198,49 @@ class LinguisticMatcher:
         With the dense engine, routes through the distinct-name kernel
         (:mod:`repro.linguistic.kernel`): ``ns`` as one matrix over the
         two vocabularies' distinct names, broadcast to element pairs by
-        profile — the same values as the per-pair path.
+        profile — the same values as the per-pair path. Description
+        matches become overrides on that table.
         """
-        if self.kernel_applicable():
-            from repro.linguistic.kernel import (
-                compute_factored_lsim,
-                numpy_enabled,
-            )
+        if not self.kernel_applicable():
+            return self._compute_prepared_reference(source_prep, target_prep)
+        from repro.linguistic.kernel import (
+            compute_factored_lsim,
+            numpy_enabled,
+        )
 
-            return compute_factored_lsim(
-                self.categorizer,
-                self.memo,
-                self.vocabulary(source_prep),
-                self.vocabulary(target_prep),
-                numpy_enabled(self.config.dense_backend),
-            )
-        return self._compute_prepared_reference(source_prep, target_prep)
+        table = compute_factored_lsim(
+            self.categorizer,
+            self.memo,
+            self.vocabulary(source_prep),
+            self.vocabulary(target_prep),
+            numpy_enabled(self.config.dense_backend),
+        )
+        if self._descriptions is not None:
+            # The reference path's max(name lsim, weight × desc) on
+            # every pair: an undescribed element's desc is 0, and
+            # every categorized element with a description is in
+            # ``described``, so only described × described pairs can
+            # change.
+            weight = self.config.description_weight
+            similarity = self._descriptions.similarity
+            for m1 in source_prep.described:
+                for m2 in target_prep.described:
+                    lsim = weight * similarity(m1, m2)
+                    if lsim > table.get(m1, m2):
+                        table.set(m1, m2, lsim)
+        return table
 
     def _compute_prepared_reference(
         self,
         source_prep: LinguisticPreparation,
         target_prep: LinguisticPreparation,
     ) -> LsimTable:
-        """Per-element-pair lsim (the correctness oracle's path, and
-        the fallback when descriptions or the reference engine are in
-        play)."""
+        """Per-element-pair lsim: the reference engine's path, which
+        the dense engine's kernel must reproduce bit for bit."""
         source_categories = source_prep.categories
         target_categories = target_prep.categories
         normalized_s = source_prep.normalized
         normalized_t = target_prep.normalized
-        memo = self.memo
 
         # Precompute compatible category pairs and their similarity
         # (one keyword comparison per pair — compatibility and strength
@@ -233,9 +248,7 @@ class LinguisticMatcher:
         compatible_pairs: Dict[Tuple[str, str], float] = {}
         for c1 in source_categories.values():
             for c2 in target_categories.values():
-                cat_sim = self.categorizer.compatible_similarity(
-                    c1, c2, memo
-                )
+                cat_sim = self.categorizer.compatible_similarity(c1, c2)
                 if cat_sim is not None:
                     compatible_pairs[(c1.key, c2.key)] = cat_sim
 
@@ -258,7 +271,7 @@ class LinguisticMatcher:
             name1 = normalized_s[id1]
             name2 = normalized_t[id2]
             ns = element_name_similarity(
-                name1, name2, self.thesaurus, self.config, memo
+                name1, name2, self.thesaurus, self.config
             )
             lsim = min(1.0, ns * cat_scale)
             if self._descriptions is not None:

@@ -14,7 +14,7 @@ Three layers, bottom-up:
 from __future__ import annotations
 
 from array import array
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence
 
 from repro.config import CupidConfig
 from repro.linguistic.normalizer import NormalizedName
@@ -99,7 +99,6 @@ def token_set_similarity(
     tokens2: Sequence[Token],
     thesaurus: Thesaurus,
     config: Optional[CupidConfig] = None,
-    memo: Optional["NameSimilarityMemo"] = None,
 ) -> float:
     """``ns(T1, T2)`` — the paper's bidirectional best-match average:
 
@@ -107,18 +106,16 @@ def token_set_similarity(
     sim(t1,t2)) / (|T1| + |T2|)``
 
     Ignored (common-word) tokens are excluded by callers; if either set
-    is empty the similarity is 0 (nothing to compare). With ``memo``,
-    per-token-pair similarities are read through its cache.
+    is empty the similarity is 0 (nothing to compare).
     """
     t1 = [t for t in tokens1 if not t.ignored]
     t2 = [t for t in tokens2 if not t.ignored]
     if not t1 or not t2:
         return 0.0
-    if memo is not None:
-        sim = memo.token_similarity
-    else:
-        def sim(a: Token, b: Token) -> float:
-            return token_similarity(a, b, thesaurus, config)
+
+    def sim(a: Token, b: Token) -> float:
+        return token_similarity(a, b, thesaurus, config)
+
     forward = sum(max(sim(a, b) for b in t2) for a in t1)
     backward = sum(max(sim(a, b) for a in t1) for b in t2)
     return (forward + backward) / (len(t1) + len(t2))
@@ -129,7 +126,6 @@ def element_name_similarity(
     name2: NormalizedName,
     thesaurus: Thesaurus,
     config: CupidConfig,
-    memo: Optional["NameSimilarityMemo"] = None,
 ) -> float:
     """``ns(m1, m2)`` — weighted mean of per-token-type similarities.
 
@@ -155,7 +151,7 @@ def element_name_similarity(
             continue
         denominator += weight * count
         if t1 and t2:
-            per_type = token_set_similarity(t1, t2, thesaurus, config, memo)
+            per_type = token_set_similarity(t1, t2, thesaurus, config)
             numerator += weight * per_type * count
         # If only one side has tokens of this type, those tokens have no
         # counterpart: they contribute weight (penalty) but 0 similarity.
@@ -170,31 +166,22 @@ class NameSimilarityMemo:
     Schemas repeat tokens across elements and across every schema pair
     a session matches; the all-pairs linguistic phase of Section 5 pays
     for each duplicate again. This cache keys ``sim(t1, t2)`` on the
-    token *texts* (and, for the per-pair path's category scan, ``ns(T1,
-    T2)`` on whole keyword-text tuples), so each distinct comparison is
-    computed exactly once per matcher. Both are pure given a fixed
-    thesaurus and config, so memoization cannot change any value — only
-    skip recomputation; the inlined loops below mirror the module
-    functions operation for operation (same iteration order, same float
-    expressions) to keep results bit-identical to the reference path.
+    token *texts*, so each distinct comparison is computed exactly once
+    per matcher. It is pure given a fixed thesaurus and config, so
+    memoization cannot change any value — only skip recomputation.
 
-    Nothing is cached per *name* pair: the distinct-name kernel
-    (:mod:`repro.linguistic.kernel`) computes ``ns(m1, m2)`` for a whole
-    match as one matrix from :meth:`token_matrix`, and the per-pair
-    path (descriptions on) computes it with the module-level
-    :func:`element_name_similarity`, reading token similarities
-    through this memo.
+    Its one reader is the distinct-name kernel
+    (:mod:`repro.linguistic.kernel`), which resolves a whole match's
+    token pairs at once through :meth:`token_matrix` and computes every
+    ``ns`` from that matrix; nothing is cached per name pair.
     """
 
     __slots__ = (
         "thesaurus",
         "config",
         "_token",
-        "_set",
         "token_hits",
         "token_misses",
-        "set_hits",
-        "set_misses",
     )
 
     def __init__(self, thesaurus: Thesaurus, config: CupidConfig) -> None:
@@ -203,26 +190,8 @@ class NameSimilarityMemo:
         # text1 -> text2 -> sim — nested rather than tuple-keyed so the
         # inner loops probe with one dict get and no tuple allocation.
         self._token: Dict[str, Dict[str, float]] = {}
-        # (texts1, texts2) -> ns(T1, T2) for whole (filtered) token
-        # sets; what the per-pair category scan repeats most.
-        self._set: Dict[Tuple[Tuple[str, ...], Tuple[str, ...]], float] = {}
         self.token_hits = 0
         self.token_misses = 0
-        self.set_hits = 0
-        self.set_misses = 0
-
-    def token_similarity(self, t1: Token, t2: Token) -> float:
-        row = self._token.get(t1.text)
-        if row is None:
-            row = self._token[t1.text] = {}
-        value = row.get(t2.text)
-        if value is not None:
-            self.token_hits += 1
-            return value
-        self.token_misses += 1
-        value = token_similarity(t1, t2, self.thesaurus, self.config)
-        row[t2.text] = value
-        return value
 
     def token_matrix(
         self, texts1: Sequence[str], texts2: Sequence[str]
@@ -252,78 +221,6 @@ class NameSimilarityMemo:
             self.token_hits += width - misses
             sims.extend(values)
         return sims
-
-    def token_set_similarity(
-        self, tokens1: Sequence[Token], tokens2: Sequence[Token]
-    ) -> float:
-        """``ns(T1, T2)`` with per-token-pair caching, inlined.
-
-        ``tokens1``/``tokens2`` may still contain ignored tokens (the
-        module function filters them; so does this).
-        """
-        t1 = [t for t in tokens1 if not t.ignored]
-        t2 = [t for t in tokens2 if not t.ignored]
-        if not t1 or not t2:
-            return 0.0
-        if len(t1) == 1 and len(t2) == 1:
-            return self.token_similarity(t1[0], t2[0])
-        # Whole-set cache: after filtering, the value depends only on
-        # the token texts (token_similarity reads nothing else), so the
-        # text tuples are a sound pure-function key.
-        key = (tuple(t.text for t in t1), tuple(t.text for t in t2))
-        value = self._set.get(key)
-        if value is not None:
-            self.set_hits += 1
-            return value
-        self.set_misses += 1
-        value = self._token_set_filtered(t1, t2)
-        self._set[key] = value
-        return value
-
-    def _token_set_filtered(
-        self, t1: Sequence[Token], t2: Sequence[Token]
-    ) -> float:
-        """Bidirectional best-match average over non-ignored tokens.
-
-        Same arithmetic as :func:`token_set_similarity` (sum of
-        per-token maxima in the same iteration order): the forward scan
-        resolves every (a, b) similarity once through the cache and
-        keeps the values, so the backward maxima fold over those local
-        lists instead of re-probing the cache pair by pair.
-        """
-        cache = self._token
-        forward = 0.0
-        pair_rows: List[List[float]] = []
-        for a in t1:
-            row = cache.get(a.text)
-            if row is None:
-                row = cache[a.text] = {}
-            values: List[float] = []
-            best: Optional[float] = None
-            for b in t2:
-                value = row.get(b.text)
-                if value is None:
-                    self.token_misses += 1
-                    value = token_similarity(
-                        a, b, self.thesaurus, self.config
-                    )
-                    row[b.text] = value
-                else:
-                    self.token_hits += 1
-                values.append(value)
-                if best is None or value > best:
-                    best = value
-            pair_rows.append(values)
-            forward += best
-        backward = 0.0
-        for k in range(len(t2)):
-            best = None
-            for values in pair_rows:
-                value = values[k]
-                if best is None or value > best:
-                    best = value
-            backward += best
-        return (forward + backward) / (len(t1) + len(t2))
 
     # ------------------------------------------------------------------
     # Persistence (the repository's cross-process memo tier)
@@ -382,22 +279,20 @@ class NameSimilarityMemo:
     def stats(self) -> Dict[str, float]:
         """Hit/miss counters for ``--stats`` regression triage.
 
-        The ``element_sim_*`` keys read 0: there is no name-pair tier
-        any more, and the keys stay for readers that sum every tier.
+        The ``token_set_sim_*`` and ``element_sim_*`` keys read 0: the
+        token tier is the only one left, and the keys stay for readers
+        that sum every tier.
         """
         token_total = self.token_hits + self.token_misses
-        set_total = self.set_hits + self.set_misses
         return {
             "token_sim_hits": self.token_hits,
             "token_sim_misses": self.token_misses,
             "token_sim_hit_rate": (
                 self.token_hits / token_total if token_total else 0.0
             ),
-            "token_set_sim_hits": self.set_hits,
-            "token_set_sim_misses": self.set_misses,
-            "token_set_sim_hit_rate": (
-                self.set_hits / set_total if set_total else 0.0
-            ),
+            "token_set_sim_hits": 0,
+            "token_set_sim_misses": 0,
+            "token_set_sim_hit_rate": 0.0,
             "element_sim_hits": 0,
             "element_sim_misses": 0,
             "element_sim_hit_rate": 0.0,

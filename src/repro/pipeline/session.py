@@ -13,7 +13,9 @@ schema phase on each call; a :class:`MatchSession` caches them:
   pair — the Section 8.4 iterative-feedback loop — skips the linguistic
   phase entirely (:meth:`rematch`);
 * the pipeline's linguistic memo, warm across all of the session's
-  matches.
+  matches. It lives in memory only; a
+  :class:`~repro.repository.SchemaRepository` is what persists its
+  token tier across processes (``simcache.json``).
 
 Results are bit-identical to independent ``CupidMatcher.match`` calls:
 everything cached is a pure function of (schema, thesaurus, config).
@@ -27,7 +29,6 @@ everything cached is a pure function of (schema, thesaurus, config).
 
 from __future__ import annotations
 
-import os
 import threading
 from contextlib import contextmanager
 from typing import Dict, Iterable, Iterator, List, Optional, Tuple
@@ -67,7 +68,6 @@ class MatchSession:
         config: Optional[CupidConfig] = None,
         compat: Optional[TypeCompatibilityTable] = None,
         pipeline: Optional[MatchPipeline] = None,
-        simcache_path: Optional[str] = None,
     ) -> None:
         if pipeline is None:
             pipeline = MatchPipeline.default(
@@ -95,27 +95,14 @@ class MatchSession:
             "lsim_misses": 0,
             "prepared_evictions": 0,
             "lsim_evictions": 0,
-            "simcache_preloaded_entries": 0,
-            "simcache_discarded": 0,
-            "simcache_write_failures": 0,
         }
-        # The repository's persistent memo tier, available to
-        # standalone sessions: a JSON dump of the token-pair cache,
-        # preloaded at construction and written back by
-        # save_simcache() / the context-manager exit. The path comes
-        # from the argument or config.simcache_path ("" = off).
-        path = simcache_path or self.pipeline.config.simcache_path
-        self._simcache_path = os.path.abspath(path) if path else ""
-        self._simcache_baseline = 0
-        if self._simcache_path:
-            self._load_simcache()
         # Guards the prepared/lsim tiers and every counter dict, so the
         # session is safe to share across threads (the serving pool's
         # workers, a concurrent ``match_many``). Held only for cache
         # bookkeeping — pipeline.run() and prepare()'s heavy lifting
         # execute outside it, so matches on distinct pairs overlap.
         # The linguistic memo is intentionally *not* behind this lock:
-        # its entries are pure values keyed by token/name texts, so a
+        # its entries are pure values keyed by token texts, so a
         # racing recompute stores an identical result (wasted work,
         # never a wrong one), and serializing it would serialize the
         # whole linguistic phase across the pool.
@@ -323,111 +310,6 @@ class MatchSession:
         )
 
     # ------------------------------------------------------------------
-    # Persistent similarity cache (the repository tier, standalone)
-    # ------------------------------------------------------------------
-
-    def _memo_computed_entries(self) -> int:
-        """Token-tier entries this process computed itself (each token
-        miss computes exactly one entry of the tier the file holds;
-        preloaded entries arrive without misses). Gates the save: an
-        unchanged count means the file on disk is already current."""
-        memo = self.pipeline.linguistic.memo
-        if memo is None:
-            return 0
-        return memo.token_misses
-
-    def _load_simcache(self) -> None:
-        """Preload the memo from ``simcache_path`` if it matches.
-
-        Same format and same safety rules as the repository's
-        ``simcache.json``: a torn file is a cache miss, and a dump
-        written under a different thesaurus or config fingerprint is
-        silently dropped — entries computed under other knowledge
-        would poison bit-parity. The token tier is keyed by token
-        texts, not by prepared-schema identity, so LRU eviction of
-        prepared schemas never invalidates it.
-        """
-        from repro.repository.artifacts import (
-            FORMAT_VERSION,
-            config_fingerprint,
-        )
-        from repro.repository.store import _read_json
-
-        self._simcache_baseline = self._memo_computed_entries()
-        memo = self.pipeline.linguistic.memo
-        if memo is None or not os.path.exists(self._simcache_path):
-            return
-        try:
-            data = _read_json(self._simcache_path, "similarity cache")
-        except Exception:
-            self._counters["simcache_discarded"] += 1
-            return
-        if (
-            data.get("format_version") != FORMAT_VERSION
-            or data.get("thesaurus_fingerprint")
-            != self.pipeline.thesaurus.fingerprint()
-            or data.get("config_fingerprint")
-            != config_fingerprint(self.pipeline.config)
-        ):
-            self._counters["simcache_discarded"] += 1
-            return
-        self._counters["simcache_preloaded_entries"] += memo.preload_cache(
-            data.get("caches", {})
-        )
-
-    def save_simcache(self) -> None:
-        """Write the memo's token tier back to ``simcache_path``.
-
-        No-op when no path is configured or nothing new was computed
-        since the preload. Write failures (read-only mount, missing
-        permissions) are counted, not raised — the simcache is a pure
-        optimization.
-        """
-        if not self._simcache_path:
-            return
-        from repro.repository.artifacts import (
-            FORMAT_VERSION,
-            config_fingerprint,
-        )
-        from repro.repository.store import _write_json
-
-        memo = self.pipeline.linguistic.memo
-        if memo is None:
-            return
-        if self._memo_computed_entries() == self._simcache_baseline:
-            return
-        try:
-            _write_json(
-                self._simcache_path,
-                {
-                    "format_version": FORMAT_VERSION,
-                    "thesaurus_fingerprint": (
-                        self.pipeline.thesaurus.fingerprint()
-                    ),
-                    "config_fingerprint": config_fingerprint(
-                        self.pipeline.config
-                    ),
-                    "caches": memo.export_cache(),
-                },
-            )
-        except OSError:
-            self._counters["simcache_write_failures"] += 1
-            return
-        self._simcache_baseline = self._memo_computed_entries()
-
-    def __enter__(self) -> "MatchSession":
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        # Flush even when unwinding an exception — the memo is always
-        # internally consistent — but never mask the original error.
-        try:
-            self.save_simcache()
-        except Exception:
-            if exc_type is None:
-                raise
-
-    # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
 
@@ -438,17 +320,6 @@ class MatchSession:
 
     def _cache_info_locked(self) -> Dict[str, int]:
         info = dict(self._counters)
-        if not self._simcache_path:
-            # A session without its own simcache reports no simcache
-            # counters — callers that layer their own persistent memo
-            # tier on top (the repository) merge this dict over their
-            # counters, and structurally-zero entries would mask them.
-            for key in (
-                "simcache_preloaded_entries",
-                "simcache_discarded",
-                "simcache_write_failures",
-            ):
-                del info[key]
         info["prepared_schemas"] = len(self._prepared)
         info["cached_lsim_pairs"] = len(self._lsim_cache)
         # The vocabulary tier: distinct-name factorings the kernel has

@@ -46,7 +46,11 @@ from repro.exceptions import RepositoryError
 from repro.io.json_io import schema_from_dict_with_ids, schema_to_dict
 from repro.linguistic.categorization import Category
 from repro.linguistic.kernel import SchemaVocabulary
-from repro.linguistic.matcher import LinguisticMatcher, LinguisticPreparation
+from repro.linguistic.matcher import (
+    LinguisticMatcher,
+    LinguisticPreparation,
+    described_elements,
+)
 from repro.linguistic.normalizer import NormalizedName
 from repro.linguistic.tokens import Token, TokenType
 from repro.model.schema import Schema
@@ -376,10 +380,7 @@ def _restore(
         categories=categories,
         normalized=normalized,
         elements_by_id={e.element_id: e for e in schema.elements},
-        described=[
-            e for e in schema.elements
-            if e.description and not e.not_instantiated
-        ],
+        described=described_elements(schema),
     )
 
     vocab_spec = artifacts.get("vocabulary")

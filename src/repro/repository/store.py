@@ -958,7 +958,7 @@ class SchemaRepository:
                 self._dirty = False
                 self._finish_publish_locked()
         remove_segment_files(self.path, stale)
-        self._save_simcache()
+        self._write_simcache()
 
     def compact(self) -> int:
         """Fold the segment sequence into one compacted segment now.
@@ -979,7 +979,7 @@ class SchemaRepository:
                 self._finish_publish_locked()
                 count = len(self._segment_entries)
             remove_segment_files(self.path, stale)
-            self._save_simcache()
+            self._write_simcache()
             if compact_span is not None:
                 compact_span.annotate(
                     live_segments=count, removed_segments=len(stale)
@@ -1183,7 +1183,7 @@ class SchemaRepository:
             data.get("caches", {})
         )
 
-    def _save_simcache(self) -> None:
+    def _write_simcache(self) -> None:
         memo = self.session.pipeline.linguistic.memo
         if memo is None:
             return

@@ -114,13 +114,14 @@ def leaf_base_ssim(
     return min(0.5, max(0.0, base))
 
 
-def iter_lsim_cells(lsim_table: LsimTable, s_leaves, t_leaves):
-    """Yield ``(i, j, value)`` for every leaf-matrix cell the (sparse)
-    lsim table assigns.
+def iter_lsim_cells(entries, s_leaves, t_leaves):
+    """Yield ``(i, j, value)`` for every leaf-matrix cell that the
+    ``((source id, target id), value)`` lsim ``entries`` assign.
 
     Shared-type expansion can map one element to several tree leaves,
-    hence the per-element index lists. The dense store scatters dict-form
-    tables into its lsim plane through this iterator.
+    hence the per-element index lists. The dense store scatters
+    dict-form tables, and a factored table's overrides, into its lsim
+    plane through this iterator.
     """
     s_rows: Dict[str, List[int]] = {}
     for i, leaf in enumerate(s_leaves):
@@ -128,7 +129,7 @@ def iter_lsim_cells(lsim_table: LsimTable, s_leaves, t_leaves):
     t_cols: Dict[str, List[int]] = {}
     for j, leaf in enumerate(t_leaves):
         t_cols.setdefault(leaf.element.element_id, []).append(j)
-    for (id1, id2), value in lsim_table.items():
+    for (id1, id2), value in entries:
         rows = s_rows.get(id1)
         if not rows:
             continue
@@ -407,15 +408,18 @@ class DenseSimilarityStore(SimilarityStore):
                 )
             ssim_flat[i * n_t:(i + 1) * n_t] = row
 
-        if isinstance(lsim_table, FactoredLsimTable) and lsim_table.factored_live:
-            # Kernel-factored table: gather each leaf's profile row
-            # instead of materializing the dict form and scattering it.
+        if isinstance(lsim_table, FactoredLsimTable):
+            # Kernel-factored table: gather each leaf's profile row,
+            # then scatter the pairs that override their profile cell.
             self._gather_lsim(lsim_table, lsim_flat)
+            entries = lsim_table.overrides.items()
         else:
             # lsim is sparse: scatter the table into the matrix instead
             # of probing every cell.
+            entries = lsim_table.items()
+        if entries:
             for i, j, value in iter_lsim_cells(
-                lsim_table, self._s_leaves, self._t_leaves
+                entries, self._s_leaves, self._t_leaves
             ):
                 lsim_flat[i * n_t + j] = value
 
@@ -450,9 +454,10 @@ class DenseSimilarityStore(SimilarityStore):
 
         Each leaf maps to its element's profile id; the cell (i, j) is
         a straight copy of the profile matrix cell, so the result is
-        bit-identical to scattering the materialized dict. Leaves whose
+        bit-identical to scattering the reference table. Leaves whose
         element carries no profile (no category membership) keep lsim
-        0, exactly the pairs the dict form omits.
+        0, exactly the pairs that table omits. The caller scatters the
+        table's overrides on top.
         """
         n_s, n_t = self._n_s, self._n_t
         p_s = factored.n_source_profiles
@@ -978,12 +983,11 @@ class DenseSimilarityStore(SimilarityStore):
 
     def wave_lsims(self, wave: WaveBlocks) -> List[float]:
         """:meth:`lsim` of every pair of the wave, in pair order. A
-        factored table is read by profile, as its ``get`` reads it."""
+        factored table without overrides is read by profile, as its
+        ``get`` reads it."""
         table = self._lsim_table
         sources, targets = wave.sources, wave.targets
-        if not (
-            isinstance(table, FactoredLsimTable) and table.factored_live
-        ):
+        if not isinstance(table, FactoredLsimTable) or table.overrides:
             get = table.get
             return [
                 get(sources[i].element, targets[k].element)

@@ -76,6 +76,15 @@ class TestValidation:
         with pytest.raises(ConfigError):
             CupidConfig(thhigh=-0.1).validate()
 
+    @pytest.mark.parametrize("value", [1.5, -0.2])
+    def test_initial_mapping_lsim_must_be_a_similarity(self, value):
+        """A hinted pair's lsim is set to this value, so one outside
+        [0, 1] must fail at validation, before any match runs."""
+        with pytest.raises(ConfigError, match="initial_mapping_lsim"):
+            CupidConfig(initial_mapping_lsim=value).validate()
+        for edge in (0.0, 1.0):
+            CupidConfig(initial_mapping_lsim=edge).validate()
+
     def test_leaf_count_ratio_at_least_one(self):
         with pytest.raises(ConfigError):
             CupidConfig(leaf_count_ratio=0.5).validate()

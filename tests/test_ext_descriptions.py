@@ -90,3 +90,22 @@ class TestDescriptionMatching:
         f1 = source.element_named("F1")
         name = target.element_named("Name")
         assert result.lsim_table.get(f1, name) > 0.5
+
+    def test_described_root_marked_not_instantiated(self):
+        """Categorization holds the root even when it is marked not
+        instantiated, so its description counts on both engines."""
+        source, target = _schemas_with_descriptions()
+        source.root.not_instantiated = True
+        source.root.description = "purchase order document"
+        target.root.description = "purchase order document"
+        tables = [
+            dict(
+                CupidMatcher(
+                    config=CupidConfig(engine=engine, use_descriptions=True)
+                ).match(source, target).lsim_table.items()
+            )
+            for engine in ("dense", "reference")
+        ]
+        assert tables[0] == tables[1]
+        roots = (source.root.element_id, target.root.element_id)
+        assert tables[0][roots] == 0.9

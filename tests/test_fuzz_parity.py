@@ -1,11 +1,12 @@
 """Randomized parity fuzz harness: every engine tier vs the oracle.
 
 The dense engine has interacting fast paths — dense vectorization,
-the array-native distinct-name linguistic kernel, the leaf plane and
-the wave-scheduled TreeMatch passes — whose pairwise interactions no
-hand-picked test can cover. This suite generates seeded random schema
-pairs across the axes that select those paths (size × name repetition
-× tree/DAG shape × leaf_prune_depth × backend × threshold band) and
+the array-native distinct-name linguistic kernel and the overrides on
+its table, the leaf plane and the wave-scheduled TreeMatch passes —
+whose pairwise interactions no hand-picked test can cover. This suite
+generates seeded random schema pairs across the axes that select those
+paths (size × name repetition × tree/DAG shape × leaf_prune_depth ×
+backend × threshold band × descriptions × initial-mapping hints) and
 asserts **bit-identical** lsim tables,
 wsim maps, and leaf/non-leaf mappings against the reference engine on
 every one, together with TreeMatch's compared / pruned / scaled pair
@@ -33,6 +34,7 @@ from repro.config import CupidConfig
 from repro.datasets.generator import PerturbationConfig, SchemaGenerator
 from repro.linguistic.kernel import FactoredLsimTable
 from repro.model.element import ElementKind, SchemaElement
+from repro.pipeline import MatchPipeline
 from repro.structure.dense import DenseSimilarityStore, numpy_available
 from repro.tree.schema_tree import verify_interval_encoding
 
@@ -76,6 +78,14 @@ def _case_params(index: int) -> dict:
         "prune_by_leaf_count": rng.random() < 0.8,
         "use_refint_joins": rng.random() < 0.8,
     }
+    # Drawn after every axis above, so each case keeps the parameters
+    # it had before these axes existed. ``extras_seed`` draws the
+    # description words and the hinted paths once the pair is built.
+    params["use_descriptions"] = rng.random() < 0.25
+    params["description_share"] = round(rng.uniform(0.1, 0.9), 2)
+    params["description_weight"] = round(rng.uniform(0.3, 1.0), 2)
+    params["hints"] = rng.randint(1, 2) if rng.random() < 0.25 else 0
+    params["extras_seed"] = rng.randrange(1_000_000)
     return params
 
 
@@ -143,6 +153,61 @@ def _build_pair(params: dict):
     return schema, other
 
 
+#: Description words: generator name words, their synonyms and full
+#: forms, plurals, and stopwords the description tokenizer drops.
+_DESCRIPTION_WORDS = (
+    "order", "orders", "customer", "client", "price", "cost", "amount",
+    "quantity", "invoice", "bill", "address", "street", "city", "phone",
+    "telephone", "date", "shipment", "number", "total", "the", "of",
+    "for", "each",
+)
+
+
+def _add_descriptions(schema, rng: random.Random, share: float) -> None:
+    """A description of one to four random words on about ``share`` of
+    ``schema``'s elements (root and not-instantiated ones included)."""
+    for element in schema.elements:
+        if rng.random() < share:
+            element.description = " ".join(
+                rng.choice(_DESCRIPTION_WORDS)
+                for _ in range(rng.randint(1, 4))
+            )
+
+
+def _resolvable_paths(tree):
+    """Root-relative dotted paths of the nodes of ``tree`` that a hint
+    can name: those whose path resolves to exactly that node."""
+    paths = []
+    for node in tree.nodes():
+        parts = node.path()[1:]
+        try:
+            if tree.node_for_path(*parts) is node:
+                paths.append(".".join(parts))
+        except KeyError:
+            continue
+    return paths
+
+
+def _add_extras(params: dict, schema, other) -> list:
+    """Apply the description axis to the pair; return the case's
+    initial-mapping hints (empty when the hint axis is off)."""
+    rng = random.Random(params["extras_seed"])
+    if params["use_descriptions"]:
+        _add_descriptions(schema, rng, params["description_share"])
+        _add_descriptions(other, rng, params["description_share"])
+    if not params["hints"]:
+        return []
+    pipeline = MatchPipeline.default(
+        config=CupidConfig(**_shared_config_kwargs(params))
+    )
+    source_paths = _resolvable_paths(pipeline.prepare(schema).tree)
+    target_paths = _resolvable_paths(pipeline.prepare(other).tree)
+    return [
+        (rng.choice(source_paths), rng.choice(target_paths))
+        for _ in range(params["hints"])
+    ]
+
+
 def _shared_config_kwargs(params: dict) -> dict:
     """Config axes shared by the oracle and every dense variant."""
     return {
@@ -151,6 +216,8 @@ def _shared_config_kwargs(params: dict) -> dict:
         "discount_optional_leaves": params["discount_optional_leaves"],
         "prune_by_leaf_count": params["prune_by_leaf_count"],
         "use_refint_joins": params["use_refint_joins"],
+        "use_descriptions": params["use_descriptions"],
+        "description_weight": params["description_weight"],
     }
 
 
@@ -167,6 +234,31 @@ VARIANTS = (
 # ----------------------------------------------------------------------
 # Signatures (exact, path-keyed)
 # ----------------------------------------------------------------------
+
+def _element_names(tree, schema):
+    """element id -> a name that is the same in every run: the id of
+    a schema element, the node paths of an element that tree
+    construction creates (a join view, which each run creates afresh
+    under a new id; only a hint gives one an lsim entry)."""
+    names = {e.element_id: e.element_id for e in schema.elements}
+    created = {}
+    for node in tree.nodes():
+        element_id = node.element.element_id
+        if element_id not in names:
+            created.setdefault(element_id, []).append(node.path_string())
+    for element_id, paths in created.items():
+        names[element_id] = "|".join(sorted(paths))
+    return names
+
+
+def _lsim_signature(result):
+    source = _element_names(result.source_tree, result.source_schema)
+    target = _element_names(result.target_tree, result.target_schema)
+    return sorted(
+        ((source[id1], target[id2]), value)
+        for (id1, id2), value in result.lsim_table.items()
+    )
+
 
 def _mapping_signature(mapping):
     return sorted(
@@ -197,11 +289,13 @@ def _check_case(index: int, record_property) -> None:
     for key, value in params.items():
         record_property(key, value)
     schema, other = _build_pair(params)
+    hints = _add_extras(params, schema, other)
+    record_property("hint_paths", hints)
     shared = _shared_config_kwargs(params)
 
     reference = CupidMatcher(
         config=CupidConfig(engine="reference", **shared)
-    ).match(schema, other)
+    ).match(schema, other, initial_mapping=hints)
     # Migration oracle: on every generated tree/DAG shape, the
     # interval-encoded leaf sets / required flags / frontiers must
     # equal independently recomputed descendant sets (this covers the
@@ -209,7 +303,7 @@ def _check_case(index: int, record_property) -> None:
     # join views use_refint_joins wired in).
     verify_interval_encoding(reference.source_tree)
     verify_interval_encoding(reference.target_tree)
-    ref_lsim = sorted(reference.lsim_table.items())
+    ref_lsim = _lsim_signature(reference)
     ref_wsim = _wsim_signature(reference)
     ref_leaf = _mapping_signature(reference.leaf_mapping)
     ref_nonleaf = _mapping_signature(reference.nonleaf_mapping)
@@ -219,8 +313,9 @@ def _check_case(index: int, record_property) -> None:
         record_property("failing_variant", label)
         dense = CupidMatcher(
             config=CupidConfig(engine="dense", **shared, **overrides)
-        ).match(schema, other)
-        assert sorted(dense.lsim_table.items()) == ref_lsim, label
+        ).match(schema, other, initial_mapping=hints)
+        assert isinstance(dense.lsim_table, FactoredLsimTable), label
+        assert _lsim_signature(dense) == ref_lsim, label
         assert _wsim_signature(dense) == ref_wsim, label
         assert _mapping_signature(dense.leaf_mapping) == ref_leaf, label
         assert (
@@ -252,15 +347,22 @@ class TestFuzzParityTier1:
             key: set()
             for key in (
                 "pair_kind", "dag_refints", "leaf_prune_depth",
-                "thlow", "name_repetition",
+                "thlow", "name_repetition", "use_descriptions",
+                "description_weight", "hints",
             )
         }
+        described_and_hinted = 0
         for index in range(N_TIER1_PAIRS):
             params = _case_params(index)
             for key in seen:
                 seen[key].add(params[key])
+            described_and_hinted += bool(
+                params["use_descriptions"] and params["hints"]
+            )
         for key, values in seen.items():
             assert len(values) > 1, key
+        assert seen["hints"] == {0, 1, 2}
+        assert described_and_hinted > 0
 
     def test_kernel_engaged_somewhere(self):
         """At least one tier-1 case must actually route through the

@@ -121,7 +121,8 @@ class TestLsimTable:
 
 
 class TestFactoredLsimTable:
-    """Distinct-name kernel output: factored form vs dict form."""
+    """Distinct-name kernel output: a profile matrix plus per-pair
+    overrides, read as the reference engine's dict-form table."""
 
     @pytest.fixture
     def kernel_matcher(self, thesaurus):
@@ -134,7 +135,7 @@ class TestFactoredLsimTable:
 
         table = kernel_matcher.compute(*tiny_pair)
         assert isinstance(table, FactoredLsimTable)
-        assert table.factored_live
+        assert table.overrides == {}
 
     def test_factored_matches_reference_path(self, thesaurus, tiny_pair):
         kernel = LinguisticMatcher(
@@ -154,23 +155,37 @@ class TestFactoredLsimTable:
         qty = source.element_named("Qty")
         quantity = target.element_named("Quantity")
         assert table.get(qty, quantity) == pytest.approx(1.0)
-        assert table._materialized is False
+        assert table.overrides == {}
 
-    def test_set_materializes_and_detaches(
+    def test_set_writes_one_override_and_detaches(
         self, kernel_matcher, tiny_pair
     ):
         source, target = tiny_pair
         original = kernel_matcher.compute(source, target)
+        matrix = original.profile_values.tobytes()
+        before = dict(original.items())
         duplicate = original.copy()
-        assert duplicate.factored_live
         qty = source.element_named("Qty")
         cost = target.element_named("Cost")
         duplicate.set(qty, cost, 0.9)
-        assert not duplicate.factored_live
+        assert duplicate.overrides == {
+            (qty.element_id, cost.element_id): 0.9
+        }
         assert duplicate.get(qty, cost) == 0.9
-        # The session-cached original is untouched (copy-on-write).
-        assert original.factored_live
+        assert dict(duplicate.items()) == {
+            **before, (qty.element_id, cost.element_id): 0.9
+        }
+        assert len(duplicate) == len(dict(duplicate.items()))
+        # The matrix is shared and never written; the session-cached
+        # original keeps no override (copy-on-write).
+        assert duplicate.profile_values is original.profile_values
+        assert original.profile_values.tobytes() == matrix
+        assert original.overrides == {}
         assert original.get(qty, cost) != 0.9
+        # A copy of the hinted table owns its overrides too.
+        again = duplicate.copy()
+        again.set(qty, cost, 0.5)
+        assert duplicate.get(qty, cost) == 0.9
 
     def test_vocabulary_cached_on_preparation(
         self, kernel_matcher, tiny_pair
@@ -194,13 +209,26 @@ class TestFactoredLsimTable:
         ).compute(*tiny_pair)
         assert not isinstance(table, FactoredLsimTable)
 
-    def test_kernel_disabled_with_descriptions(self, thesaurus, tiny_pair):
+    def test_kernel_serves_descriptions(self, thesaurus, tiny_pair):
+        """Descriptions are overrides on the kernel's factored table,
+        and the table reads as the reference engine's."""
         from repro.linguistic.kernel import FactoredLsimTable
 
-        table = LinguisticMatcher(
-            thesaurus, CupidConfig(engine="dense", use_descriptions=True)
-        ).compute(*tiny_pair)
-        assert not isinstance(table, FactoredLsimTable)
+        source, target = tiny_pair
+        source.element_named("Qty").description = "units ordered"
+        target.element_named("Cost").description = "number of units ordered"
+        target.element_named("Quantity").description = "warehouse shelf"
+        tables = {
+            engine: LinguisticMatcher(
+                thesaurus, CupidConfig(engine=engine, use_descriptions=True)
+            ).compute(source, target)
+            for engine in ("dense", "reference")
+        }
+        table = tables["dense"]
+        assert isinstance(table, FactoredLsimTable)
+        assert table.overrides
+        assert sorted(table.items()) == sorted(tables["reference"].items())
+        assert len(table) == len(tables["reference"])
 
     def test_kernel_stats_present(self, kernel_matcher, tiny_pair):
         table = kernel_matcher.compute(*tiny_pair)
@@ -218,7 +246,7 @@ class TestBatchedNs:
     The kernel computes ``ns(m1, m2)`` for every source name × target
     name at once — one matrix on numpy, flat-array loops on stdlib;
     every value must be bit-identical to the per-pair scalar ``ns`` of
-    the module function, with and without the memo.
+    the module function.
     """
 
     @pytest.fixture
@@ -273,10 +301,6 @@ class TestBatchedNs:
                     name1, name2, thesaurus, config
                 )
                 assert ns[i, j] == scalar, (name1.raw, name2.raw)
-                # The per-pair path's form: token sims through the memo.
-                assert scalar == element_name_similarity(
-                    name1, name2, thesaurus, config, matcher.memo
-                )
                 nonzero += scalar > 0.0
         assert nonzero > 0
 

@@ -173,14 +173,30 @@ class TestTracer:
 # ----------------------------------------------------------------------
 
 
-def _assert_lsim_lazy(result):
+@pytest.fixture()
+def lsim_enumerations(monkeypatch):
+    """Every factored table whose ``items()`` is called — what builds
+    one entry per element pair."""
+    tables = []
+    items = FactoredLsimTable.items
+
+    def recording_items(table):
+        tables.append(table)
+        return items(table)
+
+    monkeypatch.setattr(FactoredLsimTable, "items", recording_items)
+    return tables
+
+
+def _assert_lsim_lazy(result, enumerations):
     table = result.lsim_table
     assert isinstance(table, FactoredLsimTable)
-    assert table._materialized is False, "the run materialized lsim"
+    assert table.overrides == {}, "the run wrote per-pair lsim entries"
+    assert table not in enumerations, "the run enumerated lsim pairs"
 
 
 class TestTracingIsObservational:
-    def test_bit_identity_with_tracing_armed(self):
+    def test_bit_identity_with_tracing_armed(self, lsim_enumerations):
         schema, other = _pair(n_leaves=32, seed=31)
         was_armed = trace.armed()
         trace.disarm()
@@ -189,7 +205,7 @@ class TestTracingIsObservational:
         finally:
             if was_armed:
                 trace.arm()
-        _assert_lsim_lazy(dark)
+        _assert_lsim_lazy(dark, lsim_enumerations)
         trace.arm()
         trace.reset()
         try:
@@ -198,18 +214,18 @@ class TestTracingIsObservational:
             trace.reset()
             if not was_armed:
                 trace.disarm()
-        _assert_lsim_lazy(lit)
+        _assert_lsim_lazy(lit, lsim_enumerations)
         assert _signature(dark) == _signature(lit)
 
 
 class TestStatsKeepLsimLazy:
     """``repro match --stats`` / ``--format json`` report
-    ``lsim_entries`` through ``run_stats``; counting must not build the
-    factored table's dict form."""
+    ``lsim_entries`` through ``run_stats``; counting must not enumerate
+    the factored table's element pairs."""
 
     @pytest.mark.parametrize("numpy_count", [True, False])
     def test_run_stats_counts_without_materializing(
-        self, numpy_count, monkeypatch
+        self, numpy_count, monkeypatch, lsim_enumerations
     ):
         if not numpy_count:
             monkeypatch.setattr("repro.linguistic.kernel._np", None)
@@ -217,11 +233,10 @@ class TestStatsKeepLsimLazy:
         matcher = CupidMatcher()
         result = matcher.match(schema, other)
         stats = matcher.run_stats(result)
-        _assert_lsim_lazy(result)
+        _assert_lsim_lazy(result, lsim_enumerations)
         entries = stats["lsim_entries"]
         assert entries > 0
         assert entries == len(dict(result.lsim_table.items()))
-        assert result.lsim_table._materialized is True
         assert len(result.lsim_table) == entries
 
 

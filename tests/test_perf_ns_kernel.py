@@ -78,12 +78,12 @@ def test_batched_ns_under_floor(floor_record):
 
 def test_workload_engages_batched_ns(floor_record):
     """The floor only means something if the kernel is the path
-    running: the match must produce a live factored table that
-    computed distinct name pairs on this workload."""
+    running: the match must produce a factored table without
+    overrides that computed distinct name pairs on this workload."""
     source, target = _workload(floor_record["workload"])
     matcher = CupidMatcher(config=CupidConfig(thlow=0.0))
     result = matcher.match(source, target)
     assert isinstance(result.lsim_table, FactoredLsimTable)
-    assert result.lsim_table.factored_live
+    assert result.lsim_table.overrides == {}
     stats = matcher.run_stats(result)
     assert stats["kernel_distinct_name_pairs"] > 0

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 import os
+import random
 
 import pytest
 
@@ -30,7 +31,7 @@ from repro.repository import (
     token_profile,
 )
 from repro.repository.segments import SEGMENTS_DIR
-from repro.repository.store import match_score
+from repro.repository.store import SCHEMAS_DIR, match_score
 
 
 def _mapping_signature(result):
@@ -67,6 +68,25 @@ def _query_for(schema, seed=97):
         schema, PerturbationConfig(abbreviate=0.3, synonym=0.2)
     )
     return perturbed
+
+
+_DESCRIPTION_WORDS = (
+    "customer", "order", "amount", "date", "shipping", "price",
+    "quantity", "identifier", "invoice", "address",
+)
+
+
+def _described(schemas, seed=5):
+    """``schemas``, with a random three-word description on about two
+    elements in five."""
+    rng = random.Random(seed)
+    for schema in schemas:
+        for element in schema.elements:
+            if rng.random() < 0.4:
+                element.description = " ".join(
+                    rng.sample(_DESCRIPTION_WORDS, 3)
+                )
+    return schemas
 
 
 class TestIngestAndLoad:
@@ -212,16 +232,18 @@ class TestIngestAndLoad:
         assert _search_signature(via_foreign) == _search_signature(native)
 
     def test_build_all_skips_vocabulary_when_kernel_inapplicable(self):
-        config = CupidConfig().replace(use_descriptions=True)
+        config = CupidConfig(engine="reference")
         prepared = MatchSession(config=config).prepare(figure2_po())
         prepared.build_all()
-        # Descriptions make profile broadcast unsound, so no match
-        # would ever read a vocabulary — building one wastes ingest
-        # CPU and bloats every artifact.
+        # The reference engine never reads a vocabulary — building one
+        # would waste ingest CPU and bloat every artifact.
         assert prepared.vocabulary is None
-        kernel_on = MatchSession().prepare(figure2_po())
-        kernel_on.build_all()
-        assert kernel_on.vocabulary is not None
+        # Descriptions are overrides on the kernel's table, so a
+        # dense-engine match reads the vocabulary with them on too.
+        for config in (CupidConfig(), CupidConfig(use_descriptions=True)):
+            kernel_on = MatchSession(config=config).prepare(figure2_po())
+            kernel_on.build_all()
+            assert kernel_on.vocabulary is not None
 
     def test_stale_index_membership_triggers_rebuild(self, tmp_path):
         """A torn save can leave the manifest's segment list out of
@@ -346,6 +368,47 @@ class TestIngestAndLoad:
         for schema_id in ids:
             reopened.verify(schema_id)
         assert _search_signature(reopened.search(query, k=2)) == baseline
+
+
+    def test_descriptions_artifact_without_vocabulary_opens(
+        self, tmp_path
+    ):
+        """Older builds did not run the kernel under
+        ``use_descriptions=True``, so their artifacts carry no
+        vocabulary. Such a repository must still restore, verify, and
+        search bit-identically (the vocabulary is built on the first
+        match), and agree with the reference engine."""
+        config = CupidConfig(use_descriptions=True)
+        schemas = _described(_corpus(3))
+        query = _described([_query_for(schemas[1])], seed=6)[0]
+        path = str(tmp_path / "repo")
+        with SchemaRepository(path, config=config) as repo:
+            ids = [repo.ingest(s) for s in schemas]
+        baseline = _search_signature(
+            SchemaRepository.open(path).search(query, k=2)
+        )
+        for schema_id in ids:
+            artifact = os.path.join(path, SCHEMAS_DIR, f"{schema_id}.json")
+            with open(artifact) as handle:
+                payload = json.load(handle)
+            del payload["artifacts"]["vocabulary"]
+            with open(artifact, "w") as handle:
+                json.dump(payload, handle)
+        reopened = SchemaRepository.open(path)
+        for schema_id in ids:
+            reopened.verify(schema_id)
+        search = reopened.search(query, k=2)
+        assert _search_signature(search) == baseline
+        oracle = MatchSession(
+            config=config.replace(engine="reference")
+        )
+        by_name = {schema.name: schema for schema in schemas}
+        for match in search:
+            result = oracle.match(query, by_name[match.schema_name])
+            assert match.score == match_score(result)
+            assert _mapping_signature(match.result) == (
+                _mapping_signature(result)
+            )
 
 
 class TestRoundTripParity:

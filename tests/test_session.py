@@ -135,6 +135,26 @@ class TestRematch:
             CupidMatcher().match(source, target, initial_mapping=feedback),
         )
 
+    def test_hints_write_one_override_per_hinted_pair(self):
+        """A hint overrides one element pair of the factored table;
+        no other pair of the table is copied into a dict."""
+        from repro.linguistic.kernel import FactoredLsimTable
+
+        source, target = figure2_po(), figure2_purchase_order()
+        feedback = [
+            ("POLines.Item.Line", "Items.Item.ItemNumber"),
+            ("POShipTo", "DeliverTo"),
+            ("POShipTo", "DeliverTo"),
+        ]
+        session = MatchSession()
+        first = session.match(source, target)
+        rerun = session.rematch(first, feedback=feedback)
+        table = rerun.lsim_table
+        assert isinstance(table, FactoredLsimTable)
+        assert len(table.overrides) == 2
+        assert set(table.overrides.values()) == {1.0}
+        assert session.rematch(first).lsim_table.overrides == {}
+
     def test_rematch_skips_prepared_phases(self):
         source, target = figure2_po(), figure2_purchase_order()
         session = MatchSession()
