@@ -1,7 +1,7 @@
 """Serving throughput: sustained QPS and tail latency under mixed load.
 
-The serving subsystem's bet is that a bounded session pool over one
-shared pipeline can sustain concurrent search traffic *while the
+The serving subsystem's bet is that one compute thread behind
+admission control can sustain concurrent search traffic *while the
 corpus is being ingested* without torn reads or tail-latency
 collapse. This benchmark prices that bet:
 
@@ -13,16 +13,18 @@ collapse. This benchmark prices that bet:
   compaction) while the searches run.
 
 Reported: sustained search QPS, client-observed p50/p95/p99, the
-service's own histogram percentiles (what ``/stats`` serves), and a
+service's own latency and queue-wait histograms (what ``/stats``
+serves), and a
 post-run parity check — after the dust settles, a search through the
 (possibly compacted) segment index must be bit-identical to one over
 a freshly rebuilt index. Results go to
 ``benchmarks/results/BENCH_serving.json``.
 
-Single-core honesty: the GIL bounds CPU-parallel speedup, so the
-interesting numbers here are *tail latency under contention* and
-*consistency under concurrent mutation*, not a linear QPS scale-up.
-``cpu_count`` is recorded alongside every figure.
+The service runs one request at a time, so the interesting numbers
+here are *tail latency under contention* (how long a request waits
+for the compute thread) and *consistency under concurrent mutation*,
+not a QPS scale-up with clients. ``cpu_count`` is recorded alongside
+every figure.
 """
 
 from __future__ import annotations
@@ -115,10 +117,7 @@ def test_serving_throughput(publish, results_dir):
         latencies = []
         latency_lock = threading.Lock()
         errors = []
-        with MatchService(
-            repository, sessions=0, queue_depth=256
-        ) as service:
-            sessions = service.health()["sessions"]
+        with MatchService(repository, queue_depth=256) as service:
 
             def search_client(client):
                 mine = []
@@ -204,7 +203,9 @@ def test_serving_throughput(publish, results_dir):
             title=(
                 f"Mixed serving load: {qps:.1f} search QPS over "
                 f"{N_CLIENTS} clients + concurrent ingest "
-                f"({sessions} sessions, cpu_count={os.cpu_count()})"
+                f"(search queue wait p50 "
+                f"{search_hist['queue']['p50_ms']:.1f} ms, "
+                f"cpu_count={os.cpu_count()})"
             ),
         ),
     )
@@ -216,7 +217,6 @@ def test_serving_throughput(publish, results_dir):
         "searches_per_client": SEARCHES_PER_CLIENT,
         "k": K,
         "candidates": CANDIDATES,
-        "sessions": sessions,
         "cpu_count": os.cpu_count(),
         "window_s": round(window, 3),
         "search_qps": round(qps, 2),

@@ -14,10 +14,11 @@ processes reach over HTTP/JSON. This walkthrough:
    --format json``;
 4. matches two corpus schemas by repository id over ``POST /match``;
 5. reads the operational story from ``GET /stats``: per-endpoint
-   p50/p95/p99 latency histograms, in-flight gauges, session-pool
-   cache counters. The one cached lsim table is the by-id match's:
-   the pool caches corpus schemas, while a request's own schemas (the
-   search query) leave it when the request ends.
+   p50/p95/p99 latency and queue-wait histograms, in-flight gauges,
+   and the cache counters of the session every request runs on. The
+   one cached lsim table is the by-id match's: the session caches
+   corpus schemas, while a request's own schemas (the search query)
+   leave it when the request ends.
 
 Run:  python examples/serving_client.py
 """
@@ -64,7 +65,7 @@ def main():
     # 1. Boot the daemon (port 0 = ephemeral). Standalone equivalent:
     #    python -m repro serve --repo corpus.repo --port 8765
     repo_dir = tempfile.mkdtemp(prefix="serving_example_")
-    service = MatchService(SchemaRepository(repo_dir), sessions=2)
+    service = MatchService(SchemaRepository(repo_dir))
     server = MatchHTTPServer(("127.0.0.1", 0), service)
     threading.Thread(target=server.serve_forever, daemon=True).start()
     port = server.port
@@ -107,13 +108,13 @@ def main():
     for endpoint, snap in stats["endpoints"].items():
         print(f"  {endpoint:8s} count={snap['count']:<3d} "
               f"p50={snap['p50_ms']:<8g} p95={snap['p95_ms']:<8g} "
-              f"p99={snap['p99_ms']:g}")
-    pool = stats["session_pool"]
-    print(f"session pool: {pool['prepare_hits']} prepare hits / "
-          f"{pool['prepare_misses']} misses across "
-          f"{stats['health']['sessions']} sessions; "
+              f"p99={snap['p99_ms']:<8g} "
+              f"queued p50={snap['queue']['p50_ms']:g}")
+    session = stats["session_pool"]
+    print(f"session: {session['prepare_hits']} prepare hits / "
+          f"{session['prepare_misses']} misses; "
           f"{stats['health']['segments']} index segment(s) on disk; "
-          f"{pool['cached_lsim_pairs']} cached lsim table(s)")
+          f"{session['cached_lsim_pairs']} cached lsim table(s)")
 
     conn.close()
     server.shutdown()

@@ -95,7 +95,7 @@ def main():
         repository = SchemaRepository(tmp)
         repository.ingest(schema)
         repository.save()
-        service = MatchService(repository, sessions=1)
+        service = MatchService(repository)
         httpd = MatchHTTPServer(("127.0.0.1", 0), service)
         threading.Thread(target=httpd.serve_forever, daemon=True).start()
         try:

@@ -258,11 +258,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="bind port; 0 picks an ephemeral port (default: 8765)",
     )
     serve.add_argument(
-        "--sessions", type=int, default=None, metavar="N",
-        help="session-pool width; 0 = one per CPU core "
-             "(default: config.serving_sessions)",
-    )
-    serve.add_argument(
         "--queue-depth", type=int, default=None, metavar="N",
         help="max admitted-but-unfinished requests before 503 "
              "(default: config.serving_queue_depth)",
@@ -580,18 +575,15 @@ def _command_serve(args: argparse.Namespace) -> int:
 
     repo = SchemaRepository(args.repo)
     service = MatchService(
-        repo,
-        sessions=args.sessions,
-        queue_depth=args.queue_depth,
-        timeout_s=args.timeout,
+        repo, queue_depth=args.queue_depth, timeout_s=args.timeout
     )
 
     def announce(server) -> None:
         health = service.health()
         print(
             f"serving {args.repo} on http://{args.host}:{server.port} "
-            f"({health['schemas']} schemas, {health['sessions']} "
-            f"sessions, queue depth {health['queue_depth']})",
+            f"({health['schemas']} schemas, "
+            f"queue depth {health['queue_depth']})",
             file=sys.stderr,
             flush=True,
         )

@@ -168,14 +168,6 @@ class CupidConfig:
     #: replay length and the manifest size.
     segment_compaction_threshold: int = 8
 
-    #: Session-pool width of a :class:`repro.serving.MatchService`:
-    #: how many :class:`~repro.pipeline.session.MatchSession` workers
-    #: execute requests concurrently (0 = one per CPU core). Each
-    #: worker holds its own prepared/lsim LRU tiers (bounded by
-    #: :attr:`max_prepared_schemas`); all of them share one linguistic
-    #: memo and the repository's persistent simcache.
-    serving_sessions: int = 4
-
     #: Upper bound on requests admitted but not yet finished by a
     #: :class:`~repro.serving.MatchService` (running + queued). Beyond
     #: it the service raises
@@ -282,11 +274,6 @@ class CupidConfig:
                 f"segment_compaction_threshold "
                 f"({self.segment_compaction_threshold}) must be >= 0 "
                 "(0 = never auto-compact)"
-            )
-        if self.serving_sessions < 0:
-            raise ConfigError(
-                f"serving_sessions ({self.serving_sessions}) must be "
-                ">= 0 (0 = one per CPU core)"
             )
         if self.serving_queue_depth < 1:
             raise ConfigError(

@@ -126,7 +126,7 @@ class ServiceClosedError(ServingError):
 class ServiceOverloadedError(ServingError):
     """Raised when the service's bounded request queue is full.
 
-    Backpressure, not buffering: a saturated pool rejects new work
+    Backpressure, not buffering: a saturated service rejects new work
     immediately so callers can shed load or retry elsewhere instead of
     stacking unbounded latency.
     """
@@ -137,7 +137,7 @@ class RequestTimeoutError(ServingError):
 
     The deadline is cooperative: long operations (candidate matching
     inside a search) check it between units of work, so a timed-out
-    request also stops consuming a pool session promptly.
+    request also releases the service's compute thread promptly.
     """
 
 

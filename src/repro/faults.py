@@ -19,7 +19,7 @@ Sites currently wired (grep for the literal string to find the code)::
     segment.read        index segment file read (open path)
     artifact.serialize  prepared-schema serialization
     artifact.restore    prepared-schema restoration
-    serve.execute       service request execution (pool thread)
+    serve.execute       service request execution (compute thread)
 
 Actions::
 

@@ -222,12 +222,12 @@ class LinguisticMatcher:
             # ``described``, so only described × described pairs can
             # change.
             weight = self.config.description_weight
-            similarity = self._descriptions.similarity
-            for m1 in source_prep.described:
-                for m2 in target_prep.described:
-                    lsim = weight * similarity(m1, m2)
-                    if lsim > table.get(m1, m2):
-                        table.set(m1, m2, lsim)
+            for m1, m2, desc in self._descriptions.similarities(
+                source_prep.described, target_prep.described, self.memo
+            ):
+                lsim = weight * desc
+                if lsim > table.get(m1, m2):
+                    table.set(m1, m2, lsim)
         return table
 
     def _compute_prepared_reference(

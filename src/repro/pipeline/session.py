@@ -57,7 +57,7 @@ class MatchSession:
     hit again either. :meth:`release` drops such a schema with every
     lsim table it is in, and :meth:`transient` scopes one to a single
     call: prepared on entry, released on exit unless it was registered
-    before the call. The repository's search and the serving pool's
+    before the call. The repository's search and the match service's
     ``match`` use it for the schemas a request brings, so a long-lived
     session holds only the corpus it keeps matching against.
     """
@@ -97,15 +97,17 @@ class MatchSession:
             "lsim_evictions": 0,
         }
         # Guards the prepared/lsim tiers and every counter dict, so the
-        # session is safe to share across threads (the serving pool's
-        # workers, a concurrent ``match_many``). Held only for cache
-        # bookkeeping — pipeline.run() and prepare()'s heavy lifting
-        # execute outside it, so matches on distinct pairs overlap.
-        # The linguistic memo is intentionally *not* behind this lock:
-        # its entries are pure values keyed by token texts, so a
-        # racing recompute stores an identical result (wasted work,
-        # never a wrong one), and serializing it would serialize the
-        # whole linguistic phase across the pool.
+        # session is safe to share across threads (a concurrent
+        # ``match_many``, or ``/stats`` reading the match service's
+        # session while its compute thread matches). Held only for
+        # cache bookkeeping — pipeline.run() and prepare()'s heavy
+        # lifting execute outside it, so matches on distinct pairs
+        # overlap. The linguistic memo is intentionally *not* behind
+        # this lock: its entries are pure values keyed by token texts,
+        # so a racing recompute stores an identical result (wasted
+        # work, never a wrong one), and serializing it would serialize
+        # the whole linguistic phase across the sessions that share
+        # one pipeline.
         self._tier_lock = threading.RLock()
 
     # ------------------------------------------------------------------

@@ -39,11 +39,13 @@ Since PR 7 the vocabulary index persists as **append-only segments**
 profiles, opening replays the checksummed segment sequence instead of
 re-scanning artifacts, and compaction folds the sequence back to one
 file. The repository is also safe for concurrent use from multiple
-threads (the serving subsystem's shape): catalog/index mutations are
-guarded by one short-held lock, while schema preparation and candidate
-matching — the expensive parts — run outside it, optionally on a
-caller-supplied :class:`~repro.pipeline.session.MatchSession` so a
-session *pool* can search and ingest concurrently.
+threads: catalog/index mutations are guarded by one short-held lock,
+while schema preparation and candidate matching — the expensive parts
+— run outside it, optionally on a caller-supplied
+:class:`~repro.pipeline.session.MatchSession` per thread, so library
+callers that share one repository can search and ingest concurrently.
+(The serving subsystem runs its requests one at a time on one session
+of its own.)
 """
 
 from __future__ import annotations
@@ -522,9 +524,9 @@ class SchemaRepository:
         and the artifact write happen outside the repository lock
         (idempotent — both are pure functions of the schema), and only
         the catalog/index registration is serialized. ``session``
-        selects which :class:`MatchSession` pays the preparation (a
-        serving pool passes its per-worker session; default is the
-        repository's own).
+        selects which :class:`MatchSession` pays the preparation (the
+        match service passes its compute thread's session; default is
+        the repository's own).
 
         Durability ordering: a write-ahead intent record (everything a
         reopen needs to finish or undo this ingest) is durable *before*
@@ -719,7 +721,8 @@ class SchemaRepository:
         :class:`CupidResult`, so callers can inspect every mapping.
 
         ``session`` selects which :class:`MatchSession` executes the
-        matches (a serving pool passes its per-worker session), and
+        matches (the match service passes its compute thread's
+        session; a thread sharing the repository passes its own), and
         ``deadline`` — any object with a ``check(context)`` method
         raising on expiry, e.g. :class:`repro.serving.Deadline` — is
         consulted between candidate matches so a timed-out search
@@ -1220,8 +1223,9 @@ class SchemaRepository:
 
         Also reports the linguistic memo's size once
         (``memo_token_entries``): the memo is the pipeline's, shared by
-        this repository's session and every pooled serving session, so
-        no per-session count may carry it.
+        this repository's session and every session on its pipeline
+        (the match service's among them), so no per-session count may
+        carry it.
         """
         with self._lock:
             info: Dict[str, Any] = dict(self._counters)

@@ -4,9 +4,9 @@ Layers (each usable on its own):
 
 * :mod:`repro.serving.metrics` — latency histograms, per-endpoint
   gauges, cooperative deadlines;
-* :mod:`repro.serving.service` — :class:`MatchService`, the bounded
-  session pool with admission control and background segment
-  compaction;
+* :mod:`repro.serving.service` — :class:`MatchService`, one compute
+  thread and session behind admission control, with background
+  segment compaction;
 * :mod:`repro.serving.http` — the stdlib ThreadingHTTPServer front
   end behind ``repro serve``.
 """

@@ -2,9 +2,9 @@
 
 Pure stdlib (``http.server``) — no new dependency. One
 :class:`ThreadingHTTPServer` accepts connections; every request body
-is parsed on the connection thread and executed through the service's
-session pool, so the daemon inherits the service's admission control,
-deadlines, and metrics.
+is parsed, and every response encoded, on the connection thread, and
+the request itself runs on the service's compute thread, so the daemon
+inherits the service's admission control, deadlines, and metrics.
 
 Connections are HTTP/1.1 keep-alive: a client may send any number of
 requests on one connection, each answered in turn. Every accepted
@@ -21,9 +21,9 @@ stderr when the daemon runs verbose).
 Endpoints (all JSON except /metrics)::
 
     GET  /health          liveness + corpus size + in-flight gauge
-    GET  /stats           latency histograms (p50/p95/p99 per
-                          endpoint), session-pool cache counters,
-                          repository counters
+    GET  /stats           latency and queue-wait histograms
+                          (p50/p95/p99 per endpoint), session cache
+                          counters, repository counters
     GET  /metrics         Prometheus text exposition from the same
                           registry /stats snapshots (counts always
                           agree)
@@ -539,8 +539,8 @@ class MatchHTTPServer(ThreadingHTTPServer):
     """ThreadingHTTPServer bound to one MatchService.
 
     ``daemon_threads`` so a hung client can never block shutdown;
-    request concurrency beyond the session pool is throttled by the
-    service's admission control, not by the socket layer.
+    requests waiting for the service's compute thread are bounded by
+    its admission control, not by the socket layer.
     """
 
     daemon_threads = True

@@ -4,10 +4,11 @@ The instruments themselves now live in :mod:`repro.obs.metrics` — a
 central :class:`~repro.obs.metrics.MetricsRegistry` owned by the
 service. This module keeps the serving-shaped views over them:
 
-* :class:`EndpointMetrics` — per-endpoint latency histogram,
-  in-flight gauge, and error/timeout/rejected counters, all
-  registered under labelled Prometheus families
-  (``repro_request_latency_seconds{endpoint=...}`` etc.), with a
+* :class:`EndpointMetrics` — per-endpoint execution-latency and
+  queue-wait histograms, in-flight gauge, and error/timeout/rejected
+  counters, all registered under labelled Prometheus families
+  (``repro_request_latency_seconds{endpoint=...}``,
+  ``repro_request_queue_seconds{endpoint=...}`` etc.), with a
   ``track()`` context manager the service wraps around request
   execution;
 * :class:`ServiceMetrics` — one registry per
@@ -55,15 +56,23 @@ __all__ = [
 class EndpointMetrics:
     """Latency + liveness for one endpoint (search/match/ingest/...).
 
-    All instruments are created in the service's shared registry with
-    an ``endpoint`` label, so ``GET /metrics`` exposes exactly the
-    series ``snapshot()`` summarises."""
+    ``latency`` times a request's execution; ``queue_wait`` the time
+    from its admission to the start of that execution, which the
+    service records when the compute thread picks the request up. All
+    instruments are created in the service's shared registry with an
+    ``endpoint`` label, so ``GET /metrics`` exposes exactly the series
+    ``snapshot()`` summarises."""
 
     def __init__(self, name: str, registry: MetricsRegistry) -> None:
         self.name = name
         self.latency = registry.histogram(
             "repro_request_latency_seconds",
             "Request execution latency by endpoint.",
+            endpoint=name,
+        )
+        self.queue_wait = registry.histogram(
+            "repro_request_queue_seconds",
+            "Time from admission to execution start by endpoint.",
             endpoint=name,
         )
         self._errors = registry.counter(
@@ -107,6 +116,7 @@ class EndpointMetrics:
             "rejected": self._rejected.value,
         }
         info.update(self.latency.snapshot())
+        info["queue"] = self.queue_wait.snapshot()
         return info
 
 

@@ -1,26 +1,43 @@
-"""The concurrent match service: a session pool over a repository.
+"""The match service: one compute thread over a repository.
 
 The paper frames Match as a service over a repository of schemas; the
 :class:`~repro.repository.store.SchemaRepository` made the repository
 durable, and this module makes it *serve*: a long-lived
-:class:`MatchService` multiplexes ``search`` / ``match`` / ``ingest``
-requests over a bounded pool of :class:`~repro.pipeline.session.
-MatchSession` workers.
+:class:`MatchService` admits ``search`` / ``match`` / ``ingest``
+requests from any number of caller threads and runs them, one at a
+time, on a single :class:`~repro.pipeline.session.MatchSession`.
 
 Execution model
 ---------------
-Requests run on a thread pool sized to the session pool (one session
-per worker thread, so checkout never blocks). Python threads are the
-right vehicle here despite the GIL: the dense engine's numpy region
-ops release the GIL, artifact loading is I/O, and the shared
-linguistic memo plus the repository's persistent simcache mean most of
-a warm request's time is spent in vectorized code. Each worker session
-keeps its own prepared/lsim LRU tiers (bounded by
-``config.max_prepared_schemas``) but all sessions share one pipeline —
-and therefore one linguistic memo, preloaded from the repository's
-``simcache.json``. A request's own schemas (a search query, an inline
-``match`` side) leave those tiers when it ends, so they hold corpus
-schemas only.
+Every admitted request runs on one compute thread, with one session on
+the repository's shared pipeline — hence one linguistic memo,
+preloaded from the repository's ``simcache.json``. The HTTP handler
+threads parse request bodies and encode responses around it. The
+session's prepared/lsim LRU tiers are bounded by
+``config.max_prepared_schemas``; a request's own schemas (a search
+query, an inline ``match`` side) leave them when it ends, so they hold
+corpus schemas only.
+
+One thread is measured, not assumed. Cupid's work at served sizes is
+interpreter-bound: the dense engine's numpy calls are small, and a
+call that releases the GIL hands it to the other request rather than
+to an idle core. With two keep-alive clients on the seed-1 serve
+corpus (2 cores), a four-thread session pool made 150–440 voluntary
+context switches per search against 1.8–4 with one client, spent 18–32%
+more daemon CPU per search, and served fewer searches per second with
+two clients than with one (41.8 against 46.2/s); 247 of 437 switches
+per search sat inside the linguistic kernel. A lock around each
+candidate match, pool kept, cut the switches to 13–18 per search but
+not the wall time (24.4–24.6 against 22.6–24.1 ms per search): query
+preparation, index ranking and response encoding still traded the GIL
+with the locked match. One compute thread gave 6.2–6.5 switches,
+19.8–21.3 ms of daemon CPU and 46.9–50.6 searches/s, against
+23.4–25.6 ms and 42.0–45.2/s with four. Under the GIL a pool only
+bought processor sharing between CPU-bound requests, at that price.
+What one thread gives up is that a huge request delays the requests
+admitted behind it; admission control and deadlines bound that, and
+the time a request waits for the compute thread is on ``/stats`` and
+``/metrics`` as ``repro_request_queue_seconds``.
 
 Admission control is explicit: at most ``config.serving_queue_depth``
 requests may be admitted-but-unfinished; beyond that the service
@@ -28,7 +45,7 @@ raises :class:`~repro.exceptions.ServiceOverloadedError` immediately
 (backpressure, not unbounded buffering). Every request carries a
 cooperative :class:`~repro.serving.metrics.Deadline` that includes its
 queueing time; searches check it between candidate matches, so a
-timed-out request releases its session promptly and surfaces
+timed-out request releases the compute thread promptly and surfaces
 :class:`~repro.exceptions.RequestTimeoutError`.
 
 Ingest batches flush one append-only index segment each; when the
@@ -38,8 +55,8 @@ latency.
 
 An asyncio front end rides on top for free: every operation has an
 ``*_async`` twin returning an awaitable (the concurrent future wrapped
-with :func:`asyncio.wrap_future`), which is what the HTTP daemon and
-embedding event loops use.
+with :func:`asyncio.wrap_future`), which is what embedding event loops
+use.
 """
 
 from __future__ import annotations
@@ -47,9 +64,8 @@ from __future__ import annotations
 import asyncio
 import contextlib
 import contextvars
-import os
-import queue
 import threading
+import time
 from concurrent.futures import Future, ThreadPoolExecutor
 from typing import Any, Dict, List, Optional, Sequence, Union
 
@@ -69,29 +85,9 @@ from repro.serving.metrics import Deadline, ServiceMetrics
 SchemaLike = Union[Schema, PreparedSchema]
 
 
-def available_cpu_count() -> int:
-    """CPUs actually available to this process.
-
-    ``os.cpu_count()`` reports the machine, not the cgroup/affinity
-    limits a container imposes — an auto-sized session pool would then
-    oversubscribe a 2-core cgroup on a 64-core host. Prefer
-    ``os.process_cpu_count()`` (3.13+), fall back to the scheduler
-    affinity mask, and only then to the raw count."""
-    getter = getattr(os, "process_cpu_count", None)
-    if getter is not None:
-        count = getter()
-        if count:
-            return count
-    if hasattr(os, "sched_getaffinity"):
-        try:
-            return len(os.sched_getaffinity(0)) or 1
-        except OSError:  # pragma: no cover - platform quirk
-            pass
-    return os.cpu_count() or 1
-
-
 class MatchService:
-    """Concurrent search/match/ingest over a schema repository.
+    """Search/match/ingest over a schema repository, one request at a
+    time.
 
     >>> with MatchService(SchemaRepository(path)) as service:
     ...     service.ingest([schema_a, schema_b])
@@ -99,32 +95,20 @@ class MatchService:
     ...     service.stats()["endpoints"]["search"]["p99_ms"]
 
     Parameters default to the repository config's serving knobs:
-    ``sessions`` (pool width; 0 = one per CPU core), ``queue_depth``
-    (admission bound), ``timeout_s`` (default per-request deadline;
-    0 = none). The service owns the repository's persistence: closing
-    it flushes pending segments, the manifest, and the simcache.
+    ``queue_depth`` (admission bound) and ``timeout_s`` (default
+    per-request deadline; 0 = none). The service owns the repository's
+    persistence: closing it flushes pending segments, the manifest,
+    and the simcache.
     """
 
     def __init__(
         self,
         repository: SchemaRepository,
-        sessions: Optional[int] = None,
         queue_depth: Optional[int] = None,
         timeout_s: Optional[float] = None,
     ) -> None:
         config = repository.config
-        width = (
-            sessions if sessions is not None else config.serving_sessions
-        )
-        if width == 0:
-            # Available (cgroup/affinity-respecting) cores, not the
-            # machine's: a 2-core container on a 64-core host must not
-            # get a 64-session pool.
-            width = available_cpu_count()
-        if width < 1:
-            raise ValueError(f"sessions must be >= 0 (got {width})")
         self.repository = repository
-        self._width = width
         self._queue_depth = (
             queue_depth
             if queue_depth is not None
@@ -133,18 +117,11 @@ class MatchService:
         self._default_timeout = (
             timeout_s if timeout_s is not None else config.serving_timeout_s
         )
-        # One session per worker thread; all share the repository
-        # pipeline (hence its warm memo and the preloaded simcache),
-        # each holds its own LRU-bounded prepared/lsim tiers.
-        self._sessions: List[MatchSession] = [
-            MatchSession(pipeline=repository.session.pipeline)
-            for _ in range(width)
-        ]
-        self._idle: "queue.Queue[MatchSession]" = queue.Queue()
-        for session in self._sessions:
-            self._idle.put(session)
+        # The compute thread's session: on the repository pipeline, so
+        # it shares the warm memo and the preloaded simcache.
+        self._session = MatchSession(pipeline=repository.session.pipeline)
         self._executor = ThreadPoolExecutor(
-            width, thread_name_prefix="repro-serve"
+            1, thread_name_prefix="repro-serve"
         )
         self.metrics = ServiceMetrics()
         self._admission_lock = threading.Lock()
@@ -172,11 +149,13 @@ class MatchService:
     def submit(
         self, endpoint: str, fn, *args, timeout: Optional[float] = None
     ) -> "Future[Any]":
-        """Admit a request and schedule it on the pool.
+        """Admit a request and queue it for the compute thread, which
+        calls ``fn(session, deadline, *args)``.
 
         Returns the :class:`concurrent.futures.Future`; the sync
         wrappers below just wait on it. The deadline starts *now*, so
-        time spent queued counts against it.
+        time spent queued counts against it, and the endpoint's queue
+        histogram records that time apart from execution latency.
         """
         metrics = self.metrics.endpoint(endpoint)
         # The rejection paths carry the caller's request id (bound at
@@ -197,24 +176,22 @@ class MatchService:
                     f"{rid_suffix}"
                 )
             self._admitted += 1
+        admitted_at = time.perf_counter()
         deadline = self._deadline(timeout)
         # Request-scoped contextvars (request id, open span) do not
         # cross executor threads on their own: capture the caller's
         # context now and run the request inside it, so every span and
-        # timeout raised on the worker thread stays correlated.
+        # timeout raised on the compute thread stays correlated.
         submit_context = contextvars.copy_context()
 
         def run() -> Any:
             try:
+                metrics.queue_wait.record(time.perf_counter() - admitted_at)
                 with trace.span("serve." + endpoint, endpoint=endpoint):
                     with metrics.track():
                         deadline.check(f"{endpoint} still queued")
                         faults.check("serve.execute")
-                        session = self._idle.get()
-                        try:
-                            return fn(session, deadline, *args)
-                        finally:
-                            self._idle.put(session)
+                        return fn(self._session, deadline, *args)
             finally:
                 with self._admission_lock:
                     self._admitted -= 1
@@ -232,7 +209,7 @@ class MatchService:
         candidates: Optional[int] = None,
         timeout: Optional[float] = None,
     ) -> RepositorySearchResult:
-        """Top-k repository search on a pool session."""
+        """Top-k repository search on the compute thread."""
         return self.submit(
             "search", self._do_search, query, k, candidates,
             timeout=timeout,
@@ -271,7 +248,7 @@ class MatchService:
         target: Union[SchemaLike, str],
         timeout: Optional[float] = None,
     ) -> CupidResult:
-        """Match two schemas on a pool session.
+        """Match two schemas on the compute thread.
 
         Either side may be a repository schema id (string), which is
         loaded from the corpus artifacts.
@@ -301,8 +278,8 @@ class MatchService:
     ) -> CupidResult:
         deadline.check("match before execution")
         # A side given as a repository id is corpus and stays cached in
-        # the pool session; a side the request brought is prepared for
-        # this match only, like a search query.
+        # the session; a side the request brought is prepared for this
+        # match only, like a search query.
         with contextlib.ExitStack() as request:
             sides = [
                 self.repository.load(side) if isinstance(side, str)
@@ -422,14 +399,14 @@ class MatchService:
     # ------------------------------------------------------------------
 
     def health(self) -> Dict[str, Any]:
-        """Cheap liveness snapshot (no pool dispatch)."""
+        """Cheap liveness snapshot (not queued for the compute
+        thread)."""
         with self._admission_lock:
             admitted, closed = self._admitted, self._closed
         return {
             "status": "closed" if closed else "ok",
             "schemas": len(self.repository),
             "segments": self.repository.segment_count(),
-            "sessions": self._width,
             "in_flight": admitted,
             "queue_depth": self._queue_depth,
             # A read-only repository still serves searches; liveness
@@ -439,17 +416,13 @@ class MatchService:
         }
 
     def stats(self) -> Dict[str, Any]:
-        """Full metrics: endpoint latency histograms (p50/p95/p99),
-        in-flight gauges, session-pool cache counters, and repository
-        counters — the ``/stats`` payload."""
-        pool: Dict[str, int] = {}
-        for session in self._sessions:
-            for key, value in session.cache_info().items():
-                if isinstance(value, (int, float)):
-                    pool[key] = pool.get(key, 0) + value
+        """Full metrics: endpoint latency and queue-wait histograms
+        (p50/p95/p99), in-flight gauges, the session's cache counters
+        (``session_pool``), and repository counters — the ``/stats``
+        payload."""
         info = self.metrics.snapshot()
         info["health"] = self.health()
-        info["session_pool"] = pool
+        info["session_pool"] = self._session.cache_info()
         info["repository"] = self.repository.cache_info()
         recovery = self.repository.recovery_info()
         with self._compaction_lock:

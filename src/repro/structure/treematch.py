@@ -93,12 +93,23 @@ and indexed against the store's layout
 join view and a table it joins are both height 1), and a depth-pruned
 fraction reads the non-leaf wsims of frontier stand-ins, so both run
 the same loop with one pair per wave, in post-order.
+
+One plan per match. The first pass leaves its plan on the result: the
+waves, each with its pairs' lsims, the post-order keys and the count
+of pairs with a non-leaf. The second pass runs those same waves in the
+same order while both trees still carry the interval encodings the
+plan was built on, so it costs one fraction kernel and one
+``set_nonleaf_ssims`` per wave, and then drops the plan. The lsims
+cannot change between the passes: feedback hints are applied to the
+lsim table before TreeMatch runs. A tree mutated between the passes
+(join-view augmentation, a node added and reindexed) carries a new
+encoding, or none, and the second pass plans afresh.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Mapping, NamedTuple, Optional, Tuple
 
 from repro.config import DEFAULT_CONFIG, CupidConfig
@@ -149,6 +160,11 @@ class TreeMatchResult:
     #: Second-pass pairs skipped: always 0, since every pair with a
     #: non-leaf is recomputed.
     recompute_skipped: int = 0
+    #: The first pass's wave schedule on the leaf plane, which the
+    #: second pass reuses and then drops (module docstring).
+    wave_plan: Optional["_WavePlan"] = field(
+        default=None, repr=False, compare=False
+    )
 
     def wsim_of(self, s: SchemaTreeNode, t: SchemaTreeNode) -> float:
         return self.wsim.get((s.node_id, t.node_id), 0.0)
@@ -305,12 +321,14 @@ class TreeMatch:
         thhigh, thlow = self._scaling_band()
         cinc, cdec = self.config.cinc, self.config.cdec
         result.scaled_pairs = sims.scale_leaf_plane(thhigh, thlow, cinc, cdec)
-        pairs: Dict[Tuple[int, int], float] = {}
-        result.wsim = LeafPlaneWsim(pairs, sims)
-        waves, compared, result.pruned_pairs = self._waves(
-            result, source_order, target_order, pairs
+        plan = result.wave_plan = self._waves(
+            result, source_order, target_order
         )
-        result.compared_pairs = sims.leaf_cells + compared
+        pairs = plan.slots
+        result.wsim = LeafPlaneWsim(pairs, sims)
+        result.pruned_pairs = plan.pruned
+        result.compared_pairs = sims.leaf_cells + plan.compared
+        waves = plan.waves
         if waves and waves[0].blocks is not None:
             result.waves = 1 + len(waves)
         for wave in waves:
@@ -335,17 +353,16 @@ class TreeMatch:
         result: TreeMatchResult,
         source_order: List[SchemaTreeNode],
         target_order: List[Tuple[SchemaTreeNode, int]],
-        slots: Dict[Tuple[int, int], float],
-    ) -> Tuple[List["_Wave"], int, int]:
-        """``(waves, compared, pruned)``: a pass's pairs with a non-leaf
-        in the groups it runs them in, and how many pairs it compares
-        and prunes besides the leaf plane.
+    ) -> "_WavePlan":
+        """A pass's pairs with a non-leaf in the groups it runs them in,
+        and how many pairs it compares and prunes besides the leaf
+        plane.
 
         On trees the store's wave kernels address, one wave per
         (source height, target height) in lexicographic order;
         otherwise one pair per wave, in post-order (module docstring).
-        Every pair's key goes into ``slots`` in post-order, so a map
-        filled wave by wave keeps the loop's key order.
+        Every pair's key goes into the plan's ``slots`` in post-order,
+        so a map filled wave by wave keeps the loop's key order.
         """
         sims = result.sims
         row_of = self._target_rows(result, target_order, False)
@@ -360,6 +377,7 @@ class TreeMatch:
         row_ids: Dict[int, List[int]] = {}
         row_groups: Dict[int, List[Tuple[int, _Targets]]] = {}
         entries: Dict[Tuple[int, int], list] = {}
+        slots: Dict[Tuple[int, int], float] = {}
         waves: List[_Wave] = []
         compared = pruned = 0
         for s in source_order:
@@ -388,13 +406,14 @@ class TreeMatch:
                 entries.setdefault((h_s, h_t), []).append((s, targets))
         if waved:
             waves = [_Wave.of(entries[key]) for key in sorted(entries)]
-        return waves, compared, pruned
+        return _WavePlan(waves, slots, compared, pruned, result, self)
 
     def _wave_wsims(
         self, sims: SimilarityStore, wave: "_Wave"
     ) -> List[float]:
         """Steps 1 and 2 of Figure 3 for every pair of a wave: stores
-        each pair's ssim and returns the wsims, in pair order."""
+        each pair's ssim and returns the wsims, in pair order. The
+        pairs' lsims are read on the wave's first run and kept on it."""
         blocks = wave.blocks
         if blocks is not None:
             fractions = sims.wave_fractions(
@@ -402,12 +421,14 @@ class TreeMatch:
                 self.config.thaccept,
                 self.config.discount_optional_leaves,
             )
-            lsims = sims.wave_lsims(blocks)
+            if wave.lsims is None:
+                wave.lsims = sims.wave_lsims(blocks)
         else:
             s, t = wave.pair
             fractions = [self._structural_similarity(s, t, sims)]
-            lsims = [sims.lsim(s, t)]
-        return sims.set_nonleaf_ssims(wave.keys, fractions, lsims)
+            if wave.lsims is None:
+                wave.lsims = [sims.lsim(s, t)]
+        return sims.set_nonleaf_ssims(wave.keys, fractions, wave.lsims)
 
     def _scale_wave(
         self,
@@ -644,8 +665,9 @@ class TreeMatch:
         happen here; leaf pair values pass through unchanged, and
         every pair with a non-leaf is recomputed. On the leaf plane
         the pass visits only pairs involving a non-leaf, in the first
-        pass's waves (module docstring); leaf entries of the returned
-        map (also stored as ``result.wsim``) read the plane.
+        pass's waves, reusing its plan while the trees are unchanged
+        (module docstring); leaf entries of the returned map (also
+        stored as ``result.wsim``) read the plane.
         """
         pass_span = trace.start_span("treematch.recompute")
         if pass_span is None:
@@ -662,23 +684,38 @@ class TreeMatch:
     ) -> Mapping[Tuple[int, int], float]:
         sims = result.sims
         self._frontier_memo = {}
+        plan, result.wave_plan = result.wave_plan, None
+        if plan is None or not plan.fits(result, self):
+            source_order = result.source_tree.postorder()
+            target_order = [
+                (t, t.leaf_count()) for t in result.target_tree.postorder()
+            ]
+            if not self._on_leaf_plane(sims, source_order, target_order):
+                return self._pair_recompute(
+                    result, source_order, target_order
+                )
+            plan = self._waves(result, source_order, target_order)
+        # Nothing here writes the plane, so leaf-pair wsims are final and
+        # waves of many pairs may run in any order; the one-pair waves of
+        # depth-pruned frontiers keep post-order, since they read
+        # stand-in wsims this pass rewrites.
+        result.recompute_pairs = plan.compared
+        refreshed = dict.fromkeys(plan.slots)
+        for wave in plan.waves:
+            refreshed.update(zip(wave.keys, self._wave_wsims(sims, wave)))
+        result.wsim = LeafPlaneWsim(refreshed, sims)
+        return result.wsim
+
+    def _pair_recompute(
+        self,
+        result: TreeMatchResult,
+        source_order: List[SchemaTreeNode],
+        target_order: List[Tuple[SchemaTreeNode, int]],
+    ) -> Mapping[Tuple[int, int], float]:
+        """The second pass off the leaf plane, one node pair at a time
+        in post-order."""
+        sims = result.sims
         refreshed: Dict[Tuple[int, int], float] = {}
-        source_order = result.source_tree.postorder()
-        target_order = [
-            (t, t.leaf_count()) for t in result.target_tree.postorder()
-        ]
-        if self._on_leaf_plane(sims, source_order, target_order):
-            # Nothing here writes the plane, so leaf-pair wsims are
-            # final and waves of many pairs may run in any order; the
-            # one-pair waves of depth-pruned frontiers keep post-order,
-            # since they read stand-in wsims this pass rewrites.
-            waves, result.recompute_pairs, _ = self._waves(
-                result, source_order, target_order, refreshed
-            )
-            for wave in waves:
-                refreshed.update(zip(wave.keys, self._wave_wsims(sims, wave)))
-            result.wsim = LeafPlaneWsim(refreshed, sims)
-            return result.wsim
         row_of = self._target_rows(result, target_order, True)
         result.recompute_pairs = 0
         for s in source_order:
@@ -739,9 +776,10 @@ class _Wave:
     """A group of node pairs a TreeMatch pass runs together, with their
     ``(node_id, node_id)`` keys: either the store's
     :class:`WaveBlocks` for the wave kernels, or a single ``pair`` for
-    the per-pair path."""
+    the per-pair path. ``lsims`` holds the pairs' lsims, in pair
+    order, once the wave has run."""
 
-    __slots__ = ("keys", "blocks", "pair")
+    __slots__ = ("keys", "blocks", "pair", "lsims")
 
     def __init__(
         self,
@@ -752,6 +790,7 @@ class _Wave:
         self.keys = keys
         self.blocks = blocks
         self.pair = pair
+        self.lsims: Optional[List[float]] = None
 
     @classmethod
     def of(cls, entries: List[Tuple[SchemaTreeNode, _Targets]]) -> "_Wave":
@@ -785,4 +824,47 @@ class _Wave:
             cells += (s.leaf_hi - s.leaf_lo) * group.cells
         return cls(
             keys, WaveBlocks(sources, targets, pair_s, pair_t, cells)
+        )
+
+
+class _WavePlan:
+    """A leaf-plane pass's schedule: its waves, ``slots`` (every pair
+    with a non-leaf, keyed in post-order), how many pairs it compares
+    and prunes besides the leaf plane, and the config and tree
+    encodings it was built on."""
+
+    __slots__ = (
+        "waves", "slots", "compared", "pruned", "_config", "_encodings"
+    )
+
+    def __init__(
+        self,
+        waves: List[_Wave],
+        slots: Dict[Tuple[int, int], float],
+        compared: int,
+        pruned: int,
+        result: TreeMatchResult,
+        treematch: TreeMatch,
+    ) -> None:
+        self.waves = waves
+        self.slots = slots
+        self.compared = compared
+        self.pruned = pruned
+        self._config = treematch.config
+        self._encodings = (
+            result.source_tree.root._enc, result.target_tree.root._enc
+        )
+
+    def fits(self, result: TreeMatchResult, treematch: TreeMatch) -> bool:
+        """Does the plan still describe ``result``'s trees under
+        ``treematch``? A structural mutation drops a tree's encoding
+        and a reindex stamps a new one, so the same encoding objects
+        on both roots mean unchanged trees."""
+        source_enc, target_enc = self._encodings
+        return (
+            treematch.config is self._config
+            and source_enc is not None
+            and source_enc is result.source_tree.root._enc
+            and target_enc is not None
+            and target_enc is result.target_tree.root._enc
         )

@@ -440,7 +440,7 @@ class TestSelfHealingHTTP:
             "k": 2,
         }
         release = threading.Event()
-        with _Server(repo, sessions=1, queue_depth=1) as server:
+        with _Server(repo, queue_depth=1) as server:
             # Park a request on the only admission slot so the next
             # one is rejected at the door.
             blocker = server.service.submit(
@@ -478,7 +478,7 @@ class TestSelfHealingHTTP:
         ingest_body = {
             "schemas": [{"schema": schema_to_dict(schemas[3])}],
         }
-        with _Server(repo, sessions=1, queue_depth=8) as server:
+        with _Server(repo, queue_depth=8) as server:
             faults.arm(faults.parse_spec("repo.intent:enospc@*"))
             status, payload, _ = _http_error(
                 server.port, "/ingest", ingest_body
@@ -516,7 +516,7 @@ class TestSelfHealingHTTP:
         # Freshly reopened: no artifact is restored yet, so a search
         # restores its candidates one by one as it matches them.
         repo = SchemaRepository.open(path)
-        with _Server(repo, sessions=1, queue_depth=8) as server:
+        with _Server(repo, queue_depth=8) as server:
             # Restore 1 succeeds (and stays cached); restores 2-4 fail,
             # so each search dies after its first candidate match.
             faults.arm(faults.parse_spec("artifact.restore:oserror@2,3,4"))
@@ -543,7 +543,7 @@ class TestCompactionSupervision:
             repo.ingest(schema)
             repo.save(auto_compact=False)
         assert repo.segment_count() == 3
-        service = MatchService(repo, sessions=1, queue_depth=8)
+        service = MatchService(repo, queue_depth=8)
         try:
             # First two compaction write attempts fail; the supervisor
             # must keep rescheduling until the third succeeds.
@@ -758,7 +758,7 @@ class TestRetryAfterJitterSeed:
     def _sequence(self, tmp_path, name, seed, n=8):
         config = CupidConfig().replace(serving_retry_after_seed=seed)
         repo = SchemaRepository(str(tmp_path / name), config=config)
-        service = MatchService(repo, sessions=1)
+        service = MatchService(repo)
         httpd = MatchHTTPServer(("127.0.0.1", 0), service)
         try:
             return [httpd.retry_after_s() for _ in range(n)]

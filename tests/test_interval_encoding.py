@@ -16,7 +16,6 @@ from repro import CupidMatcher, MatchSession
 from repro.config import CupidConfig
 from repro.exceptions import SchemaError
 from repro.io.sql_ddl import parse_sql_ddl
-from repro.serving.service import available_cpu_count
 from repro.tree.construction import construct_schema_tree
 from repro.tree.lazy import construct_schema_tree_lazy
 from repro.tree.refint import augment_with_join_views
@@ -214,9 +213,3 @@ class TestAugmentAfterCompletedBuild:
         assert _mapping_signature(late.nonleaf_mapping) == (
             _mapping_signature(fresh.nonleaf_mapping)
         )
-
-
-class TestCpuDetection:
-    def test_available_cpu_count_is_positive_int(self):
-        count = available_cpu_count()
-        assert isinstance(count, int) and count >= 1

@@ -476,7 +476,7 @@ class TestHTTPObservability:
         for schema in _corpus():
             repository.ingest(schema)
         repository.save()
-        service = MatchService(repository, sessions=2, queue_depth=16)
+        service = MatchService(repository, queue_depth=16)
         httpd = MatchHTTPServer(("127.0.0.1", 0), service)
         thread = threading.Thread(target=httpd.serve_forever, daemon=True)
         thread.start()
@@ -519,8 +519,8 @@ class TestHTTPObservability:
         assert echoed == "client-abc"
 
     def test_stats_reports_memo_size_once(self, server):
-        """Every pooled session shares the pipeline's memo, so its size
-        is a repository fact, never summed per session."""
+        """The service's session shares the repository pipeline's
+        memo, so its size is a repository fact, never a session's."""
         from repro.io.json_io import schema_to_dict
 
         query = schema_to_dict(self._query())
@@ -550,6 +550,11 @@ class TestHTTPObservability:
             text,
         ).group(1))
         assert count == stats["endpoints"]["search"]["count"] == 2
+        queued = int(re.search(
+            r'repro_request_queue_seconds_count\{endpoint="search"\} (\d+)',
+            text,
+        ).group(1))
+        assert queued == stats["endpoints"]["search"]["queue"]["count"] == 2
         assert "# TYPE repro_request_latency_seconds histogram" in text
         assert "repro_uptime_seconds" in text
         phase_count = int(re.search(
@@ -635,7 +640,7 @@ class TestHTTPObservability:
         for schema in _corpus(n=1, size=10):
             repository.ingest(schema)
         repository.save()
-        service = MatchService(repository, sessions=1, queue_depth=4)
+        service = MatchService(repository, queue_depth=4)
         httpd = MatchHTTPServer(("127.0.0.1", 0), service)
         thread = threading.Thread(target=httpd.serve_forever, daemon=True)
         thread.start()

@@ -156,3 +156,136 @@ class TestIncrementalMatchesFullRescan:
         _assert_second_pass_parity(
             rdb_schema(), star_schema(), leaf_prune_depth=1
         )
+
+
+_FK_SOURCE = """
+CREATE TABLE Customer (
+  CustomerID int PRIMARY KEY,
+  Name varchar(40),
+  Address varchar(60)
+);
+CREATE TABLE PurchaseOrder (
+  OrderID int PRIMARY KEY,
+  ProductName varchar(40),
+  CustomerID int REFERENCES Customer(CustomerID)
+);
+"""
+
+_FK_TARGET = """
+CREATE TABLE Customer (
+  CustID int PRIMARY KEY,
+  CustomerName varchar(40),
+  Address varchar(60)
+);
+CREATE TABLE Orders (
+  OrderNo int PRIMARY KEY,
+  Product varchar(40),
+  CustID int REFERENCES Customer(CustID)
+);
+"""
+
+
+def _join_views(tree):
+    from repro.tree.refint import augment_with_join_views
+
+    assert augment_with_join_views(tree)  # reindexes the tree
+
+
+def _added_node(tree):
+    from repro.model.element import SchemaElement
+    from repro.tree.schema_tree import SchemaTreeNode
+
+    parent = next(node for node in tree.postorder() if node.children)
+    parent.add_child(SchemaTreeNode(SchemaElement(name="Nickname")))
+    tree.reindex()
+
+
+def _mutated_second_passes(source, target, mutate, **overrides):
+    """First pass, ``mutate`` on both trees, then the second pass
+    twice: the two path-keyed refreshed maps, and the result."""
+    config = CupidConfig(use_refint_joins=False, **overrides)
+    pipeline = MatchPipeline.default(config=config)
+    prep_s = pipeline.prepare(source)
+    prep_t = pipeline.prepare(target)
+    table = pipeline.linguistic.compute_prepared(
+        prep_s.linguistic, prep_t.linguistic
+    )
+    result = pipeline.treematch.run(
+        prep_s.tree, prep_t.tree, table,
+        source_layout=prep_s.leaf_layout,
+        target_layout=prep_t.leaf_layout,
+    )
+    planned = result.wave_plan is not None
+    mutate(prep_s.tree)
+    mutate(prep_t.tree)
+    source_paths = {n.node_id: n.path() for n in prep_s.tree.nodes()}
+    target_paths = {n.node_id: n.path() for n in prep_t.tree.nodes()}
+    maps = [
+        sorted(
+            (source_paths[s], target_paths[t], value)
+            for (s, t), value in pipeline.treematch.recompute_wsim(
+                result
+            ).items()
+        )
+        for _ in range(2)
+    ]
+    return maps, result, planned
+
+
+class TestPlanReuse:
+    """The second pass reuses the first pass's wave plan only while
+    both trees are the ones it was planned on."""
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_second_pass_runs_the_first_pass_plan(
+        self, backend, monkeypatch
+    ):
+        from repro.structure.treematch import TreeMatch
+
+        planned = []
+        waves = TreeMatch._waves
+
+        def counted(self, *args):
+            planned.append(args)
+            return waves(self, *args)
+
+        monkeypatch.setattr(TreeMatch, "_waves", counted)
+        source, target = _workload(3)
+        result = MatchPipeline.default(
+            config=CupidConfig(dense_backend=backend)
+        ).run(source, target)
+        assert result.treematch_result.waves > 0
+        assert len(planned) == 1  # pure trees: one wave schedule
+        assert result.treematch_result.wave_plan is None  # dropped
+
+    @pytest.mark.parametrize(
+        "workload, mutate",
+        [("ddl", _join_views), ("ddl", _added_node),
+         ("generated", _added_node)],
+        ids=["ddl-join-views", "ddl-node", "generated-node"],
+    )
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_tree_mutated_between_passes(self, backend, workload, mutate):
+        """A tree mutated between ``TreeMatch.run`` and
+        ``recompute_wsim`` gets a plan of its own: the refreshed map
+        equals the reference engine's for the same calls, and a
+        second ``recompute_wsim`` gives the same map again."""
+        from repro.io.sql_ddl import parse_sql_ddl
+
+        if workload == "ddl":
+            source = parse_sql_ddl(_FK_SOURCE, "S")
+            target = parse_sql_ddl(_FK_TARGET, "T")
+        else:
+            source, target = _workload(11)
+        (dense, again), dense_result, planned = _mutated_second_passes(
+            source, target, mutate, dense_backend=backend
+        )
+        (reference, _), reference_result, _ = _mutated_second_passes(
+            source, target, mutate, engine="reference"
+        )
+        assert planned  # the dense first pass left a plan to reject
+        assert dense == reference
+        assert again == dense
+        assert dense_result.recompute_pairs == (
+            reference_result.recompute_pairs
+        )

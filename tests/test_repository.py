@@ -340,16 +340,20 @@ class TestIngestAndLoad:
             {"store": "blocked", "block_size": 8,
              "auto_store_leaf_threshold": 1},
             {"linguistic_kernel": False, "linguistic_batch_ns": False},
+            {"serving_sessions": 4},
         ],
-        ids=["parallel-knobs", "store-knobs", "linguistic-knobs"],
+        ids=[
+            "parallel-knobs", "store-knobs", "linguistic-knobs",
+            "serving-knobs",
+        ],
     )
     def test_manifest_with_removed_config_keys_opens(
         self, tmp_path, removed_keys
     ):
         """Manifests written by older builds record config fields that
-        no longer exist (the removed parallel-layer, similarity-store
-        and linguistic-path knobs). They must still open, verify, and
-        search bit-identically."""
+        no longer exist (the removed parallel-layer, similarity-store,
+        linguistic-path and session-pool knobs). They must still open,
+        verify, and search bit-identically."""
         path = str(tmp_path / "repo")
         schemas = _corpus(3)
         with SchemaRepository(path) as repo:

@@ -1,14 +1,14 @@
-"""Serving subsystem: session pool, deadlines, daemon, concurrency.
+"""Serving subsystem: the match service, deadlines, daemon, concurrency.
 
 Three layers under test. The :class:`MatchService` contract is that
 concurrency is invisible in the *results*: N threads hammering
-search/match get bit-identical answers to a serial run, and a search
-racing an ingest sees a consistent prefix of the corpus — never a torn
-index. The segment persistence contract is the acceptance criterion of
-this subsystem: a repository reopened from its index segments answers
-searches bit-identically to one whose index was rebuilt from artifact
-files. The HTTP layer is checked end to end over a real socket,
-including the error-taxonomy → status-code mapping.
+search/match get bit-identical answers to a serial run, and a
+repository search racing an ingest sees a consistent prefix of the
+corpus — never a torn index. The segment persistence contract is the
+acceptance criterion of this subsystem: a repository reopened from its
+index segments answers searches bit-identically to one whose index was
+rebuilt from artifact files. The HTTP layer is checked end to end over
+a real socket, including the error-taxonomy → status-code mapping.
 """
 
 from __future__ import annotations
@@ -95,11 +95,12 @@ def repo(tmp_path):
 
 class TestMatchService:
     def test_concurrent_searches_match_serial(self, repo):
-        """The pool must be invisible in the results: 8 threads of
-        searches return exactly what a direct serial search returns."""
+        """Concurrent callers must be invisible in the results: 8
+        threads of searches return exactly what a direct serial search
+        returns."""
         query = _query_for(_corpus(5)[2])
         serial = _search_signature(repo.search(query, k=3, candidates=4))
-        with MatchService(repo, sessions=3, queue_depth=32) as service:
+        with MatchService(repo, queue_depth=32) as service:
             results = [None] * 8
             errors = []
 
@@ -129,7 +130,7 @@ class TestMatchService:
         import asyncio
 
         query = _query_for(_corpus(5)[3])
-        with MatchService(repo, sessions=2) as service:
+        with MatchService(repo) as service:
             sync = _search_signature(
                 service.search(query, k=2, candidates=3)
             )
@@ -146,7 +147,7 @@ class TestMatchService:
 
     def test_match_resolves_repository_ids(self, repo):
         ids = repo.schema_ids()
-        with MatchService(repo, sessions=1) as service:
+        with MatchService(repo) as service:
             by_id = service.match(ids[0], ids[1])
             direct = service.match(
                 repo.load(ids[0]), repo.load(ids[1])
@@ -154,7 +155,7 @@ class TestMatchService:
             assert _mapping_signature(by_id) == _mapping_signature(direct)
 
     def test_overload_rejects_instead_of_buffering(self, repo):
-        service = MatchService(repo, sessions=1, queue_depth=1)
+        service = MatchService(repo, queue_depth=1)
         release = threading.Event()
         entered = threading.Event()
 
@@ -179,7 +180,7 @@ class TestMatchService:
 
     def test_expired_deadline_surfaces_timeout(self, repo):
         query = _query_for(_corpus(5)[1])
-        with MatchService(repo, sessions=1) as service:
+        with MatchService(repo) as service:
             with pytest.raises(RequestTimeoutError):
                 service.search(query, timeout=1e-9)
             assert service.metrics.endpoint("search").snapshot()[
@@ -187,12 +188,12 @@ class TestMatchService:
             ] == 1
 
     def test_requests_leave_no_per_request_artifacts(self, repo):
-        """A pool session caches the corpus, never what one request
-        brought: queries and inline match sides are parsed anew by
-        every request, so a cached copy could never be hit again and
+        """The service's session caches the corpus, never what one
+        request brought: queries and inline match sides are parsed anew
+        by every request, so a cached copy could never be hit again and
         would only grow the daemon's heap."""
         corpus = _corpus(5)
-        with MatchService(repo, sessions=2) as service:
+        with MatchService(repo) as service:
             service.search(_query_for(corpus[0]), k=2, candidates=3)
             for i in range(20):
                 service.search(
@@ -206,10 +207,9 @@ class TestMatchService:
                 )
             with pytest.raises(RequestTimeoutError):
                 service.search(_query_for(corpus[1]), timeout=1e-9)
-            for session in service._sessions:
-                info = session.cache_info()
-                assert info["cached_lsim_pairs"] == 0, info
-                assert info["prepared_schemas"] <= len(repo), info
+            info = service.stats()["session_pool"]
+        assert info["cached_lsim_pairs"] == 0, info
+        assert info["prepared_schemas"] <= len(repo), info
 
     def test_search_releases_query_when_deadline_expires(self, repo):
         class ExpiresAfter:
@@ -244,7 +244,7 @@ class TestMatchService:
 
     def test_match_by_id_keeps_corpus_cached(self, repo):
         ids = repo.schema_ids()
-        with MatchService(repo, sessions=1) as service:
+        with MatchService(repo) as service:
             first = service.match(ids[0], ids[1])
             again = service.match(ids[0], ids[1])
             assert _mapping_signature(again) == _mapping_signature(first)
@@ -253,7 +253,7 @@ class TestMatchService:
         assert info["cached_lsim_pairs"] == 1
 
     def test_closed_service_rejects(self, repo):
-        service = MatchService(repo, sessions=1)
+        service = MatchService(repo)
         service.close()
         with pytest.raises(ServiceClosedError):
             service.search(_query_for(_corpus(5)[0]))
@@ -264,46 +264,53 @@ class TestMatchService:
         prefix of the corpus: every id visible to its index ranking is
         one of the first N ingested, for the N its snapshot caught —
         never a schema in the catalog but not the index or vice
-        versa."""
+        versa. The match service runs one request at a time, so the
+        race is driven through the repository the way library callers
+        that share it across threads drive it: two reader threads, each
+        searching on its own session on the repository pipeline, while
+        this thread ingests and flushes."""
         schemas = _corpus(10, size=8, seed=17)
         query = _query_for(schemas[0], seed=23)
         repository = SchemaRepository(str(tmp_path / "repo"))
-        order = []
+        order = [repository.ingest(schemas[0])]
+        repository.save()
         snapshots = []
         errors = []
-        with MatchService(
-            repository, sessions=2, queue_depth=32
-        ) as service:
-            service.ingest(schemas[0])
-            order.append(repository.schema_ids()[0])
-            done = threading.Event()
+        done = threading.Event()
 
-            def reader():
-                while not done.is_set():
-                    try:
-                        search = service.search(query, k=2, candidates=2)
-                    except Exception as exc:  # pragma: no cover
-                        errors.append(exc)
-                        return
-                    snapshots.append(
-                        sorted(sid for sid, _ in search.candidate_scores)
+        def reader():
+            session = MatchSession(pipeline=repository.session.pipeline)
+            while not done.is_set():
+                try:
+                    search = repository.search(
+                        query, k=2, candidates=2, session=session
                     )
+                except Exception as exc:  # pragma: no cover
+                    errors.append(exc)
+                    return
+                snapshots.append(
+                    sorted(sid for sid, _ in search.candidate_scores)
+                )
 
-            threads = [
-                threading.Thread(target=reader) for _ in range(2)
-            ]
-            for t in threads:
-                t.start()
-            for schema in schemas[1:]:
-                before = set(repository.schema_ids())
-                service.ingest(schema)
-                (new_id,) = set(repository.schema_ids()) - before
-                order.append(new_id)
-            done.set()
-            for t in threads:
-                t.join()
+        threads = [threading.Thread(target=reader) for _ in range(2)]
+        for t in threads:
+            t.start()
+        for schema in schemas[1:]:
+            # Let the readers finish a search on every corpus size, so
+            # the snapshots span the whole ingest sequence.
+            seen = len(snapshots)
+            waited = time.monotonic() + 30
+            while len(snapshots) == seen and not errors:
+                assert time.monotonic() < waited, "readers stalled"
+                time.sleep(0.001)
+            order.append(repository.ingest(schema))
+            repository.save()
+        done.set()
+        for t in threads:
+            t.join(timeout=60)
+            assert not t.is_alive()
+        repository.close()
         assert not errors
-        assert snapshots, "readers never completed a search"
         valid_prefixes = {
             tuple(sorted(order[:n])): n
             for n in range(1, len(order) + 1)
@@ -313,6 +320,34 @@ class TestMatchService:
                 f"torn read: {snapshot} is not a prefix of the ingest "
                 f"order {order}"
             )
+        # The readers really raced the writer: they saw the corpus grow.
+        assert len({len(snapshot) for snapshot in snapshots}) > 1
+
+    def test_queue_wait_is_recorded_apart_from_latency(self, repo):
+        """A request admitted behind a stalled one waits for the
+        compute thread at least as long as the stall. That wait lands
+        in the endpoint's queue histogram, not in its execution
+        latency."""
+        stall = 0.25
+        release = threading.Event()
+        entered = threading.Event()
+
+        def stalled(session, deadline):
+            entered.set()
+            release.wait(timeout=30)
+
+        with MatchService(repo) as service:
+            blocker = service.submit("ingest", stalled)
+            assert entered.wait(timeout=10)
+            queued = service.submit("search", lambda session, deadline: 1)
+            time.sleep(stall)
+            release.set()
+            assert queued.result(timeout=10) == 1
+            blocker.result(timeout=10)
+            search = service.stats()["endpoints"]["search"]
+        assert search["queue"]["count"] == search["count"] == 1
+        assert search["queue"]["min_ms"] >= stall * 1000.0
+        assert search["max_ms"] < stall * 1000.0
 
     def test_background_compaction_folds_segments(self, tmp_path):
         repository = SchemaRepository(
@@ -322,7 +357,7 @@ class TestMatchService:
             segment_compaction_threshold=2
         )
         schemas = _corpus(6, size=6, seed=31)
-        with MatchService(repository, sessions=1) as service:
+        with MatchService(repository) as service:
             for schema in schemas:
                 service.ingest(schema)
         # close() joins the compactor: the sequence must have folded
@@ -537,7 +572,7 @@ class TestSchemaSpecFuzz:
 class TestHTTPDaemon:
     @pytest.fixture()
     def server(self, repo):
-        service = MatchService(repo, sessions=2, queue_depth=16)
+        service = MatchService(repo, queue_depth=16)
         httpd = MatchHTTPServer(("127.0.0.1", 0), service)
         thread = threading.Thread(
             target=httpd.serve_forever, daemon=True
@@ -724,7 +759,7 @@ class TestHTTPDaemon:
         assert capsys.readouterr().err == ""
 
     def test_reset_logs_one_line_when_verbose(self, repo, capsys):
-        service = MatchService(repo, sessions=1)
+        service = MatchService(repo)
         httpd = MatchHTTPServer(("127.0.0.1", 0), service, verbose=True)
         try:
             for error in (ConnectionResetError, BrokenPipeError):
