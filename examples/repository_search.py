@@ -6,18 +6,14 @@ hand and asks "which known schemas does this new feed resemble, and
 how do its columns map?". A :class:`repro.SchemaRepository` makes that
 durable:
 
-* ``ingest(schema)`` pays the expensive per-schema preparation
-  (normalization, categorization, distinct-name vocabulary, tree +
-  leaf layout) exactly once and serializes it to a versioned on-disk
-  format — later processes restore instead of recomputing, with
+* ``ingest(schema)`` stores the schema in a versioned on-disk format
+  under a content-addressed id — later processes load it and prepare
+  it again (normalization, categorization, tree + leaf layout), with
   bit-identical match results;
 * an inverted vocabulary-token index ranks the whole corpus against a
   query without running TreeMatch, so ``search(query, k,
   candidates=C)`` runs the full pipeline only on the C most promising
-  schemas;
-* the linguistic memo's token/element similarity tiers persist in the
-  repository too (keyed by thesaurus + config fingerprints), so even
-  the cold-token cost of the first search amortizes across processes.
+  schemas.
 
 The same flows are available on the command line::
 
@@ -80,8 +76,7 @@ def main() -> None:
                 schema_id = repo.ingest(schema)
                 print(f"ingested {schema_id}")
         # Leaving the `with` block persisted repository.json, the
-        # schema artifacts, the vocabulary index, and the similarity
-        # cache under `root`.
+        # schema artifacts, and the vocabulary index under `root`.
 
         # ---- Process 2 (simulated): search the persisted corpus ----
         query = schema_from_tree(

@@ -22,8 +22,8 @@ registered stage variants into the run (``linguistic=off``,
 ``mapping=hungarian``).
 
 ``index`` ingests schema files into a persistent
-:class:`repro.SchemaRepository` (prepared-schema artifacts serialized
-once, vocabulary index updated incrementally); ``search`` ranks the
+:class:`repro.SchemaRepository` (one canonical-schema artifact per
+schema, vocabulary index updated incrementally); ``search`` ranks the
 corpus against a query schema and runs the full pipeline only on the
 top ``--candidates`` schemas.
 
@@ -183,7 +183,7 @@ def _build_parser() -> argparse.ArgumentParser:
     index = commands.add_parser(
         "index",
         help="ingest schema files into a persistent schema repository "
-             "(prepared artifacts + vocabulary index, paid once ever)",
+             "(schema artifacts + vocabulary index)",
     )
     index.add_argument(
         "paths", nargs="+",
@@ -275,8 +275,9 @@ def _build_parser() -> argparse.ArgumentParser:
     verify = commands.add_parser(
         "verify",
         help="audit a repository's on-disk integrity (segment "
-             "checksums, artifact fingerprints); non-zero exit on "
-             "any problem",
+             "checksums, artifact fingerprints, catalog counts and "
+             "index profiles against a fresh preparation); non-zero "
+             "exit on any problem",
     )
     verify.add_argument(
         "--repo", required=True, metavar="DIR",

@@ -99,6 +99,17 @@ class RepositoryReadOnlyError(RepositoryError):
     """
 
 
+class ArtifactError(RepositoryError):
+    """Raised when a catalogued schema's artifact file cannot be read
+    or loaded: missing, torn, corrupt, or of another format version.
+
+    The catalog names the schema, so the caller asked for nothing
+    missing: the repository itself is damaged. Maps to HTTP 500 in the
+    daemon, where an unknown schema id (plain :class:`RepositoryError`)
+    is a 404.
+    """
+
+
 class SegmentError(RepositoryError):
     """Raised when an index segment file cannot be trusted: a missing
     file named by the manifest, a checksum mismatch, or a structurally

@@ -12,13 +12,12 @@ fires a chosen failure on chosen invocations of its site.
 Sites currently wired (grep for the literal string to find the code)::
 
     repo.manifest       manifest write (repository.json)
-    repo.artifact       prepared-schema artifact write
+    repo.artifact       schema artifact write
     repo.intent         write-ahead ingest-intent record
-    repo.simcache       persistent similarity-cache write
     segment.write       index segment file write
     segment.read        index segment file read (open path)
-    artifact.serialize  prepared-schema serialization
-    artifact.restore    prepared-schema restoration
+    artifact.serialize  artifact payload serialization (ingest)
+    artifact.restore    artifact payload loading (repository load)
     serve.execute       service request execution (compute thread)
 
 Actions::

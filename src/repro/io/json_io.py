@@ -9,7 +9,7 @@ export-only (they reference live tree nodes).
 from __future__ import annotations
 
 import json
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional
 
 from repro.exceptions import SchemaError
 from repro.mapping.mapping import Mapping
@@ -24,6 +24,13 @@ from repro.model.schema import Schema
 _ELEMENT_KINDS = {kind.value: kind for kind in ElementKind}
 _DATA_TYPES = {data_type.value: data_type for data_type in DataType}
 _RELATIONSHIP_KINDS = {kind.value: kind for kind in RelationshipKind}
+
+#: The serialized fields of an element, all of which the loader copies
+#: onto the root the new :class:`Schema` creates.
+_ROOT_FIELDS = (
+    "name", "kind", "data_type", "optional", "is_key",
+    "not_instantiated", "description",
+)
 
 
 def _member(members: Dict[Any, Any], enum_cls, value: Any):
@@ -76,20 +83,6 @@ def schema_from_dict(data: Dict[str, Any]) -> Schema:
     the same dict can be loaded multiple times (e.g. to match a schema
     against a copy of itself).
     """
-    schema, _ = schema_from_dict_with_ids(data)
-    return schema
-
-
-def schema_from_dict_with_ids(
-    data: Dict[str, Any]
-) -> Tuple[Schema, Dict[str, SchemaElement]]:
-    """:func:`schema_from_dict` plus the serialized-id → element map.
-
-    Persisted artifacts (repository prepared-schema tiers) reference
-    elements by their *serialized* ids; since deserialization mints
-    fresh process-unique ids, restoring those artifacts needs the
-    translation this variant returns.
-    """
     if not isinstance(data, dict) or not {
         "root", "name", "elements", "relationships"
     } <= data.keys():
@@ -123,9 +116,10 @@ def schema_from_dict_with_ids(
         if spec["id"] == root_id:
             schema = Schema(data["name"])
             # Swap the auto-created root for the deserialized one by
-            # reusing the created root object and copying fields.
-            schema.root.name = element.name
-            schema.root.kind = element.kind
+            # reusing the created root object and copying every field
+            # but the id (a described root keeps its description).
+            for attr in _ROOT_FIELDS:
+                setattr(schema.root, attr, getattr(element, attr))
             by_id[spec["id"]] = schema.root
 
     if schema is None:
@@ -144,7 +138,7 @@ def schema_from_dict_with_ids(
     for rel in data["relationships"]:
         kind = _member(_RELATIONSHIP_KINDS, RelationshipKind, rel["kind"])
         adders[kind](by_id[rel["source"]], by_id[rel["target"]])
-    return schema, by_id
+    return schema
 
 
 def schema_to_json(schema: Schema, indent: int = 2) -> str:

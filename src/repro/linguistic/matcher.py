@@ -179,9 +179,8 @@ class LinguisticMatcher:
 
     def kernel_applicable(self) -> bool:
         """Whether matches run the distinct-name kernel, which is
-        whether the engine is the dense one. Eager builders
-        (:meth:`PreparedSchema.build_all`) consult it too, so they
-        build a vocabulary exactly when a match would read one."""
+        whether the engine is the dense one; only then does a match
+        build a preparation's vocabulary."""
         return self.memo is not None
 
     def compute_prepared(

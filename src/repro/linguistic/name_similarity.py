@@ -222,58 +222,10 @@ class NameSimilarityMemo:
             sims.extend(values)
         return sims
 
-    # ------------------------------------------------------------------
-    # Persistence (the repository's cross-process memo tier)
-    # ------------------------------------------------------------------
-
-    def export_cache(self) -> Dict[str, Dict[str, Dict[str, float]]]:
-        """The token tier as a JSON-compatible dict.
-
-        Token-pair entries are the expensive ones (thesaurus probes,
-        substring scans) and are keyed by plain strings. They are pure
-        in (thesaurus, config), so a
-        :class:`~repro.repository.SchemaRepository` persists them keyed
-        by those fingerprints and preloads a fresh session's memo: the
-        cold-token cost is paid once per deployment, not once per
-        process. Values round-trip bit-exactly through JSON
-        (repr-based floats).
-
-        Safe while other threads fill the memo: search threads write
-        it without a lock, so nothing here iterates a live dict. Each
-        iteration runs over a snapshot taken by one C call (atomic
-        under the GIL): ``dict.copy()`` of the outer map and of every
-        row.
-        """
-        return {
-            "token": {a: row.copy() for a, row in self._token.copy().items()}
-        }
-
-    def preload_cache(
-        self, data: Dict[str, Dict[str, Dict[str, float]]]
-    ) -> int:
-        """Merge an :meth:`export_cache` dump into the token tier.
-
-        Existing entries win (they were computed under this process's
-        thesaurus/config, the dump merely claims to match). Returns the
-        number of entries added. Other sections — the ``element``
-        section older builds wrote — are ignored. Callers are
-        responsible for checking that the dump's thesaurus/config
-        fingerprints match — a mismatched dump would poison bit-parity.
-        """
-        added = 0
-        for a, row in data.get("token", {}).items():
-            live = self._token.get(a)
-            if live is None:
-                live = self._token[a] = {}
-            for b, value in row.items():
-                if b not in live:
-                    live[b] = value
-                    added += 1
-        return added
-
     def token_entries(self) -> int:
-        """Entries held by the token tier (over a snapshot of its rows,
-        like :meth:`export_cache`)."""
+        """Entries held by the token tier, counted over a snapshot of
+        its rows (one C call, atomic under the GIL), so the count is
+        safe while a match fills the memo on another thread."""
         return sum(map(len, list(self._token.values())))
 
     def stats(self) -> Dict[str, float]:

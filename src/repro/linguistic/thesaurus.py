@@ -143,11 +143,11 @@ class Thesaurus:
 
         Two thesauri with the same synonyms/hypernyms, expansions,
         stopwords, and concept triggers produce the same fingerprint
-        regardless of insertion order. Persistent artifacts (repository
-        schemas, the cross-session similarity cache) are keyed by this:
-        loading them under different linguistic knowledge would
-        silently change match results, so mismatches must be
-        detectable.
+        regardless of insertion order. A schema repository records it
+        in its manifest: its index profiles were derived under this
+        knowledge, and ranking the corpus by them under different
+        knowledge would silently change search results, so a
+        mismatch must be detectable.
         """
         import hashlib
         import json

@@ -11,7 +11,10 @@ repeated work.
 :class:`PreparedSchema` captures that work lazily: each artifact is
 built on first access and cached. A :class:`~repro.pipeline.session.
 MatchSession` keeps one ``PreparedSchema`` per schema, which is where
-the one-vs-many batch speedup comes from.
+the one-vs-many batch speedup comes from. Nothing here is persisted: a
+:class:`~repro.repository.SchemaRepository` stores only the canonical
+schema and loads it as a fresh, lazy ``PreparedSchema``, because
+preparing a schema costs what reading its tiers back from disk did.
 """
 
 from __future__ import annotations
@@ -66,54 +69,14 @@ class PreparedSchema:
         self._tree: Optional[SchemaTree] = None
         self._layout: Optional[LeafLayout] = None
 
-    @classmethod
-    def from_artifacts(
-        cls,
-        schema: Schema,
-        linguistic_matcher: "LinguisticMatcher",
-        config: CupidConfig,
-        linguistic: "LinguisticPreparation",
-    ) -> "PreparedSchema":
-        """A prepared schema seeded with a restored linguistic tier.
-
-        The deserialization hook for
-        :mod:`repro.repository.artifacts`: the (expensive) linguistic
-        preparation — and, via ``linguistic.vocabulary``, the kernel
-        vocabulary — comes off disk instead of being computed, while
-        the tree and leaf layout stay lazy (they rebuild
-        deterministically from the schema). ``linguistic`` must be the
-        exact artifact :meth:`linguistic` would have produced under
-        this matcher and config; bit-parity of later matches is the
-        caller's contract.
-        """
-        prepared = cls(schema, linguistic_matcher, config)
-        prepared._linguistic = linguistic
-        return prepared
-
-    def build_all(self) -> "PreparedSchema":
-        """Force every lazy tier now (ingest-time eager build).
-
-        Touches :attr:`linguistic`, the kernel vocabulary (when the
-        matcher would actually route matches through it), :attr:`tree`,
-        and :attr:`leaf_layout`, so serialization sees fully-built
-        artifacts and the cold-start cost is paid at ingest, not on the
-        first search that hits this schema. Returns ``self``.
-        """
-        linguistic = self.linguistic
-        if self._linguistic_matcher.kernel_applicable():
-            self._linguistic_matcher.vocabulary(linguistic)
-        self.tree
-        self.leaf_layout
-        return self
-
     def prepared_by(self, linguistic_matcher: "LinguisticMatcher") -> bool:
         """Whether this schema was prepared by ``linguistic_matcher``.
 
         Artifacts are only valid under the matcher (thesaurus + config)
-        that built them; boundaries that persist them — the repository's
-        ingest — use this to detect a foreign ``PreparedSchema`` and
-        re-prepare under their own components instead of silently
-        storing mismatched tiers.
+        that built them; boundaries that derive persistent data from
+        them — the repository's ingest computes an index profile —
+        use this to detect a foreign ``PreparedSchema`` and re-prepare
+        under their own components instead.
         """
         return self._linguistic_matcher is linguistic_matcher
 
@@ -146,10 +109,8 @@ class PreparedSchema:
         Construction (and, for ``use_refint_joins``, join-view
         augmentation) stamps the pre/post-order interval encoding —
         :meth:`SchemaTree.reindex` — so the tree arrives with window
-        addressing already valid, and a restored schema re-derives
-        the identical encoding deterministically (the persisted
-        ``leaf_order`` artifact is exactly this traversal's leaf
-        order; ``SchemaRepository.verify`` cross-checks both).
+        addressing already valid (``SchemaRepository.verify`` runs the
+        interval oracle on it).
         """
         if self._tree is None:
             build = (

@@ -13,9 +13,9 @@ schema phase on each call; a :class:`MatchSession` caches them:
   pair — the Section 8.4 iterative-feedback loop — skips the linguistic
   phase entirely (:meth:`rematch`);
 * the pipeline's linguistic memo, warm across all of the session's
-  matches. It lives in memory only; a
-  :class:`~repro.repository.SchemaRepository` is what persists its
-  token tier across processes (``simcache.json``).
+  matches. It lives in memory only: nothing persists it, not even a
+  :class:`~repro.repository.SchemaRepository`, since it is pure and
+  cheap to refill.
 
 Results are bit-identical to independent ``CupidMatcher.match`` calls:
 everything cached is a pure function of (schema, thesaurus, config).

@@ -3,15 +3,16 @@ deployment shape made durable).
 
 Three layers over the existing engine:
 
-* :mod:`repro.repository.artifacts` — versioned (de)serialization of
-  :class:`~repro.pipeline.prepared.PreparedSchema` tiers; restored
-  schemas match freshly-prepared ones bit-identically.
+* :mod:`repro.repository.artifacts` — the versioned artifact file:
+  a schema's canonical, content-addressed payload and nothing derived
+  from it; a loaded schema is prepared again by the repository's own
+  pipeline.
 * :mod:`repro.repository.index` — an inverted vocabulary-token index
   with a TF-IDF overlap scorer that prunes a corpus to a candidate
   set without running TreeMatch.
 * :mod:`repro.repository.store` — :class:`SchemaRepository`:
-  ``ingest`` / ``load`` / ``search(query, k, candidates=C)`` plus the
-  persistent cross-process name-similarity cache.
+  ``ingest`` / ``load`` / ``search(query, k, candidates=C)`` /
+  ``verify``.
 
 CLI: ``repro index <paths> --repo DIR`` and ``repro search <schema>
 --repo DIR -k N``.

@@ -110,6 +110,11 @@ class VocabularyIndex:
         """The set of schema ids currently carrying postings."""
         return set(self._profiles)
 
+    def profile_of(self, schema_id: str) -> Optional[Dict[str, int]]:
+        """The profile ``schema_id`` is indexed under, or None."""
+        profile = self._profiles.get(schema_id)
+        return None if profile is None else dict(profile)
+
     def profile_items(self):
         """``(schema_id, profile)`` pairs in sorted id order — the live
         contents a compacted segment persists."""

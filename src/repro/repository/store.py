@@ -3,23 +3,23 @@
 Cupid frames Match as a service over a *repository* of schemas
 (Section 2), but an in-process :class:`~repro.pipeline.session.
 MatchSession` forgets everything at exit. :class:`SchemaRepository`
-makes the session's cache tiers durable:
+keeps the schemas and what ranks them:
 
-* **ingest(schema)** prepares the schema eagerly and serializes every
-  persistent tier (:mod:`repro.repository.artifacts`) under a
-  content-addressed id — the cold-start cost is paid once per schema
-  *ever*, not once per process;
+* **ingest(schema)** stores the canonical schema
+  (:mod:`repro.repository.artifacts`) under a content-addressed id,
+  with its catalog entry (element and leaf counts) and its index
+  profile;
 * a **vocabulary index** (:mod:`repro.repository.index`) ranks the
   corpus against a query without matching it;
 * **search(query, k, candidates=C)** runs the full pipeline only on
-  the top-C candidates and returns ranked results with pruning stats;
-* a **persistent similarity cache** stores the linguistic memo's
-  token tier between processes, keyed by thesaurus + config
-  fingerprints, amortizing the cold-token cost of every match.
+  the top-C candidates and returns ranked results with pruning stats.
 
-Everything restored is bit-identical to freshly-prepared state, so a
-search against a reopened repository returns exactly the results the
-in-memory path produces (``tests/test_repository.py`` asserts both).
+No preparation tier and no similarity cache is persisted: preparing a
+schema costs what reading its tiers back did, and the linguistic memo
+is pure, so each process rebuilds both in memory. A loaded schema is
+prepared by the repository's own pipeline, so a search against a
+reopened repository returns exactly the results the in-memory path
+produces (``tests/test_repository.py`` asserts it).
 
 Directory layout (all JSON, human-diffable)::
 
@@ -28,10 +28,13 @@ Directory layout (all JSON, human-diffable)::
     <root>/schemas/<id>.json  one artifact file per ingested schema
     <root>/index/seg-*.json   append-only index segments (one per
                               ingest batch; compaction folds them)
-    <root>/simcache.json      persistent name-similarity cache
     <root>/ingest.intent.json write-ahead ingest intents (present only
                               between an ingest and its manifest
                               publish; resolved on reopen)
+
+Earlier builds also kept the memo's token tier in a similarity-cache
+file beside the manifest; one left in the directory is neither read
+nor deleted.
 
 Since PR 7 the vocabulary index persists as **append-only segments**
 (:mod:`repro.repository.segments`) instead of one rewritten
@@ -60,6 +63,7 @@ from typing import Any, Dict, List, Optional, Tuple, Union
 
 from repro.config import CupidConfig
 from repro.exceptions import (
+    ArtifactError,
     RepositoryError,
     RepositoryReadOnlyError,
     SchemaError,
@@ -75,7 +79,6 @@ from repro.pipeline.session import MatchSession
 from repro.repository.artifacts import (
     FORMAT_VERSION,
     SEMANTIC_CONFIG_FIELDS,
-    canonical_category_key,
     canonical_schema_dict,
     config_fingerprint,
     config_from_dict,
@@ -102,7 +105,6 @@ MANIFEST_FILE = "repository.json"
 #: backward compatibility — new saves always write segments, and the
 #: first post-migration manifest write deletes the stale file.
 INDEX_FILE = "index.json"
-SIMCACHE_FILE = "simcache.json"
 SCHEMAS_DIR = "schemas"
 #: Write-ahead record of ingests whose artifacts may be on disk but
 #: whose manifest publication has not happened yet. Reopening a
@@ -175,7 +177,7 @@ class SchemaRepository:
     >>> repo = SchemaRepository(path)          # create or reopen
     >>> repo.ingest(schema)                    # pay cold start once
     >>> hits = repo.search(query, k=3, candidates=16)
-    >>> repo.save()                            # flush manifest+caches
+    >>> repo.save()                            # flush index + manifest
 
     Construction opens an existing repository (validating format
     version, config, and thesaurus fingerprints) or initializes an
@@ -211,9 +213,6 @@ class SchemaRepository:
             "searches": 0,
             "search_candidates_matched": 0,
             "search_candidates_pruned": 0,
-            "simcache_preloaded_entries": 0,
-            "simcache_discarded": 0,
-            "simcache_write_failures": 0,
             "index_rebuilds": 0,
             "segments_loaded": 0,
             "segments_written": 0,
@@ -251,13 +250,12 @@ class SchemaRepository:
         self.session = MatchSession(
             thesaurus=self.thesaurus, config=self.config
         )
-        #: schema_id -> restored/ingested PreparedSchema, bounded by
+        #: schema_id -> loaded/ingested PreparedSchema, bounded by
         #: the same LRU limit the session honors.
         self._loaded: Dict[str, PreparedSchema] = {}
         # Intent recovery marks the repository dirty so the recovered
         # (or rolled-back) state reaches the manifest on the next save.
         self._dirty = self._dirty or not exists
-        self._load_simcache()
         if self._rebuild_index_pending:
             self._rebuild_index()
 
@@ -514,11 +512,14 @@ class SchemaRepository:
     ) -> str:
         """Add ``schema`` to the corpus; returns its repository id.
 
-        Preparation is forced eagerly and every persistent tier is
-        serialized to ``schemas/<id>.json``. Ids are content-addressed
-        (canonical schema hash), so re-ingesting an identical schema is
-        a cheap no-op returning the existing id — the duplicate check
-        runs on the raw schema, before any preparation.
+        The canonical schema is written to ``schemas/<id>.json``. Ingest
+        prepares only what the repository derives from it: the
+        linguistic tier for the index profile and the leaf layout for
+        the catalog's leaf count; the first match builds the rest. Ids
+        are content-addressed (canonical schema hash), so re-ingesting
+        an identical schema is a cheap no-op returning the existing id —
+        the duplicate check runs on the raw schema, before any
+        preparation.
 
         Concurrent ingest never takes a long-held lock: preparation
         and the artifact write happen outside the repository lock
@@ -646,14 +647,19 @@ class SchemaRepository:
             return schema_id in self._schemas
 
     def load(self, schema_id: str) -> PreparedSchema:
-        """The restored :class:`PreparedSchema` for ``schema_id``.
+        """The :class:`PreparedSchema` of ``schema_id``'s stored schema.
 
         Reads the artifact file on first use (lazily — opening a
-        repository loads no schema bytes at all) and caches the
-        restored object for the repository's lifetime, subject to the
-        session's LRU bound. Restoration runs outside the lock (two
-        racing loads restore twice and one result wins — wasted work,
-        never a torn artifact).
+        repository loads no schema bytes at all) and caches the lazy
+        ``PreparedSchema`` for the repository's lifetime, subject to
+        the session's LRU bound; the repository's pipeline prepares it
+        on first use. Loading runs outside the lock (two racing loads
+        read twice and one result wins — wasted work, never a torn
+        artifact).
+
+        Raises plain :class:`RepositoryError` for an id the catalog
+        does not hold, and :class:`ArtifactError` when a catalogued
+        id's artifact cannot be read or loaded.
         """
         with self._lock:
             prepared = self._loaded.get(schema_id)
@@ -665,20 +671,14 @@ class SchemaRepository:
                 raise RepositoryError(
                     f"repository has no schema {schema_id!r}"
                 )
-        payload = _read_json(
-            self._artifact_path(schema_id), f"artifact {schema_id!r}"
-        )
+        try:
+            prepared = self._read_artifact(schema_id)
+        except RepositoryError as exc:
+            raise ArtifactError(str(exc)) from exc
         with self._lock:
             racing = self._loaded.get(schema_id)
             if racing is not None:
-                return racing
-        prepared = prepared_from_dict(
-            payload, self.session.pipeline.linguistic, self.config
-        )
-        with self._lock:
-            racing = self._loaded.get(schema_id)
-            if racing is not None:
-                # First restore published wins; every later match of
+                # First load published wins; every later match of
                 # this id shares its lazy tiers.
                 return racing
             self._counters["artifact_loads"] += 1
@@ -698,6 +698,15 @@ class SchemaRepository:
 
     def _artifact_path(self, schema_id: str) -> str:
         return os.path.join(self.path, SCHEMAS_DIR, f"{schema_id}.json")
+
+    def _read_artifact(self, schema_id: str) -> PreparedSchema:
+        """A fresh lazy :class:`PreparedSchema` of the artifact file."""
+        payload = _read_json(
+            self._artifact_path(schema_id), f"artifact {schema_id!r}"
+        )
+        return prepared_from_dict(
+            payload, self.session.pipeline.linguistic, self.config
+        )
 
     # ------------------------------------------------------------------
     # Search
@@ -830,104 +839,53 @@ class SchemaRepository:
     # ------------------------------------------------------------------
 
     def verify(self, schema_id: str) -> None:
-        """Check ``schema_id``'s artifacts against a fresh preparation.
+        """Check what the repository derived from ``schema_id``'s schema.
 
-        Restores the schema from its artifact *file* (never the
-        in-memory cache — what is verified is what a future process
-        will see), re-prepares it from scratch, and compares every
-        persisted tier (normalized names, category tables, vocabulary,
-        leaf order). Raises :class:`RepositoryError` on any drift —
-        the invariant behind the repository's bit-parity contract.
+        Reads the artifact *file* (never the in-memory cache — what is
+        verified is what a future process will see), checks that its
+        schema hashes back to the content-addressed id, prepares the
+        schema afresh, and compares the derived data the repository
+        keeps: the catalog's element and leaf counts and the index
+        profile searches rank by. The fresh tree must also pass the
+        interval-encoding oracle. Raises :class:`RepositoryError` on
+        any drift.
         """
-        if schema_id not in self:
+        with self._lock:
+            meta = self._schemas.get(schema_id)
+            indexed = self._index.profile_of(schema_id)
+        if meta is None:
             raise RepositoryError(
                 f"repository has no schema {schema_id!r}"
             )
-        payload = _read_json(
-            self._artifact_path(schema_id), f"artifact {schema_id!r}"
-        )
-        restored = prepared_from_dict(
-            payload, self.session.pipeline.linguistic, self.config
-        )
-        matcher = self.session.pipeline.linguistic
-        fresh = matcher.prepare(restored.schema)
-        stored = restored.linguistic
-
-        fresh_names = {
-            eid: name for eid, name in fresh.normalized.items()
-        }
-        if fresh_names != dict(stored.normalized):
+        fresh = self._read_artifact(schema_id)
+        fingerprint = schema_fingerprint(canonical_schema_dict(fresh.schema))
+        if not schema_id.endswith(fingerprint[:12]):
             raise RepositoryError(
-                f"{schema_id!r}: restored normalized names differ from "
-                "a fresh preparation"
+                f"{schema_id!r}: the artifact's schema does not hash to "
+                "its id"
             )
-        # Fresh category keys embed this process's element ids; map
-        # them to the canonical form artifacts persist.
-        canonical_of = {
-            element.element_id: f"n{i}"
-            for i, element in enumerate(restored.schema.elements)
-        }
-        fresh_keys = [
-            canonical_category_key(key, canonical_of)
-            for key in fresh.categories.keys()
-        ]
-        if fresh_keys != list(stored.categories.keys()):
-            raise RepositoryError(
-                f"{schema_id!r}: restored category order differs from "
-                "a fresh preparation"
-            )
-        for key, fresh_cat in zip(fresh_keys, fresh.categories.values()):
-            stored_cat = stored.categories[key]
-            if (
-                fresh_cat.keywords != stored_cat.keywords
-                or fresh_cat.source != stored_cat.source
-                or [m.element_id for m in fresh_cat.members]
-                != [m.element_id for m in stored_cat.members]
-            ):
+        for key, value in (
+            ("elements", len(fresh.schema.elements)),
+            ("leaves", len(fresh.leaf_layout.leaves)),
+        ):
+            if meta.get(key) != value:
                 raise RepositoryError(
-                    f"{schema_id!r}: restored category {key!r} differs "
-                    "from a fresh preparation"
+                    f"{schema_id!r}: the catalog records {meta.get(key)!r} "
+                    f"{key}, a fresh preparation has {value}"
                 )
-        if stored.vocabulary is not None:
-            from repro.linguistic.kernel import SchemaVocabulary
-
-            rebuilt = SchemaVocabulary(fresh)
-            vocabulary = stored.vocabulary
-            if (
-                [n.raw for n in rebuilt.names]
-                != [n.raw for n in vocabulary.names]
-                or rebuilt.class_is_dtype != vocabulary.class_is_dtype
-                or rebuilt.class_keywords != vocabulary.class_keywords
-                or rebuilt.class_profiles != vocabulary.class_profiles
-                or rebuilt.profile_names != vocabulary.profile_names
-                or rebuilt.profile_members != vocabulary.profile_members
-                or rebuilt.profile_of != vocabulary.profile_of
-            ):
-                raise RepositoryError(
-                    f"{schema_id!r}: restored vocabulary differs from "
-                    "a fresh factoring"
-                )
-        leaf_order = [
-            canonical_of[leaf.element.element_id]
-            for leaf in restored.leaf_layout.leaves
-        ]
-        if leaf_order != payload["artifacts"]["leaf_order"]:
+        profile = token_profile(fresh.linguistic)
+        if indexed != profile:
+            held = "no" if indexed is None else len(indexed)
             raise RepositoryError(
-                f"{schema_id!r}: rebuilt leaf layout order differs from "
-                "the ingested one"
+                f"{schema_id!r}: the index profile differs from a fresh "
+                f"preparation ({held} tokens indexed, {len(profile)} "
+                "fresh)"
             )
-        # The tree tier is never serialized — it rebuilds (and its
-        # interval encoding re-derives) deterministically from the
-        # schema, which is exactly why the encoding needed no artifact
-        # format bump. Cross-check the restored tree's encoding against
-        # independent descendant recomputation so a restore can never
-        # serve interval-addressed answers that drifted from the
-        # structure.
         try:
-            verify_interval_encoding(restored.tree)
+            verify_interval_encoding(fresh.tree)
         except SchemaError as exc:
             raise RepositoryError(
-                f"{schema_id!r}: restored tree fails the interval-"
+                f"{schema_id!r}: the prepared tree fails the interval-"
                 f"encoding oracle: {exc}"
             ) from exc
 
@@ -936,7 +894,7 @@ class SchemaRepository:
     # ------------------------------------------------------------------
 
     def save(self, auto_compact: bool = True) -> None:
-        """Flush the index segment, manifest, and similarity cache.
+        """Flush the pending index segment and the manifest.
 
         Profiles added since the last flush become **one** append-only
         segment — the "per ingest batch" unit — and the manifest's
@@ -961,7 +919,6 @@ class SchemaRepository:
                 self._dirty = False
                 self._finish_publish_locked()
         remove_segment_files(self.path, stale)
-        self._write_simcache()
 
     def compact(self) -> int:
         """Fold the segment sequence into one compacted segment now.
@@ -982,7 +939,6 @@ class SchemaRepository:
                 self._finish_publish_locked()
                 count = len(self._segment_entries)
             remove_segment_files(self.path, stale)
-            self._write_simcache()
             if compact_span is not None:
                 compact_span.annotate(
                     live_segments=count, removed_segments=len(stale)
@@ -1145,74 +1101,6 @@ class SchemaRepository:
         except Exception:
             if exc_type is None:
                 raise
-
-    def _memo_computed_entries(self) -> int:
-        """How many token-tier entries this process computed itself.
-
-        Every token miss computes (and stores) exactly one entry of the
-        tier ``simcache.json`` holds; preloaded entries arrive without
-        misses. Used to skip rewriting the file when a session added
-        nothing to it.
-        """
-        memo = self.session.pipeline.linguistic.memo
-        if memo is None:
-            return 0
-        return memo.token_misses
-
-    def _load_simcache(self) -> None:
-        self._simcache_baseline = self._memo_computed_entries()
-        memo = self.session.pipeline.linguistic.memo
-        path = os.path.join(self.path, SIMCACHE_FILE)
-        if memo is None or not os.path.exists(path):
-            return
-        try:
-            data = _read_json(path, "similarity cache")
-        except RepositoryError:
-            # A torn cache is a cache miss, not a broken repository.
-            self._counters["simcache_discarded"] += 1
-            return
-        if (
-            data.get("format_version") != FORMAT_VERSION
-            or data.get("thesaurus_fingerprint")
-            != self.thesaurus.fingerprint()
-            or data.get("config_fingerprint")
-            != config_fingerprint(self.config)
-        ):
-            # Entries computed under other knowledge would poison
-            # bit-parity; a stale cache is silently dropped.
-            self._counters["simcache_discarded"] += 1
-            return
-        self._counters["simcache_preloaded_entries"] += memo.preload_cache(
-            data.get("caches", {})
-        )
-
-    def _write_simcache(self) -> None:
-        memo = self.session.pipeline.linguistic.memo
-        if memo is None:
-            return
-        if self._memo_computed_entries() == self._simcache_baseline:
-            # Nothing new computed since the preload (e.g. a fully
-            # cache-warm search): the file on disk is already current.
-            return
-        try:
-            atomic_write_json(
-                os.path.join(self.path, SIMCACHE_FILE),
-                {
-                    "format_version": FORMAT_VERSION,
-                    "thesaurus_fingerprint": self.thesaurus.fingerprint(),
-                    "config_fingerprint": config_fingerprint(self.config),
-                    "caches": memo.export_cache(),
-                },
-                site="repo.simcache",
-            )
-        except OSError:
-            # The simcache is a pure optimization: failing to persist
-            # it (read-only mount, missing permissions) must not fail
-            # an otherwise-successful read-only command. Manifest and
-            # index writes still raise — those ARE the data.
-            self._counters["simcache_write_failures"] += 1
-            return
-        self._simcache_baseline = self._memo_computed_entries()
 
     # ------------------------------------------------------------------
     # Introspection

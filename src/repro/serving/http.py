@@ -57,8 +57,10 @@ unknown path → 404, :class:`ServiceOverloadedError` /
 :class:`ServiceClosedError` → 503 with a jittered ``Retry-After``
 header, :class:`RequestTimeoutError` → 504,
 :class:`RepositoryReadOnlyError` (degraded to read-only, e.g. disk
-full) → 507, :class:`RepositoryError` → 404 (unknown schema id) and
-other library errors → 400. Bodies are ``{"error": <class name>,
+full) → 507, :class:`ArtifactError` (a catalogued schema's artifact
+file is unreadable or corrupt) → 500, any other
+:class:`RepositoryError` → 404 (unknown schema id) and other library
+errors → 400. Bodies are ``{"error": <class name>,
 "message": ...}``. A failed request is always a named 5xx — never a
 200 with partial results.
 """
@@ -76,6 +78,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any, Dict, Optional, Tuple
 
 from repro.exceptions import (
+    ArtifactError,
     BadRequestError,
     RepositoryError,
     RepositoryReadOnlyError,
@@ -528,6 +531,9 @@ def _status_for(exc: Exception) -> int:
     if isinstance(exc, RepositoryReadOnlyError):
         # Insufficient Storage: writes are degraded, reads still work.
         return 507
+    if isinstance(exc, ArtifactError):
+        # A catalogued schema's file is damaged: the server's fault.
+        return 500
     if isinstance(exc, RepositoryError):
         return 404
     if isinstance(exc, ReproError):
@@ -624,8 +630,8 @@ def serve(
     SIGTERM and SIGINT trigger a graceful shutdown: the accept loop
     stops, in-flight requests drain (bounded by the executor's
     completion of already-admitted work), and ``service.close()``
-    flushes pending segments, the manifest, and the simcache before
-    the process exits. Handlers are installed best-effort — in a
+    flushes pending segments and the manifest before the process
+    exits. Handlers are installed best-effort — in a
     non-main thread (embedded use, tests) signal wiring is skipped
     and the caller owns shutdown.
     """

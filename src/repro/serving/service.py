@@ -10,8 +10,8 @@ time, on a single :class:`~repro.pipeline.session.MatchSession`.
 Execution model
 ---------------
 Every admitted request runs on one compute thread, with one session on
-the repository's shared pipeline — hence one linguistic memo,
-preloaded from the repository's ``simcache.json``. The HTTP handler
+the repository's shared pipeline — hence one linguistic memo, which
+starts empty in each daemon and stays in memory. The HTTP handler
 threads parse request bodies and encode responses around it. The
 session's prepared/lsim LRU tiers are bounded by
 ``config.max_prepared_schemas``; a request's own schemas (a search
@@ -97,8 +97,7 @@ class MatchService:
     Parameters default to the repository config's serving knobs:
     ``queue_depth`` (admission bound) and ``timeout_s`` (default
     per-request deadline; 0 = none). The service owns the repository's
-    persistence: closing it flushes pending segments, the manifest,
-    and the simcache.
+    persistence: closing it flushes pending segments and the manifest.
     """
 
     def __init__(
@@ -118,7 +117,7 @@ class MatchService:
             timeout_s if timeout_s is not None else config.serving_timeout_s
         )
         # The compute thread's session: on the repository pipeline, so
-        # it shares the warm memo and the preloaded simcache.
+        # it shares the repository's warm memo.
         self._session = MatchSession(pipeline=repository.session.pipeline)
         self._executor = ThreadPoolExecutor(
             1, thread_name_prefix="repro-serve"

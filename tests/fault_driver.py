@@ -69,9 +69,9 @@ def main() -> int:
         print(f"ingested {schema_id}", flush=True)
         repo.save(auto_compact=False)
         print(f"committed {schema_id}", flush=True)
-    # One search fills the linguistic memo, so the compaction's save
-    # definitely has similarity-cache bytes to flush — giving the
-    # ``repo.simcache`` fault site a deterministic invocation.
+    # One search before the compaction: it loads and matches corpus
+    # schemas but writes nothing, so every crash point the sweep specs
+    # name lies in an ingest, a save, or the compaction.
     repo.search(schemas[0], k=2)
     print("searched", flush=True)
     repo.compact()

@@ -209,7 +209,6 @@ CRASH_SPECS = [
     "repo.intent:torn@2",
     "repo.manifest:kill@3",
     "repo.manifest:kill_after@5",
-    "repo.simcache:torn@1",
     "segment.write:kill@2",
     "segment.write:kill_after@4",
     "segment.write:torn@6",
@@ -551,8 +550,8 @@ class TestCompactionSupervision:
             service._maybe_compact()
             # The segment count drops inside repository.compact(); the
             # supervisor records the outcome only after compact()
-            # returns (segment files removed, simcache saved). Wait for
-            # that too: failures reset and no retry pending.
+            # returns (segment files removed). Wait for that too:
+            # failures reset and no retry pending.
             deadline = time.monotonic() + 30.0
             while time.monotonic() < deadline:
                 if (

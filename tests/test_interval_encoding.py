@@ -197,8 +197,7 @@ class TestAugmentAfterCompletedBuild:
         session = MatchSession(config=CupidConfig(use_refint_joins=False))
         prep_s = session.prepare(source)
         prep_t = session.prepare(target)
-        prep_s.build_all()
-        prep_t.build_all()
+        # A match builds every lazy tier (vocabulary, tree, layout).
         session.match(source, target)  # completed build, caches hot
         assert augment_with_join_views(prep_s.tree)
         assert augment_with_join_views(prep_t.tree)

@@ -118,6 +118,32 @@ class TestJsonRoundTrip:
         assert len(refints) == 1
         assert refints[0].not_instantiated
 
+    def test_roundtrip_preserves_root_fields(self, schema):
+        """The loader reuses the root the new schema creates; every
+        serialized field of the root must reach it, so the dict of a
+        round-tripped schema equals the original's up to ids."""
+        schema.root.description = "orders and the accounts they bill"
+        schema.root.optional = True
+        rebuilt = schema_from_dict(schema_to_dict(schema))
+        assert rebuilt.root.description == schema.root.description
+        assert rebuilt.root.optional
+
+        def without_ids(data):
+            rename = {
+                spec["id"]: i for i, spec in enumerate(data["elements"])
+            }
+            for spec in data["elements"]:
+                spec["id"] = rename[spec["id"]]
+            for rel in data["relationships"]:
+                rel["source"] = rename[rel["source"]]
+                rel["target"] = rename[rel["target"]]
+            data["root"] = rename[data["root"]]
+            return data
+
+        assert without_ids(schema_to_dict(rebuilt)) == without_ids(
+            schema_to_dict(schema)
+        )
+
     def test_same_dict_loadable_twice(self, schema):
         data = schema_to_dict(schema)
         first = schema_from_dict(data)

@@ -1,8 +1,5 @@
 """Tests for categorization and the linguistic matcher (lsim)."""
 
-import sys
-import threading
-
 import pytest
 
 from repro.config import CupidConfig
@@ -315,78 +312,6 @@ class TestBatchedNs:
         flat = self._table(thesaurus, wide_pair, dense_backend="stdlib")
         assert sorted(vectorized.items()) == sorted(flat.items())
         assert vectorized.kernel_stats == flat.kernel_stats
-
-
-class TestMemoExport:
-    def test_export_while_threads_write(self, thesaurus, config):
-        """Search threads fill the memo without a lock while an ingest
-        exports it for the simcache: every export must succeed, and
-        every exported value must equal the live one."""
-        from repro.linguistic.name_similarity import NameSimilarityMemo
-
-        memo = NameSimilarityMemo(thesaurus, config)
-        memo.preload_cache(
-            {"token": {f"s{i}": {"x": i / 4096} for i in range(4096)}}
-        )
-
-        def write(tag):
-            for i in range(8000):
-                value = (i % 997) / 997
-                memo.preload_cache(
-                    {"token": {f"{tag}{i}": {"x": value, "y": value}}}
-                )
-
-        errors = []
-        dumps = []
-        writers = [
-            threading.Thread(target=write, args=(f"w{n}-",))
-            for n in range(4)
-        ]
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-5)
-        try:
-            for writer in writers:
-                writer.start()
-            while True:
-                try:
-                    dumps.append(memo.export_cache())
-                except RuntimeError as exc:
-                    errors.append(str(exc))
-                if not any(writer.is_alive() for writer in writers):
-                    break
-        finally:
-            for writer in writers:
-                writer.join(timeout=60)
-            sys.setswitchinterval(interval)
-        assert not any(writer.is_alive() for writer in writers)
-        assert errors == []
-        # Entries are never rewritten, so the final export is the live
-        # memo and every earlier one must agree with it.
-        live = memo.export_cache()
-        assert list(live) == ["token"]
-        for dump in dumps:
-            for a, row in dump["token"].items():
-                live_row = live["token"][a]
-                for b, value in row.items():
-                    assert live_row[b] == value
-
-    def test_preload_ignores_element_section(self, thesaurus, config):
-        """A dump written by a build that still had a name-pair tier
-        preloads its token tier only."""
-        from repro.linguistic.name_similarity import NameSimilarityMemo
-
-        memo = NameSimilarityMemo(thesaurus, config)
-        added = memo.preload_cache(
-            {
-                "token": {"order": {"purchase": 0.5, "order": 1.0}},
-                "element": {"ordernumber": {"ponumber": 0.75}},
-            }
-        )
-        assert added == 2
-        assert memo.token_entries() == 2
-        assert memo.export_cache() == {
-            "token": {"order": {"purchase": 0.5, "order": 1.0}}
-        }
 
 
 class TestLinguisticMatcher:

@@ -261,9 +261,7 @@ class TestMemoryFacts:
         )
         assert "store_bytes" in stats
         memo = matcher.pipeline.linguistic.memo
-        real_entries = sum(
-            len(row) for row in memo.export_cache()["token"].values()
-        )
+        real_entries = sum(len(row) for row in memo._token.values())
         assert stats["memo_token_entries"] == real_entries > 0
 
 
@@ -529,9 +527,7 @@ class TestHTTPObservability:
         )
         stats, _ = self._request(server, "/stats")
         memo = server.service.repository.session.pipeline.linguistic.memo
-        real_entries = sum(
-            len(row) for row in memo.export_cache()["token"].values()
-        )
+        real_entries = sum(len(row) for row in memo._token.values())
         assert stats["repository"]["memo_token_entries"] == real_entries > 0
         assert "memo_token_entries" not in stats["session_pool"]
 

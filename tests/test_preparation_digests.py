@@ -1,29 +1,35 @@
-"""Pinned digests of prepared-schema artifacts.
+"""Pinned digests of prepared schemas.
 
 Engine parity and the fuzz sweep compare the dense engine with the
 reference engine, but both read the same normalizer, categorizer and
 tree builder, so neither can see a change in *preparation*. This test
-can: it hashes the canonical JSON of
-:func:`~repro.repository.artifacts.prepared_to_dict` — normalized
-names, ordered categories with their member lists, the kernel
-vocabulary, and the tree's leaf order — for a fixed schema set, and
-compares each hash with a digest recorded when the set was introduced.
+can: it hashes the canonical JSON of :func:`prepared_tiers_to_dict` —
+normalized names, ordered categories with their member lists, the
+kernel vocabulary, and the tree's leaf order — for a fixed schema set,
+and compares each hash with a digest recorded when the set was
+introduced.
+
+:func:`prepared_tiers_to_dict` is this test's own rendering of a
+preparation: the serializer repository artifacts used while they stored
+the prepared tiers, moved here when the repository began to store the
+canonical schema alone. Its output is unchanged, so the recorded
+digests still hold.
 
 The JSON keeps the payload's insertion order (no key sorting), so the
 order of every dict in the artifacts is pinned too. CI runs this file
 under two pinned ``PYTHONHASHSEED`` values, which turns an order that
 leaks from set iteration into a deterministic failure.
 
-A preparation change that is *meant* to alter artifacts must bump
-``artifacts.FORMAT_VERSION`` and re-record the digests; print the
-current ones with ``PYTHONPATH=src python tests/test_preparation_digests.py``.
+A preparation change that is *meant* to alter prepared schemas must
+re-record the digests; print the current ones with
+``PYTHONPATH=src python tests/test_preparation_digests.py``.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-from typing import Callable, Dict, List, Tuple
+from typing import Any, Callable, Dict, List, Tuple
 
 import pytest
 
@@ -39,11 +45,149 @@ from repro.datasets import (
     star_schema,
 )
 from repro.datasets.generator import SchemaGenerator
+from repro.linguistic.matcher import LinguisticMatcher
+from repro.linguistic.normalizer import NormalizedName
 from repro.model.builder import SchemaBuilder
 from repro.model.datatypes import DataType
 from repro.model.schema import Schema
-from repro.pipeline import MatchPipeline
-from repro.repository.artifacts import prepared_to_dict
+from repro.pipeline import MatchPipeline, PreparedSchema
+from repro.repository.artifacts import FORMAT_VERSION, canonical_schema_dict
+
+
+# ----------------------------------------------------------------------
+# The rendering the digests hash
+# ----------------------------------------------------------------------
+
+def _canonical_id_map(schema: Schema) -> Dict[str, str]:
+    """Live element id → canonical id, in element order."""
+    return {
+        element.element_id: f"n{i}"
+        for i, element in enumerate(schema.elements)
+    }
+
+
+def canonical_category_key(key: str, id_map: Dict[str, str]) -> str:
+    """Rewrite element ids embedded in category keys.
+
+    Container categories are keyed ``container:<element_id>`` with a
+    process-unique id; rendering that verbatim would make the digest
+    differ run to run. Category keys are opaque to all matching math
+    (compatibility reads keywords and source only), so the canonical
+    form is safe.
+    """
+    prefix, _, suffix = key.partition(":")
+    if prefix == "container" and suffix in id_map:
+        return f"container:{id_map[suffix]}"
+    return key
+
+
+def _tokens_to_list(tokens) -> List[List[Any]]:
+    return [[t.text, t.token_type.value, t.ignored] for t in tokens]
+
+
+def _name_to_dict(name: NormalizedName) -> Dict[str, Any]:
+    return {
+        "raw": name.raw,
+        "tokens": _tokens_to_list(name.tokens),
+        "concepts": sorted(name.concepts),
+    }
+
+
+def prepared_tiers_to_dict(
+    prepared: PreparedSchema, matcher: LinguisticMatcher
+) -> Dict[str, Any]:
+    """Render a prepared schema's tiers as one JSON-compatible dict.
+
+    Builds every lazy tier first: the linguistic tier, the kernel
+    vocabulary when ``matcher`` (the preparing pipeline's linguistic
+    matcher) would match through the kernel, the tree and the leaf
+    layout. The payload holds the canonical schema, the deduplicated
+    normalized names, the ordered category list, the kernel vocabulary
+    (when built), and the leaf layout's element order.
+    """
+    linguistic = prepared.linguistic
+    if matcher.kernel_applicable():
+        matcher.vocabulary(linguistic)
+    prepared.tree
+    prepared.leaf_layout
+    canonical = canonical_schema_dict(prepared.schema)
+    id_map = _canonical_id_map(prepared.schema)
+
+    # Distinct normalized names, first-seen in element order — mirrors
+    # the sharing the in-memory normalizer cache produces.
+    names: List[NormalizedName] = []
+    name_slot: Dict[str, int] = {}
+    name_of: Dict[str, int] = {}
+    for element in prepared.schema.elements:
+        normalized = linguistic.normalized[element.element_id]
+        slot = name_slot.get(normalized.raw)
+        if slot is None:
+            slot = name_slot[normalized.raw] = len(names)
+            names.append(normalized)
+        name_of[id_map[element.element_id]] = slot
+
+    categories = [
+        {
+            "key": canonical_category_key(category.key, id_map),
+            "source": category.source,
+            "keywords": _tokens_to_list(category.keywords),
+            "members": [
+                id_map[member.element_id] for member in category.members
+            ],
+        }
+        for category in linguistic.categories.values()
+    ]
+    category_slot = {
+        key: i for i, key in enumerate(linguistic.categories.keys())
+    }
+
+    artifacts: Dict[str, Any] = {
+        "names": [_name_to_dict(name) for name in names],
+        "name_of": name_of,
+        "categories": categories,
+        # The layout order IS the tree's pre-order interval encoding
+        # (global first-visit leaf order).
+        "leaf_order": [
+            id_map[leaf.element.element_id]
+            for leaf in prepared.leaf_layout.leaves
+        ],
+    }
+
+    vocabulary = prepared.vocabulary
+    if vocabulary is not None:
+        artifacts["vocabulary"] = {
+            # vocab id -> distinct-name slot (names are keyed by raw).
+            "names": [name_slot[name.raw] for name in vocabulary.names],
+            # class id -> category slot of its representative.
+            "classes": [
+                category_slot[category.key]
+                for category in vocabulary.classes
+            ],
+            "class_is_dtype": list(vocabulary.class_is_dtype),
+            "class_profiles": [
+                list(pids) for pids in vocabulary.class_profiles
+            ],
+            "profile_names": list(vocabulary.profile_names),
+            "profile_members": [
+                [id_map[element_id] for element_id in members]
+                for members in vocabulary.profile_members
+            ],
+            "profile_of": {
+                id_map[element_id]: pid
+                for element_id, pid in vocabulary.profile_of.items()
+            },
+        }
+
+    return {
+        "format_version": FORMAT_VERSION,
+        "schema": canonical,
+        "artifacts": artifacts,
+    }
+
+
+# ----------------------------------------------------------------------
+# The schema set
+# ----------------------------------------------------------------------
 
 #: Names with special symbols, digits, acronyms, separators, stopwords,
 #: whole-name abbreviations and non-ASCII letters, plus repeats so one
@@ -119,7 +263,7 @@ CASES: List[Tuple[str, Callable[[], Schema], Dict[str, object]]] = [
     ("shared_types_lazy", _shared_type_schema, {"lazy_expansion": True}),
 ]
 
-#: sha256 of each case's canonical artifact JSON, recorded at commit
+#: sha256 of each case's canonical JSON rendering, recorded at commit
 #: 0063ea7, before preparation was reworked to cost per distinct token.
 DIGESTS: Dict[str, str] = {
     "figure1_po": "b4ccf6045e42e3cdd5ff933523891083992d6e058ce028a36019a2710bcc055a",
@@ -147,7 +291,9 @@ def _pipeline(overrides: Dict[str, object]) -> MatchPipeline:
 
 
 def _digest(pipeline: MatchPipeline, schema: Schema) -> str:
-    payload = prepared_to_dict(pipeline.prepare(schema))
+    payload = prepared_tiers_to_dict(
+        pipeline.prepare(schema), pipeline.linguistic
+    )
     blob = json.dumps(payload, separators=(",", ":"), ensure_ascii=True)
     return hashlib.sha256(blob.encode("ascii")).hexdigest()
 
@@ -178,7 +324,7 @@ def test_cold_preparation_matches_recorded_digest(case_id):
 
 def test_warm_caches_prepare_the_same_artifacts():
     """A pipeline that has already prepared other schemas (shared
-    per-name and per-token caches) produces the same artifacts."""
+    per-name and per-token caches) prepares the same tiers."""
     assert current_digests(shared=True) == DIGESTS
 
 

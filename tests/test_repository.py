@@ -11,18 +11,20 @@ never as pickle/JSON shrapnel or silently different results.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import random
+import shutil
 
 import pytest
 
 from repro import CupidConfig, MatchSession, SchemaRepository
+from repro.cli import load_schema
 from repro.datasets.figure2 import figure2_po, figure2_purchase_order
 from repro.datasets.generator import PerturbationConfig, SchemaGenerator
 from repro.datasets.rdb_star import rdb_schema, star_schema
-from repro.exceptions import RepositoryError
-from repro.model.builder import schema_from_tree
+from repro.exceptions import ArtifactError, RepositoryError
 from repro.repository import (
     FORMAT_VERSION,
     VocabularyIndex,
@@ -31,7 +33,14 @@ from repro.repository import (
     token_profile,
 )
 from repro.repository.segments import SEGMENTS_DIR
-from repro.repository.store import SCHEMAS_DIR, match_score
+from repro.repository.store import MANIFEST_FILE, SCHEMAS_DIR, match_score
+
+#: A repository written by a build that stored every prepared tier in
+#: its artifacts and the memo's token tier in ``simcache.json``
+#: (see TestTieredRepository).
+TIERED_FIXTURE = os.path.join(
+    os.path.dirname(os.path.abspath(__file__)), "data", "tiered_repo"
+)
 
 
 def _mapping_signature(result):
@@ -200,17 +209,22 @@ class TestIngestAndLoad:
 
     def test_foreign_prepared_schema_is_reprepared(self, tmp_path):
         """A PreparedSchema built under a different thesaurus must not
-        smuggle foreign artifacts past the fingerprint guards — ingest
-        re-prepares it under the repository's own components."""
+        smuggle a foreign index profile past the fingerprint guards —
+        ingest re-prepares it under the repository's own components.
+        The empty thesaurus profiles ``figure2_po`` differently, so an
+        ingest that indexed the foreign tiers would fail verify."""
         from repro import empty_thesaurus
 
         repo = SchemaRepository(str(tmp_path / "repo"))
         foreign = MatchSession(thesaurus=empty_thesaurus()).prepare(
             figure2_po()
         )
-        foreign.build_all()
+        native = MatchSession(config=repo.config).prepare(figure2_po())
+        assert token_profile(foreign.linguistic) != token_profile(
+            native.linguistic
+        )
         schema_id = repo.ingest(foreign)
-        repo.verify(schema_id)  # would raise on foreign artifacts
+        repo.verify(schema_id)  # raises on a foreign index profile
 
     def test_foreign_prepared_query_is_reprepared(self, tmp_path):
         """search() applies the same foreign-PreparedSchema guard as
@@ -230,20 +244,6 @@ class TestIngestAndLoad:
         )
         via_foreign = repo.search(foreign_prep, k=2, candidates=2)
         assert _search_signature(via_foreign) == _search_signature(native)
-
-    def test_build_all_skips_vocabulary_when_kernel_inapplicable(self):
-        config = CupidConfig(engine="reference")
-        prepared = MatchSession(config=config).prepare(figure2_po())
-        prepared.build_all()
-        # The reference engine never reads a vocabulary — building one
-        # would waste ingest CPU and bloat every artifact.
-        assert prepared.vocabulary is None
-        # Descriptions are overrides on the kernel's table, so a
-        # dense-engine match reads the vocabulary with them on too.
-        for config in (CupidConfig(), CupidConfig(use_descriptions=True)):
-            kernel_on = MatchSession(config=config).prepare(figure2_po())
-            kernel_on.build_all()
-            assert kernel_on.vocabulary is not None
 
     def test_stale_index_membership_triggers_rebuild(self, tmp_path):
         """A torn save can leave the manifest's segment list out of
@@ -304,6 +304,35 @@ class TestIngestAndLoad:
         with pytest.raises(RepositoryError, match="no schema"):
             repo.load("nope")
 
+    def test_repository_stores_only_schemas(self, tmp_path):
+        """An artifact holds the format version and the canonical
+        schema, nothing derived; searching and saving add no file
+        beside the manifest, the artifacts and the index."""
+        path = str(tmp_path / "repo")
+        with SchemaRepository(path) as repo:
+            schema_id = repo.ingest(figure2_po())
+            repo.search(figure2_purchase_order(), k=1)
+        with SchemaRepository.open(path) as reopened:
+            reopened.search(figure2_purchase_order(), k=1)
+        assert sorted(os.listdir(path)) == [
+            SEGMENTS_DIR, MANIFEST_FILE, SCHEMAS_DIR,
+        ]
+        artifact = os.path.join(path, SCHEMAS_DIR, f"{schema_id}.json")
+        with open(artifact) as handle:
+            assert sorted(json.load(handle)) == ["format_version", "schema"]
+
+    def test_first_match_builds_the_vocabulary(self, tmp_path):
+        """Ingest prepares what the repository derives (index profile,
+        leaf count); the kernel vocabulary waits for the first match,
+        as it does for any schema."""
+        repo = SchemaRepository(str(tmp_path / "repo"))
+        schema_id = repo.ingest(figure2_po())
+        prepared = repo.load(schema_id)
+        assert prepared.cache_info()["leaf_layout_built"]
+        assert prepared.vocabulary is None
+        repo.search(figure2_purchase_order(), k=1)
+        assert prepared.vocabulary is not None
+
     def test_reopen_is_lazy(self, tmp_path):
         path = str(tmp_path / "repo")
         with SchemaRepository(path) as repo:
@@ -314,9 +343,10 @@ class TestIngestAndLoad:
         assert reopened.cache_info()["artifact_loads"] == 1
 
     def test_verify_restored_artifacts(self, tmp_path):
-        """Every persisted tier must match a from-scratch preparation —
-        including on the DAG-shaped rdb/star schemas (join views,
-        shared types) and the duplicate-heavy generated ones."""
+        """Every catalog entry and index profile must match a
+        from-scratch preparation — including on the DAG-shaped rdb/star
+        schemas (join views, shared types) and the duplicate-heavy
+        generated ones."""
         path = str(tmp_path / "repo")
         with SchemaRepository(path) as repo:
             ids = [
@@ -374,46 +404,6 @@ class TestIngestAndLoad:
         assert _search_signature(reopened.search(query, k=2)) == baseline
 
 
-    def test_descriptions_artifact_without_vocabulary_opens(
-        self, tmp_path
-    ):
-        """Older builds did not run the kernel under
-        ``use_descriptions=True``, so their artifacts carry no
-        vocabulary. Such a repository must still restore, verify, and
-        search bit-identically (the vocabulary is built on the first
-        match), and agree with the reference engine."""
-        config = CupidConfig(use_descriptions=True)
-        schemas = _described(_corpus(3))
-        query = _described([_query_for(schemas[1])], seed=6)[0]
-        path = str(tmp_path / "repo")
-        with SchemaRepository(path, config=config) as repo:
-            ids = [repo.ingest(s) for s in schemas]
-        baseline = _search_signature(
-            SchemaRepository.open(path).search(query, k=2)
-        )
-        for schema_id in ids:
-            artifact = os.path.join(path, SCHEMAS_DIR, f"{schema_id}.json")
-            with open(artifact) as handle:
-                payload = json.load(handle)
-            del payload["artifacts"]["vocabulary"]
-            with open(artifact, "w") as handle:
-                json.dump(payload, handle)
-        reopened = SchemaRepository.open(path)
-        for schema_id in ids:
-            reopened.verify(schema_id)
-        search = reopened.search(query, k=2)
-        assert _search_signature(search) == baseline
-        oracle = MatchSession(
-            config=config.replace(engine="reference")
-        )
-        by_name = {schema.name: schema for schema in schemas}
-        for match in search:
-            result = oracle.match(query, by_name[match.schema_name])
-            assert match.score == match_score(result)
-            assert _mapping_signature(match.result) == (
-                _mapping_signature(result)
-            )
-
 
 class TestRoundTripParity:
     def test_restored_matching_is_bit_identical(self, tmp_path):
@@ -444,6 +434,34 @@ class TestRoundTripParity:
             score, signature = by_name[match.schema_name]
             assert match.score == score
             assert _mapping_signature(match.result) == signature
+
+    def test_descriptions_reopen_matches_reference_engine(self, tmp_path):
+        """Under ``use_descriptions=True`` a reopened repository must
+        verify, search bit-identically to the ingesting process, and
+        agree with the reference engine. Descriptions are overrides on
+        the kernel's table, whose vocabulary the first match builds."""
+        config = CupidConfig(use_descriptions=True)
+        schemas = _described(_corpus(3))
+        query = _described([_query_for(schemas[1])], seed=6)[0]
+        path = str(tmp_path / "repo")
+        with SchemaRepository(path, config=config) as repo:
+            ids = [repo.ingest(s) for s in schemas]
+            live = repo.search(query, k=2)
+        reopened = SchemaRepository.open(path)
+        for schema_id in ids:
+            reopened.verify(schema_id)
+        search = reopened.search(query, k=2)
+        assert _search_signature(search) == _search_signature(live)
+        oracle = MatchSession(
+            config=config.replace(engine="reference")
+        )
+        by_name = {schema.name: schema for schema in schemas}
+        for match in search:
+            result = oracle.match(query, by_name[match.schema_name])
+            assert match.score == match_score(result)
+            assert _mapping_signature(match.result) == (
+                _mapping_signature(result)
+            )
 
     def test_prepared_round_trip_direct(self):
         """dict → PreparedSchema → dict is a fixed point."""
@@ -504,12 +522,26 @@ class TestCorruption:
         artifact = os.path.join(path, "schemas", f"{schema_id}.json")
         with open(artifact) as handle:
             payload = json.load(handle)
-        del payload["artifacts"]["categories"]
+        # A relationship whose target names no element.
+        payload["schema"]["relationships"][0]["target"] = "n999"
         with open(artifact, "w") as handle:
             json.dump(payload, handle)
         repo = SchemaRepository.open(path)
-        with pytest.raises(RepositoryError, match="corrupt"):
+        with pytest.raises(ArtifactError, match="corrupt"):
             repo.load(schema_id)
+
+    def test_unknown_id_is_not_an_artifact_error(self, tmp_path):
+        """Only a catalogued id's unreadable artifact is an
+        ``ArtifactError`` (the daemon's 500); an id the catalog does
+        not hold stays a plain ``RepositoryError`` (its 404)."""
+        path, schema_id = self._repo_with_one(tmp_path)
+        os.remove(os.path.join(path, SCHEMAS_DIR, f"{schema_id}.json"))
+        repo = SchemaRepository.open(path)
+        with pytest.raises(ArtifactError, match="missing"):
+            repo.load(schema_id)
+        with pytest.raises(RepositoryError, match="no schema") as raised:
+            repo.load("unknown-000000000000")
+        assert not isinstance(raised.value, ArtifactError)
 
     def test_missing_artifact_file(self, tmp_path):
         path, schema_id = self._repo_with_one(tmp_path)
@@ -609,151 +641,192 @@ class TestVocabularyIndex:
             VocabularyIndex.from_dict({"index_version": 99, "profiles": {}})
 
 
-class TestSimilarityCachePersistence:
-    def test_simcache_round_trip_preserves_results(self, tmp_path):
-        corpus = _corpus(4)
-        query = _query_for(corpus[1], seed=23)
+class TestVerify:
+    """``verify`` audits what the repository derives from each stored
+    schema: its catalog entry and its index profile."""
+
+    def test_drifted_index_profile_fails_repro_verify(
+        self, tmp_path, capsys
+    ):
+        """A segment whose profile no longer matches a fresh
+        preparation — with the manifest checksum updated, so it still
+        loads — makes ``repro verify`` exit non-zero naming the id."""
+        from repro.cli import main
+        from repro.repository.segments import _canonical_payload, read_segment
+
         path = str(tmp_path / "repo")
         with SchemaRepository(path) as repo:
-            for schema in corpus:
-                repo.ingest(schema)
-            cold = repo.search(query, k=3)
-
-        # Second process: the memo starts preloaded from simcache.json.
-        warm_repo = SchemaRepository.open(path)
-        preloaded = warm_repo.cache_info()["simcache_preloaded_entries"]
-        assert preloaded > 0
-        warm = warm_repo.search(query, k=3)
-        assert _search_signature(warm) == _search_signature(cold)
-
-    def test_warm_save_skips_simcache_rewrite(self, tmp_path):
-        """A session that computed no new similarities must not touch
-        simcache.json — read-only search stays read-only."""
-        corpus = _corpus(3)
-        query = _query_for(corpus[0], seed=31)
-        path = str(tmp_path / "repo")
-        with SchemaRepository(path) as repo:
-            for schema in corpus:
-                repo.ingest(schema)
-            repo.search(query, k=2)
-        simcache_path = os.path.join(path, "simcache.json")
-        before = os.stat(simcache_path).st_mtime_ns
-        with SchemaRepository.open(path) as warm:
-            warm.search(query, k=2)  # every similarity preloaded
-        assert os.stat(simcache_path).st_mtime_ns == before
-
-    def test_save_without_new_token_entries_keeps_file(self, tmp_path):
-        """The simcache holds only the token tier, so a search that
-        computes new name pairs from known tokens must not rewrite it:
-        the next save leaves simcache.json byte- and mtime-identical."""
-        containers = {
-            "Customer": {"CustomerName": "string", "City": "string"},
-            "Order": {"OrderDate": "date", "Quantity": "integer"},
-        }
-        recombined = {
-            "Customer": {"CustomerCity": "string", "Name": "string"},
-            "Order": {"DateQuantity": "date", "OrderQuantity": "integer"},
-        }
-        path = str(tmp_path / "repo")
-        repo = SchemaRepository(path)
-        for schema in _corpus(2):
-            repo.ingest(schema)
-        repo.search(schema_from_tree("Query", containers), k=2, candidates=2)
-        repo.save()
-        simcache_path = os.path.join(path, "simcache.json")
-        with open(simcache_path, "rb") as handle:
-            before_bytes = handle.read()
-        before_mtime = os.stat(simcache_path).st_mtime_ns
-
-        memo = repo.session.pipeline.linguistic.memo
-        misses = memo.token_misses
-        search = repo.search(
-            schema_from_tree("Query", recombined), k=2, candidates=2
+            ids = [repo.ingest(s) for s in _corpus(3)]
+        assert main(["verify", "--repo", path]) == 0
+        manifest_path = os.path.join(path, MANIFEST_FILE)
+        with open(manifest_path) as handle:
+            manifest = json.load(handle)
+        entry = manifest["index_segments"][0]
+        segment = read_segment(path, entry)
+        victim = ids[1]
+        segment.profiles[victim] = dict(
+            segment.profiles[victim], drifted=1
         )
-        assert memo.token_misses == misses  # every token pair known
-        assert len(search) == 2
-        assert all(
-            m.result.lsim_table.kernel_stats["kernel_distinct_name_pairs"]
-            for m in search
+        blob = _canonical_payload(segment)
+        with open(os.path.join(path, entry["file"]), "wb") as handle:
+            handle.write(blob)
+        entry["checksum"] = hashlib.sha256(blob).hexdigest()
+        with open(manifest_path, "w") as handle:
+            json.dump(manifest, handle)
+        capsys.readouterr()
+        assert main(["verify", "--repo", path]) == 1
+        problems = capsys.readouterr().err
+        assert victim in problems and "index profile" in problems
+        assert SchemaRepository.open(path).cache_info()[
+            "segment_fallbacks"
+        ] == 0  # the drifted segment loaded
+
+    def test_artifact_not_hashing_to_its_id_fails_verify(self, tmp_path):
+        """Ids are content-addressed: an artifact whose schema was
+        edited in place no longer hashes to its id."""
+        path = str(tmp_path / "repo")
+        with SchemaRepository(path) as repo:
+            schema_id = repo.ingest(figure2_po())
+        artifact = os.path.join(path, SCHEMAS_DIR, f"{schema_id}.json")
+        with open(artifact) as handle:
+            payload = json.load(handle)
+        payload["schema"]["name"] = "Edited"
+        with open(artifact, "w") as handle:
+            json.dump(payload, handle)
+        with pytest.raises(RepositoryError, match="hash to its id"):
+            SchemaRepository.open(path).verify(schema_id)
+
+    def test_drifted_catalog_entry_fails_verify(self, tmp_path):
+        path = str(tmp_path / "repo")
+        with SchemaRepository(path) as repo:
+            schema_id = repo.ingest(figure2_po())
+        manifest_path = os.path.join(path, MANIFEST_FILE)
+        with open(manifest_path) as handle:
+            manifest = json.load(handle)
+        manifest["schemas"][schema_id]["leaves"] += 1
+        with open(manifest_path, "w") as handle:
+            json.dump(manifest, handle)
+        with pytest.raises(RepositoryError, match="leaves"):
+            SchemaRepository.open(path).verify(schema_id)
+
+
+class TestTieredRepository:
+    r"""A repository written by a format-1 build that also stored every
+    prepared tier in its artifacts (``artifacts``: names, categories,
+    vocabulary, leaf order) and the memo's token tier in
+    ``simcache.json`` opens unchanged: the tiers are ignored and the
+    similarity cache is neither read nor rewritten.
+
+    ``tests/data/tiered_repo`` was built with such a build (commit
+    0fe3d76), in that directory, with ``PYTHONPATH`` on its ``src``::
+
+        mkdir inputs queries
+        python - <<'EOF'
+        from repro.datasets.figure2 import figure2_po, figure2_purchase_order
+        from repro.datasets.generator import PerturbationConfig, SchemaGenerator
+        from repro.datasets.rdb_star import rdb_schema, star_schema
+        from repro.io.json_io import schema_to_json
+        gen = [SchemaGenerator(seed).generate(name=f"gen{seed}", n_leaves=14,
+                                              name_repetition=0.5)
+               for seed in (3, 4)]
+        inputs = {"figure2_po": figure2_po(),
+                  "figure2_purchase_order": figure2_purchase_order(),
+                  "rdb": rdb_schema(), "star": star_schema(),
+                  "gen3": gen[0], "gen4": gen[1]}
+        for name, schema in inputs.items():
+            open(f"inputs/{name}.json", "w").write(
+                schema_to_json(schema, indent=None) + "\n")
+        perturbation = PerturbationConfig(abbreviate=0.3, synonym=0.2)
+        query, _ = SchemaGenerator(97).perturb(gen[0], perturbation)
+        open("queries/gen3_perturbed.json", "w").write(
+            schema_to_json(query, indent=None) + "\n")
+        query, _ = SchemaGenerator(98).perturb(star_schema(), perturbation)
+        open("queries/star_perturbed.json", "w").write(
+            schema_to_json(query, indent=None) + "\n")
+        EOF
+        python -m repro index inputs/figure2_po.json \
+            inputs/figure2_purchase_order.json inputs/rdb.json \
+            inputs/star.json inputs/gen3.json inputs/gen4.json --repo repo
+        python -m repro search queries/gen3_perturbed.json --repo repo \
+            -k 2 --candidates 2
+        python -m repro search inputs/figure2_purchase_order.json \
+            --repo repo -k 1 --candidates 1
+    """
+
+    @pytest.fixture()
+    def tiered(self, tmp_path):
+        path = str(tmp_path / "tiered")
+        shutil.copytree(os.path.join(TIERED_FIXTURE, "repo"), path)
+        return path
+
+    @staticmethod
+    def _schemas(kind):
+        folder = os.path.join(TIERED_FIXTURE, kind)
+        return [
+            load_schema(os.path.join(folder, name))
+            for name in sorted(os.listdir(folder))
+        ]
+
+    def test_fixture_carries_tiers_and_a_similarity_cache(self, tiered):
+        assert os.path.exists(os.path.join(tiered, "simcache.json"))
+        artifacts = os.listdir(os.path.join(tiered, SCHEMAS_DIR))
+        assert len(artifacts) == 6
+        for name in artifacts:
+            with open(os.path.join(tiered, SCHEMAS_DIR, name)) as handle:
+                payload = json.load(handle)
+            assert payload["format_version"] == FORMAT_VERSION
+            assert "vocabulary" in payload["artifacts"]
+
+    def test_opens_and_verifies(self, tiered):
+        repo = SchemaRepository.open(tiered)
+        assert len(repo) == 6
+        for schema_id in repo.schema_ids():
+            repo.verify(schema_id)
+        assert repo.cache_info()["index_rebuilds"] == 0
+
+    def test_matches_a_fresh_ingest(self, tiered, tmp_path):
+        """Same ids, scores and mappings as a repository that ingested
+        the same schema files afresh, for searches and for matches by
+        id."""
+        old = SchemaRepository.open(tiered)
+        fresh = SchemaRepository(str(tmp_path / "fresh"))
+        ids = [fresh.ingest(s) for s in self._schemas("inputs")]
+        assert sorted(ids) == old.schema_ids()
+        queries = self._schemas("queries") + [rdb_schema()]
+        for query in queries:
+            assert _search_signature(old.search(query, k=3)) == (
+                _search_signature(fresh.search(query, k=3))
+            )
+        for source, target in zip(ids, ids[1:] + ids[:1]):
+            old_result = old.session.match(
+                old.load(source), old.load(target)
+            )
+            fresh_result = fresh.session.match(
+                fresh.load(source), fresh.load(target)
+            )
+            assert match_score(old_result) == match_score(fresh_result)
+            assert _mapping_signature(old_result) == (
+                _mapping_signature(fresh_result)
+            )
+
+    def test_similarity_cache_is_neither_read_nor_rewritten(self, tiered):
+        simcache = os.path.join(tiered, "simcache.json")
+        with open(simcache, "rb") as handle:
+            before = handle.read()
+        before_mtime = os.stat(simcache).st_mtime_ns
+        repo = SchemaRepository.open(tiered)
+        assert repo.cache_info()["memo_token_entries"] == 0
+        query = self._schemas("queries")[0]
+        repo.search(query, k=2)
+        assert repo.cache_info()["memo_token_entries"] > 0
+        repo.ingest(
+            SchemaGenerator(seed=8).generate(name="extra", n_leaves=12)
         )
         repo.save()
-        with open(simcache_path, "rb") as handle:
-            assert handle.read() == before_bytes
-        assert os.stat(simcache_path).st_mtime_ns == before_mtime
-
-    def test_older_simcache_preloads_token_tier(self, tmp_path):
-        """A simcache written by a build with a name-pair tier (an
-        ``element`` section) still opens without a discard: its token
-        tier preloads, the element section is ignored, and the next
-        write drops it."""
-        corpus = _corpus(3)
-        path = str(tmp_path / "repo")
-        with SchemaRepository(path) as repo:
-            for schema in corpus:
-                repo.ingest(schema)
-            repo.search(_query_for(corpus[0]), k=2)
-        simcache_path = os.path.join(path, "simcache.json")
-        with open(simcache_path) as handle:
-            data = json.load(handle)
-        token_entries = sum(
-            len(row) for row in data["caches"]["token"].values()
-        )
-        data["caches"]["element"] = {
-            "customer name": {"client name": 0.8125, "city": 0.0}
-        }
-        with open(simcache_path, "w") as handle:
-            json.dump(data, handle)
-
-        repo = SchemaRepository.open(path)
-        info = repo.cache_info()
-        assert info["simcache_discarded"] == 0
-        assert info["simcache_preloaded_entries"] == token_entries > 0
-        assert info["memo_token_entries"] == token_entries
-        fresh_word = {"Zeppelin": {"Altitude": "integer"}}
-        repo.search(schema_from_tree("Airship", fresh_word), k=1)
-        repo.save()
-        with open(simcache_path) as handle:
-            rewritten = json.load(handle)
-        assert list(rewritten["caches"]) == ["token"]
-        assert sum(
-            len(row) for row in rewritten["caches"]["token"].values()
-        ) > token_entries
-
-    def test_simcache_write_failure_is_not_fatal(self, tmp_path):
-        """Persisting the simcache is an optimization; an unwritable
-        repository directory must not fail a successful search."""
-        from repro import faults
-
-        path = str(tmp_path / "repo")
-        with SchemaRepository(path) as repo:
-            repo.ingest(figure2_po())
-
-        repo = SchemaRepository.open(path)
-        search = repo.search(figure2_purchase_order(), k=1)
-        assert len(search) == 1
-        plan_before = faults._PLAN
-        faults.arm(faults.parse_spec("repo.simcache:oserror@*"))
-        try:
-            repo.save()  # must not raise
-        finally:
-            faults._PLAN = plan_before
-        assert repo.cache_info()["simcache_write_failures"] == 1
-
-    def test_stale_simcache_discarded(self, tmp_path):
-        path = str(tmp_path / "repo")
-        with SchemaRepository(path) as repo:
-            repo.ingest(figure2_po())
-            repo.search(figure2_purchase_order(), k=1)
-        simcache_path = os.path.join(path, "simcache.json")
-        with open(simcache_path) as handle:
-            data = json.load(handle)
-        data["thesaurus_fingerprint"] = "different"
-        with open(simcache_path, "w") as handle:
-            json.dump(data, handle)
-        repo = SchemaRepository.open(path)
-        info = repo.cache_info()
-        assert info["simcache_preloaded_entries"] == 0
-        assert info["simcache_discarded"] == 1
+        repo.compact()
+        with open(simcache, "rb") as handle:
+            assert handle.read() == before
+        assert os.stat(simcache).st_mtime_ns == before_mtime
 
 
 class TestForceStdlibEnv:

@@ -13,6 +13,7 @@ a real socket, including the error-taxonomy → status-code mapping.
 
 from __future__ import annotations
 
+import contextlib
 import http.client
 import json
 import os
@@ -569,19 +570,26 @@ class TestSchemaSpecFuzz:
         assert rejected > 0  # the mutations really produce bad input
 
 
-class TestHTTPDaemon:
-    @pytest.fixture()
-    def server(self, repo):
-        service = MatchService(repo, queue_depth=16)
-        httpd = MatchHTTPServer(("127.0.0.1", 0), service)
-        thread = threading.Thread(
-            target=httpd.serve_forever, daemon=True
-        )
-        thread.start()
+@contextlib.contextmanager
+def _serving(repo):
+    """A daemon on an ephemeral port over ``repo``, for one block."""
+    service = MatchService(repo, queue_depth=16)
+    httpd = MatchHTTPServer(("127.0.0.1", 0), service)
+    thread = threading.Thread(target=httpd.serve_forever, daemon=True)
+    thread.start()
+    try:
         yield httpd
+    finally:
         httpd.shutdown()
         httpd.server_close()
         service.close()
+
+
+class TestHTTPDaemon:
+    @pytest.fixture()
+    def server(self, repo):
+        with _serving(repo) as httpd:
+            yield httpd
 
     def _request(self, server, path, body=None):
         data = (
@@ -801,6 +809,30 @@ class TestHTTPDaemon:
             payload = json.loads(error.read())
             return error.code, payload["error"]
         pytest.fail(f"{path} unexpectedly succeeded")
+
+    def test_damaged_artifact_is_a_server_error(self, repo):
+        """A catalogued schema whose artifact file is torn is the
+        server's fault, not a missing resource: ``/search`` and
+        ``/match`` by id answer 500 and name the error and the id."""
+        ids = repo.schema_ids()
+        victim = ids[2]
+        artifact = os.path.join(repo.path, "schemas", f"{victim}.json")
+        with open(artifact, "r+b") as handle:
+            handle.truncate(os.path.getsize(artifact) // 2)
+        query = schema_to_dict(_query_for(_corpus(5)[1]))
+        with _serving(SchemaRepository.open(repo.path)) as server:
+            for path, body in (
+                ("/search", {"schema": query, "k": 2}),
+                ("/match", {
+                    "source": {"id": ids[0]}, "target": {"id": victim},
+                }),
+            ):
+                with pytest.raises(urllib.error.HTTPError) as raised:
+                    self._request(server, path, body)
+                payload = json.loads(raised.value.read())
+                assert raised.value.code == 500, (path, payload)
+                assert payload["error"] == "ArtifactError", path
+                assert victim in payload["message"], path
 
     def test_error_taxonomy_maps_to_status_codes(self, server):
         assert self._status_of(server, "/search", {"k": 2}) == (
