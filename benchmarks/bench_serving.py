@@ -9,15 +9,15 @@ collapse. This benchmark prices that bet:
   ``SEARCHES_PER_CLIENT`` top-k searches through the
   :class:`~repro.serving.MatchService`;
 * **ingest writer** — one thread feeding the remaining corpus through
-  ``service.ingest`` (one index segment per batch, background
-  compaction) while the searches run.
+  ``service.ingest`` (one artifact and one manifest write per batch)
+  while the searches run.
 
 Reported: sustained search QPS, client-observed p50/p95/p99, the
 service's own latency and queue-wait histograms (what ``/stats``
 serves), and a
 post-run parity check — after the dust settles, a search through the
-(possibly compacted) segment index must be bit-identical to one over
-a freshly rebuilt index. Results go to
+index the manifest's catalog profiles rebuild must be bit-identical to
+one over profiles re-derived from the artifact files. Results go to
 ``benchmarks/results/BENCH_serving.json``.
 
 The service runs one request at a time, so the interesting numbers
@@ -40,7 +40,7 @@ import time
 from repro import SchemaRepository
 from repro.datasets.generator import PerturbationConfig, SchemaGenerator
 from repro.eval.reporting import render_table
-from repro.repository.segments import SEGMENTS_DIR
+from repro.repository.store import MANIFEST_FILE
 from repro.serving import MatchService
 
 #: Corpus: PRELOADED schemas ingested before traffic starts, INGESTED
@@ -107,9 +107,6 @@ def test_serving_throughput(publish, results_dir):
     root = tempfile.mkdtemp(prefix="bench_serving_")
     try:
         repository = SchemaRepository(root)
-        repository.config = repository.config.replace(
-            segment_compaction_threshold=4
-        )
         for schema in corpus[:PRELOADED]:
             repository.ingest(schema)
         repository.save()
@@ -157,26 +154,30 @@ def test_serving_throughput(publish, results_dir):
         assert len(latencies) == total_searches
         qps = total_searches / window
 
-        # Post-run parity: the segment index the service left behind
-        # (flushed + possibly background-compacted) must answer
-        # searches bit-identically to an index rebuilt from the
-        # artifact files.
+        # Post-run parity: the index the manifest's catalog profiles
+        # rebuild must answer searches bit-identically to one whose
+        # profiles were re-derived from the artifact files.
         settled = SchemaRepository.open(root)
         assert len(settled) == PRELOADED + INGESTED
-        segment_files = len(os.listdir(os.path.join(root, SEGMENTS_DIR)))
+        manifest_path = os.path.join(root, MANIFEST_FILE)
+        manifest_bytes = os.path.getsize(manifest_path)
         settled_sigs = [
             _search_signature(settled.search(q, k=K, candidates=CANDIDATES))
             for q in queries
         ]
-        for name in os.listdir(os.path.join(root, SEGMENTS_DIR)):
-            os.remove(os.path.join(root, SEGMENTS_DIR, name))
+        with open(manifest_path) as handle:
+            manifest = json.load(handle)
+        for entry in manifest["schemas"].values():
+            del entry["profile"]
+        with open(manifest_path, "w") as handle:
+            json.dump(manifest, handle)
         rebuilt = SchemaRepository.open(root)
         assert rebuilt.cache_info()["index_rebuilds"] == 1
         parity = settled_sigs == [
             _search_signature(rebuilt.search(q, k=K, candidates=CANDIDATES))
             for q in queries
         ]
-        assert parity, "segment index diverged from rebuilt index"
+        assert parity, "catalog index diverged from re-derived profiles"
     finally:
         shutil.rmtree(root, ignore_errors=True)
 
@@ -228,7 +229,7 @@ def test_serving_throughput(publish, results_dir):
         },
         "service_histogram_search": search_hist,
         "service_histogram_ingest": ingest_hist,
-        "segment_files_after_run": segment_files,
+        "manifest_bytes_after_run": manifest_bytes,
         "rebuild_parity": parity,
     }
     with open(

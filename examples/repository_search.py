@@ -75,8 +75,9 @@ def main() -> None:
             for schema in build_catalog():
                 schema_id = repo.ingest(schema)
                 print(f"ingested {schema_id}")
-        # Leaving the `with` block persisted repository.json, the
-        # schema artifacts, and the vocabulary index under `root`.
+        # The schema artifacts were written by each ingest; leaving
+        # the `with` block published them in repository.json, whose
+        # catalog also carries each schema's vocabulary-index profile.
 
         # ---- Process 2 (simulated): search the persisted corpus ----
         query = schema_from_tree(

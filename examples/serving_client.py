@@ -73,7 +73,7 @@ def main():
     print(f"daemon up on http://127.0.0.1:{port}")
     print("health:", call(conn, "/health"))
 
-    # 2. Ingest the corpus in one batch (one index segment).
+    # 2. Ingest the corpus in one batch (one manifest write publishes it).
     ingested = call(conn, "/ingest", {
         "schemas": [{"schema": schema_to_dict(s)} for s in corpus],
     })
@@ -113,7 +113,7 @@ def main():
     session = stats["session_pool"]
     print(f"session: {session['prepare_hits']} prepare hits / "
           f"{session['prepare_misses']} misses; "
-          f"{stats['health']['segments']} index segment(s) on disk; "
+          f"{stats['health']['schemas']} schemas in the catalog; "
           f"{session['cached_lsim_pairs']} cached lsim table(s)")
 
     conn.close()

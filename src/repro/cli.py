@@ -274,10 +274,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
     verify = commands.add_parser(
         "verify",
-        help="audit a repository's on-disk integrity (segment "
-             "checksums, artifact fingerprints, catalog counts and "
-             "index profiles against a fresh preparation); non-zero "
-             "exit on any problem",
+        help="audit a repository's on-disk integrity (artifact "
+             "presence and fingerprints, catalog counts and index "
+             "profiles against a fresh preparation) without changing "
+             "it; non-zero exit on any problem",
     )
     verify.add_argument(
         "--repo", required=True, metavar="DIR",
@@ -285,7 +285,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     verify.add_argument(
         "--quick", action="store_true",
-        help="segment/artifact presence audit only; skip the "
+        help="manifest and artifact presence audit only; skip the "
              "per-schema fingerprint re-verification",
     )
 
@@ -542,9 +542,11 @@ def _command_search(args: argparse.Namespace) -> int:
 def _command_verify(args: argparse.Namespace) -> int:
     # Deliberately no context manager: verify is a pure audit and must
     # not rewrite (and thereby silently heal) the layout it inspects.
+    # Opening writes nothing; what it would recover or roll back is
+    # reported below and reaches the disk only with a save.
     problems: List[str] = []
     repo = SchemaRepository.open(args.repo)
-    problems.extend(repo.audit_segments())
+    problems.extend(repo.audit())
     checked = 0
     if not args.quick:
         for schema_id in repo.schema_ids():
@@ -556,13 +558,13 @@ def _command_verify(args: argparse.Namespace) -> int:
     recovery = repo.recovery_info()
     for problem in problems:
         print(f"PROBLEM: {problem}", file=sys.stderr)
-    mode = "quick (segments + presence)" if args.quick else "full"
+    mode = "quick (manifest + presence)" if args.quick else "full"
     print(
         f"# verify {args.repo}: {mode} audit, {checked} artifact(s) "
         f"re-verified, {len(problems)} problem(s)"
     )
-    for key in ("segment_fallbacks", "recovered_ingests",
-                "rolled_back_ingests", "pending_intents"):
+    for key in ("index_rebuilds", "recovered_ingests",
+                "rolled_back_ingests"):
         if recovery.get(key):
             print(f"#   {key}: {recovery[key]}")
     return 1 if problems else 0

@@ -161,13 +161,6 @@ class CupidConfig:
     #: bound caps that corpus share.
     max_prepared_schemas: int = 0
 
-    #: Number of index segments a repository accumulates before a
-    #: flush auto-compacts them into one (0 = never auto-compact;
-    #: ``SchemaRepository.compact()`` stays available). Each ingest
-    #: batch appends one segment, so this bounds both the open-time
-    #: replay length and the manifest size.
-    segment_compaction_threshold: int = 8
-
     #: Upper bound on requests admitted but not yet finished by a
     #: :class:`~repro.serving.MatchService` (running + queued). Beyond
     #: it the service raises
@@ -180,14 +173,6 @@ class CupidConfig:
     #: exceeding it raises
     #: :class:`~repro.exceptions.RequestTimeoutError`.
     serving_timeout_s: float = 30.0
-
-    #: Base delay, in seconds, of the serving subsystem's supervised
-    #: compaction retries: a failed background compaction (e.g. disk
-    #: full) is retried after ``base * 2**(failures-1)`` seconds,
-    #: capped at 30 s. ``0`` disables the retries — a failed
-    #: compaction then simply waits for the next ingest to re-trigger
-    #: it.
-    serving_compaction_backoff_s: float = 0.5
 
     #: Base of the jittered ``Retry-After`` header the HTTP daemon
     #: attaches to 503 responses (overload / closed service): the
@@ -269,12 +254,6 @@ class CupidConfig:
                 f"max_prepared_schemas ({self.max_prepared_schemas}) "
                 "must be >= 0 (0 = unbounded)"
             )
-        if self.segment_compaction_threshold < 0:
-            raise ConfigError(
-                f"segment_compaction_threshold "
-                f"({self.segment_compaction_threshold}) must be >= 0 "
-                "(0 = never auto-compact)"
-            )
         if self.serving_queue_depth < 1:
             raise ConfigError(
                 f"serving_queue_depth ({self.serving_queue_depth}) "
@@ -284,12 +263,6 @@ class CupidConfig:
             raise ConfigError(
                 f"serving_timeout_s ({self.serving_timeout_s}) must be "
                 ">= 0 (0 = no deadline)"
-            )
-        if self.serving_compaction_backoff_s < 0:
-            raise ConfigError(
-                f"serving_compaction_backoff_s "
-                f"({self.serving_compaction_backoff_s}) must be >= 0 "
-                "(0 = no compaction retries)"
             )
         if self.serving_retry_after_s < 0:
             raise ConfigError(

@@ -91,9 +91,9 @@ class RepositoryReadOnlyError(RepositoryError):
     """Raised when a durable repository write fails (disk full,
     read-only mount) and the repository degrades to read-only service.
 
-    Search and load keep working — they touch no repository file — but
-    ingest and compaction surface this error until a later durable
-    write succeeds. The flag is not sticky: every write re-probes the
+    Search and load keep working — they write no repository file — but
+    ingest and save surface this error until a later durable write
+    succeeds. The flag is not sticky: every write re-probes the
     disk, so clearing the condition clears the degradation. Maps to
     HTTP 507 (Insufficient Storage) in the daemon.
     """
@@ -107,15 +107,6 @@ class ArtifactError(RepositoryError):
     missing: the repository itself is damaged. Maps to HTTP 500 in the
     daemon, where an unknown schema id (plain :class:`RepositoryError`)
     is a 404.
-    """
-
-
-class SegmentError(RepositoryError):
-    """Raised when an index segment file cannot be trusted: a missing
-    file named by the manifest, a checksum mismatch, or a structurally
-    broken payload. The repository treats any of these as a signal to
-    fall back to the artifact re-scan — segments are a derived view,
-    never the source of truth.
     """
 
 

@@ -3,7 +3,7 @@ tests.
 
 A long-lived match service dies in ways unit tests never exercise by
 accident: the process killed between an artifact write and the
-manifest publish, a segment file torn mid-write, a disk returning
+manifest publish, an artifact torn mid-write, a disk returning
 ``ENOSPC``. This module makes those failures *reproducible*: a
 process-wide :class:`FaultPlan` names injection **sites** threaded
 through the repository and serving hot paths, and each armed rule
@@ -11,13 +11,12 @@ fires a chosen failure on chosen invocations of its site.
 
 Sites currently wired (grep for the literal string to find the code)::
 
-    repo.manifest       manifest write (repository.json)
+    repo.manifest       manifest write (repository.json: the catalog
+                        with its index profiles, the publish point)
     repo.artifact       schema artifact write
-    repo.intent         write-ahead ingest-intent record
-    segment.write       index segment file write
-    segment.read        index segment file read (open path)
     artifact.serialize  artifact payload serialization (ingest)
-    artifact.restore    artifact payload loading (repository load)
+    artifact.restore    artifact payload loading (repository load and
+                        crash recovery on open)
     serve.execute       service request execution (compute thread)
 
 Actions::
@@ -35,7 +34,7 @@ parsed at import and armed automatically, so a subprocess inherits its
 crash schedule through the environment — the transport the crash-sweep
 tests (``tests/test_faults.py``) use. Spec grammar::
 
-    REPRO_FAULTS="seed=7;segment.write:kill@2;repo.manifest:oserror@*"
+    REPRO_FAULTS="seed=7;repo.artifact:kill@2;repo.manifest:oserror@*"
 
 ``site:action@hits`` clauses name which invocations fire: ``@3`` the
 third call ever, ``@1,4`` a list, ``@*`` every call; omitted = the

@@ -12,7 +12,10 @@ Three layers over the existing engine:
   set without running TreeMatch.
 * :mod:`repro.repository.store` — :class:`SchemaRepository`:
   ``ingest`` / ``load`` / ``search(query, k, candidates=C)`` /
-  ``verify``.
+  ``verify``. Its manifest is the one publish point: each catalog
+  entry carries the schema's index profile, so one atomic write
+  publishes catalog and index together, and an artifact a crash left
+  uncatalogued is finished or rolled back on the next open.
 
 CLI: ``repro index <paths> --repo DIR`` and ``repro search <schema>
 --repo DIR -k N``.

@@ -16,9 +16,10 @@ Fault-injection sites (:mod:`repro.faults`) thread through the middle
 of the sequence, which is what lets ``tests/test_faults.py`` kill the
 process between any two steps and assert the repository's recovery
 story instead of trusting it: ``torn`` publishes half the bytes then
-kills (a checksummed reader must reject the file), ``kill_after``
-dies right after the rename (the next writes never happened), and
-``corrupt`` flips one published byte (bit rot).
+kills (the reader must reject the file: a torn artifact no longer
+hashes back to its id), ``kill_after`` dies right after the rename
+(the next writes never happened), and ``corrupt`` flips one published
+byte (bit rot).
 """
 
 from __future__ import annotations
@@ -90,10 +91,14 @@ def atomic_write_bytes(
 
 
 def atomic_write_json(
-    path: str, payload: Any, site: Optional[str] = None, indent: int = 1
+    path: str,
+    payload: Any,
+    site: Optional[str] = None,
+    indent: Optional[int] = 1,
 ) -> None:
-    """Serialize ``payload`` (sorted keys, trailing newline — the
-    repository's human-diffable house format) and write it atomically."""
+    """Serialize ``payload`` (sorted keys, trailing newline; indented
+    unless ``indent`` is None, which writes one line) and write it
+    atomically."""
     blob = (
         json.dumps(payload, indent=indent, sort_keys=True) + "\n"
     ).encode("utf-8")

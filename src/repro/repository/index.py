@@ -21,21 +21,18 @@ tier:
   *rank* the corpus so the expensive pipeline runs on a top-C
   candidate set.
 
-The index is tiny (strings and counts), serializes to one JSON file,
-and rebuilds incrementally on ingest.
+The index is tiny (strings and counts) and is not persisted itself:
+each schema's profile lives in its entry of the repository manifest's
+catalog, and opening a repository rebuilds the postings from there.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
-from repro.exceptions import RepositoryError
 from repro.linguistic.matcher import LinguisticPreparation
 from repro.linguistic.thesaurus import Thesaurus
-
-#: Version stamp of the serialized index layout.
-INDEX_VERSION = 1
 
 
 def token_profile(linguistic: LinguisticPreparation) -> Dict[str, int]:
@@ -105,20 +102,6 @@ class VocabularyIndex:
 
     def __contains__(self, schema_id: str) -> bool:
         return schema_id in self._profiles
-
-    def indexed_ids(self):
-        """The set of schema ids currently carrying postings."""
-        return set(self._profiles)
-
-    def profile_of(self, schema_id: str) -> Optional[Dict[str, int]]:
-        """The profile ``schema_id`` is indexed under, or None."""
-        profile = self._profiles.get(schema_id)
-        return None if profile is None else dict(profile)
-
-    def profile_items(self):
-        """``(schema_id, profile)`` pairs in sorted id order — the live
-        contents a compacted segment persists."""
-        return sorted(self._profiles.items())
 
     @property
     def n_tokens(self) -> int:
@@ -215,42 +198,3 @@ class VocabularyIndex:
         ]
         ranked.sort(key=lambda pair: (-pair[1], pair[0]))
         return ranked
-
-    # ------------------------------------------------------------------
-    # Persistence
-    # ------------------------------------------------------------------
-
-    def to_dict(self) -> Dict[str, Any]:
-        """JSON-compatible dump (profiles only; postings rebuild)."""
-        return {
-            "index_version": INDEX_VERSION,
-            "profiles": {
-                schema_id: dict(profile)
-                for schema_id, profile in sorted(self._profiles.items())
-            },
-        }
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "VocabularyIndex":
-        if not isinstance(data, dict):
-            raise RepositoryError(
-                f"index payload is {type(data).__name__}, expected an object"
-            )
-        version = data.get("index_version")
-        if version != INDEX_VERSION:
-            raise RepositoryError(
-                f"index version {version!r} is not supported "
-                f"(this build reads version {INDEX_VERSION})"
-            )
-        index = cls()
-        try:
-            for schema_id, profile in data["profiles"].items():
-                index.add(
-                    schema_id,
-                    {str(t): int(c) for t, c in profile.items()},
-                )
-        except (KeyError, ValueError, TypeError, AttributeError) as exc:
-            raise RepositoryError(
-                f"index payload is corrupt: {exc!r}"
-            ) from exc
-        return index

@@ -7,7 +7,7 @@ keeps the schemas and what ranks them:
 
 * **ingest(schema)** stores the canonical schema
   (:mod:`repro.repository.artifacts`) under a content-addressed id,
-  with its catalog entry (element and leaf counts) and its index
+  with its catalog entry: element and leaf counts and the index token
   profile;
 * a **vocabulary index** (:mod:`repro.repository.index`) ranks the
   corpus against a query without matching it;
@@ -21,30 +21,40 @@ prepared by the repository's own pipeline, so a search against a
 reopened repository returns exactly the results the in-memory path
 produces (``tests/test_repository.py`` asserts it).
 
-Directory layout (all JSON, human-diffable)::
+Directory layout (all JSON)::
 
-    <root>/repository.json    manifest: versions, config, fingerprints,
-                              schema catalog, index segment sequence
+    <root>/repository.json    manifest: versions, config, fingerprints
+                              and the schema catalog, one entry per
+                              schema carrying its index profile
     <root>/schemas/<id>.json  one artifact file per ingested schema
-    <root>/index/seg-*.json   append-only index segments (one per
-                              ingest batch; compaction folds them)
-    <root>/ingest.intent.json write-ahead ingest intents (present only
-                              between an ingest and its manifest
-                              publish; resolved on reopen)
 
-Earlier builds also kept the memo's token tier in a similarity-cache
-file beside the manifest; one left in the directory is neither read
-nor deleted.
+**One publish point.** The manifest is the only file that makes a
+schema visible. An ingest writes its artifact; :meth:`SchemaRepository.
+save` then rewrites the manifest with one atomic rename, which
+publishes the catalog and the index profiles together, so the two can
+never disagree. Opening builds the index from the catalog alone and
+reads no artifact.
 
-Since PR 7 the vocabulary index persists as **append-only segments**
-(:mod:`repro.repository.segments`) instead of one rewritten
-``index.json``: each flush appends a segment holding only the batch's
-profiles, opening replays the checksummed segment sequence instead of
-re-scanning artifacts, and compaction folds the sequence back to one
-file. The repository is also safe for concurrent use from multiple
-threads: catalog/index mutations are guarded by one short-held lock,
-while schema preparation and candidate matching — the expensive parts
-— run outside it, optionally on a caller-supplied
+**Recovery.** An artifact file of the id form (``<slug>-<12 hex>.json``)
+that the catalog does not name was written by an ingest that a crash
+cut off before its publish. Opening finishes that ingest when the file
+hashes back to its id (the schema is prepared and registered in
+memory) and rolls it back otherwise (the file is recorded, and the
+next ``save()`` deletes it after the manifest write). Opening writes
+nothing, so ``repro verify`` inspects a crashed repository without
+healing it, and a crash before the next save re-runs the same
+decisions.
+
+Earlier builds also kept the index in checksummed segment files under
+``index/``, a write-ahead ``ingest.intent.json`` and the memo's token
+tier in a similarity-cache file; none of them is read or deleted.
+Their catalog entries carry no profile: opening derives it from the
+artifact once (``index_rebuilds``), and the next save persists it.
+
+The repository is safe for concurrent use from multiple threads:
+catalog/index mutations are guarded by one short-held lock, while
+schema preparation and candidate matching — the expensive parts — run
+outside it, optionally on a caller-supplied
 :class:`~repro.pipeline.session.MatchSession` per thread, so library
 callers that share one repository can search and ingest concurrently.
 (The serving subsystem runs its requests one at a time on one session
@@ -59,7 +69,7 @@ import re
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple, Union
+from typing import Any, Dict, List, Optional, Set, Tuple, Union
 
 from repro.config import CupidConfig
 from repro.exceptions import (
@@ -67,7 +77,6 @@ from repro.exceptions import (
     RepositoryError,
     RepositoryReadOnlyError,
     SchemaError,
-    SegmentError,
 )
 from repro.linguistic.lexicon import builtin_thesaurus
 from repro.linguistic.thesaurus import Thesaurus
@@ -90,35 +99,33 @@ from repro.repository.artifacts import (
 from repro.repository.durability import atomic_write_json
 from repro.repository.index import VocabularyIndex, token_profile
 from repro.tree.schema_tree import verify_interval_encoding
-from repro.repository.segments import (
-    IndexSegment,
-    compact_segments,
-    load_index_from_segments,
-    next_segment_id,
-    read_segment,
-    remove_segment_files,
-    write_segment,
-)
 
 MANIFEST_FILE = "repository.json"
-#: Legacy single-file index (pre-segment repositories); read-only
-#: backward compatibility — new saves always write segments, and the
-#: first post-migration manifest write deletes the stale file.
-INDEX_FILE = "index.json"
 SCHEMAS_DIR = "schemas"
-#: Write-ahead record of ingests whose artifacts may be on disk but
-#: whose manifest publication has not happened yet. Reopening a
-#: repository resolves every entry: completed (artifact verifies
-#: against its content-addressed id) or rolled back — a crash between
-#: the artifact write and the manifest publish is never half-visible.
-INTENT_FILE = "ingest.intent.json"
 
 _SLUG_RE = re.compile(r"[^a-z0-9]+")
+#: An artifact file name of the id form ``<slug>-<fingerprint[:12]>``.
+_ARTIFACT_NAME_RE = re.compile(r"([a-z0-9-]+-[0-9a-f]{12})\.json")
 
 
 def _slug(name: str) -> str:
     slug = _SLUG_RE.sub("-", name.lower()).strip("-")
     return slug[:40] or "schema"
+
+
+def _catalog_entry(
+    schema_id: str, prepared: PreparedSchema
+) -> Dict[str, Any]:
+    """The manifest's catalog entry for ``prepared``: what opening and
+    searching need without reading the artifact (name, file, element
+    and leaf counts, and the index profile searches rank by)."""
+    return {
+        "name": prepared.schema.name,
+        "file": f"{SCHEMAS_DIR}/{schema_id}.json",
+        "elements": len(prepared.schema.elements),
+        "leaves": len(prepared.leaf_layout.leaves),
+        "profile": token_profile(prepared.linguistic),
+    }
 
 
 def match_score(result: CupidResult) -> float:
@@ -177,7 +184,7 @@ class SchemaRepository:
     >>> repo = SchemaRepository(path)          # create or reopen
     >>> repo.ingest(schema)                    # pay cold start once
     >>> hits = repo.search(query, k=3, candidates=16)
-    >>> repo.save()                            # flush index + manifest
+    >>> repo.save()                            # publish the catalog
 
     Construction opens an existing repository (validating format
     version, config, and thesaurus fingerprints) or initializes an
@@ -214,35 +221,22 @@ class SchemaRepository:
             "search_candidates_matched": 0,
             "search_candidates_pruned": 0,
             "index_rebuilds": 0,
-            "segments_loaded": 0,
-            "segments_written": 0,
-            "segment_fallbacks": 0,
-            "segment_compactions": 0,
             "recovered_ingests": 0,
             "rolled_back_ingests": 0,
             "write_failures": 0,
         }
-        # Guards the catalog, index, segment bookkeeping, counters,
-        # and the loaded-artifact cache. Held only for in-memory
-        # mutation and manifest/segment writes — preparation and
-        # matching (the expensive work) always run outside it.
+        # Guards the catalog, index, counters, the rolled-back set and
+        # the loaded-artifact cache. Held only for in-memory mutation
+        # and the manifest write — preparation and matching (the
+        # expensive work) always run outside it.
         self._lock = threading.RLock()
-        #: Manifest entries of the on-disk segment sequence, in replay
-        #: order.
-        self._segment_entries: List[Dict[str, Any]] = []
-        #: Profiles added since the last segment flush (the next
-        #: segment's contents). Keys are also live in self._index.
-        self._pending_adds: Dict[str, Dict[str, int]] = {}
-        self._rebuild_index_pending = False
-        #: Unpublished ingest intents (mirrored in INTENT_FILE), keyed
-        #: by schema id; entries drop out once a manifest write makes
-        #: their ingest durable.
-        self._intent: Dict[str, Dict[str, Any]] = {}
+        #: Ids of uncatalogued artifacts that recovery rolled back; the
+        #: next save() deletes their files after its manifest write.
+        self._rolled_back: Set[str] = set()
         #: Why the repository is read-only, or None. Set on any failed
         #: durable write, cleared by the next successful one — the
         #: degradation re-probes the disk instead of latching.
         self._read_only_reason: Optional[str] = None
-        self._dirty = False
         if exists:
             self._open_existing(manifest_path, config)
         else:
@@ -253,11 +247,11 @@ class SchemaRepository:
         #: schema_id -> loaded/ingested PreparedSchema, bounded by
         #: the same LRU limit the session honors.
         self._loaded: Dict[str, PreparedSchema] = {}
-        # Intent recovery marks the repository dirty so the recovered
-        # (or rolled-back) state reaches the manifest on the next save.
-        self._dirty = self._dirty or not exists
-        if self._rebuild_index_pending:
-            self._rebuild_index()
+        self._dirty = not exists
+        if exists:
+            # Both steps prepare schemas, so they wait for the session.
+            self._derive_missing_profiles()
+            self._recover_uncatalogued()
 
     # ------------------------------------------------------------------
     # Open / create
@@ -296,7 +290,12 @@ class SchemaRepository:
             stored_config = config_from_dict(manifest["config"])
             stored_thesaurus_fp = manifest["thesaurus_fingerprint"]
             self._schemas = dict(manifest["schemas"])
-        except (KeyError, ValueError, TypeError) as exc:
+            # The index comes from the catalog alone: no artifact read.
+            self._index = VocabularyIndex()
+            for schema_id, entry in self._schemas.items():
+                if "profile" in entry:
+                    self._index.add(schema_id, entry["profile"])
+        except (KeyError, ValueError, TypeError, AttributeError) as exc:
             raise RepositoryError(
                 f"repository manifest is corrupt: {exc!r}"
             ) from exc
@@ -326,129 +325,80 @@ class SchemaRepository:
                 name: getattr(stored_config, name)
                 for name in SEMANTIC_CONFIG_FIELDS
             })
-        entries = manifest.get("index_segments")
-        if entries is not None:
-            # The normal open path since PR 7: replay the checksummed
-            # segment sequence — O(index size), no artifact bytes read.
-            replay_span = trace.start_span(
-                "repo.segment_replay", segments=len(entries)
-            )
-            try:
-                self._index = load_index_from_segments(self.path, entries)
-                self._segment_entries = [dict(entry) for entry in entries]
-                self._counters["segments_loaded"] += len(
-                    self._segment_entries
-                )
-            except SegmentError:
-                # A segment the manifest names is missing, torn, or
-                # fails its checksum: the artifacts are the source of
-                # truth, so fall back to the full re-scan.
-                self._counters["segment_fallbacks"] += 1
-                self._index = VocabularyIndex()
-                self._segment_entries = []
-                if replay_span is not None:
-                    replay_span.annotate(fallback=True)
-            finally:
-                trace.end_span(replay_span)
-            if os.path.exists(os.path.join(self.path, INDEX_FILE)):
-                # A crash between the first segment-bearing manifest
-                # and the legacy-file cleanup left a stale index.json
-                # behind; mark dirty so the next save finishes the
-                # migration (the segment sequence is authoritative).
-                self._dirty = True
-        else:
-            # Pre-segment repository: read the legacy single-file
-            # index once; the next save persists it as a segment.
-            index_path = os.path.join(self.path, INDEX_FILE)
-            if os.path.exists(index_path):
-                self._index = VocabularyIndex.from_dict(
-                    _read_json(index_path, "repository index")
-                )
-                self._pending_adds = {
-                    schema_id: dict(profile)
-                    for schema_id, profile in self._index.profile_items()
-                }
-            else:
-                self._index = VocabularyIndex()
-        self._recover_intent()
-        if self._index.indexed_ids() != set(self._schemas):
-            # A missing or stale index (crash between the index and
-            # manifest writes): searching through it would silently
-            # drop or over-rank schemas, so rebuild from the artifact
-            # files — they are the source of truth.
-            self._index = VocabularyIndex()
-            self._segment_entries = []
-            self._pending_adds = {}
-            if self._schemas:
-                self._rebuild_index_pending = True
 
-    def _recover_intent(self) -> None:
-        """Resolve the write-ahead intent record left by a crash.
+    def _derive_missing_profiles(self) -> None:
+        """Complete catalog entries an earlier build wrote.
 
-        Every pending entry is either **completed** — its artifact file
-        parses and hashes back to the content-addressed id the intent
-        named, so the ingest is finished by registering it in the
-        catalog and index — or **rolled back**: the partial artifact
-        (missing, torn, or wrong content) is deleted. Either way the
-        reopened repository is a consistent prefix-plus-recoveries of
-        the ingest order; nothing is ever half-visible.
-
-        Idempotent under re-crash: completed entries stay in the
-        intent record until a manifest write publishes them, so dying
-        again before that write just re-runs the same recovery.
+        Their index profile lived in separate files; here it is
+        derived from the artifact once (one ``index_rebuilds`` per
+        open), and the next save persists it. An entry whose artifact
+        cannot be read stays catalogued without a profile: it does not
+        rank, :meth:`load` raises :class:`ArtifactError` for it and
+        :meth:`verify` reports it.
         """
-        path = os.path.join(self.path, INTENT_FILE)
-        if not os.path.exists(path):
-            return
-        try:
-            pending = list(_read_json(path, "ingest intent record")["pending"])
-        except (RepositoryError, KeyError, TypeError):
-            # A torn intent record was being written when the process
-            # died — the artifact writes it would have covered never
-            # started, so there is nothing to resolve.
-            try:
-                os.remove(path)
-            except OSError:  # pragma: no cover - best-effort cleanup
-                pass
-            return
-        for entry in pending:
-            schema_id = (
-                entry.get("schema_id") if isinstance(entry, dict) else None
-            )
-            if not isinstance(schema_id, str):
+        derived = False
+        for schema_id, entry in self._schemas.items():
+            if "profile" in entry:
                 continue
-            if schema_id in self._schemas:
-                # Published before the crash; only the record cleanup
-                # was lost. The next save rewrites the intent file.
+            fresh = self._entry_from_artifact(schema_id)
+            if fresh is None:
                 continue
-            if self._artifact_is_complete(schema_id):
-                try:
-                    meta = dict(entry["meta"])
-                    profile = {
-                        str(token): int(count)
-                        for token, count in entry["profile"].items()
-                    }
-                except (KeyError, TypeError, ValueError):
-                    continue
-                self._schemas[schema_id] = meta
-                self._index.add(schema_id, profile)
-                self._pending_adds[schema_id] = profile
-                self._intent[schema_id] = dict(entry)
-                self._counters["recovered_ingests"] += 1
-            else:
-                try:
-                    os.remove(self._artifact_path(schema_id))
-                except OSError:
-                    pass
-                self._counters["rolled_back_ingests"] += 1
+            for key, value in fresh.items():
+                entry.setdefault(key, value)
+            self._index.add(schema_id, entry["profile"])
+            derived = True
+        if derived:
+            self._counters["index_rebuilds"] += 1
             self._dirty = True
-        if not self._intent:
-            # Nothing left pending (all entries were published or
-            # rolled back); the record has done its job.
-            try:
-                os.remove(path)
-            except OSError:  # pragma: no cover - best-effort cleanup
-                pass
+
+    def _recover_uncatalogued(self) -> None:
+        """Finish or roll back the ingests a crash cut off.
+
+        An ingest writes its artifact before :meth:`save` publishes
+        the catalog, so an artifact file of the id form that the
+        catalog does not name is an ingest that never published. When
+        the file hashes back to its id, the ingest is **finished**: the
+        schema is prepared by this repository's pipeline and
+        registered in the catalog and index (``recovered_ingests``).
+        Any other such file (torn, or not the schema its name claims)
+        is **rolled back** (``rolled_back_ingests``): recorded, and
+        deleted by the next save once its manifest is durable. Either
+        way nothing is half-visible. Only memory changes here, so a
+        crash before that save re-runs the same decisions.
+        """
+        try:
+            names = sorted(os.listdir(os.path.join(self.path, SCHEMAS_DIR)))
+        except OSError:
+            return
+        for name in names:
+            matched = _ARTIFACT_NAME_RE.fullmatch(name)
+            if matched is None or matched.group(1) in self._schemas:
+                continue
+            schema_id = matched.group(1)
+            entry = (
+                self._entry_from_artifact(schema_id)
+                if self._artifact_is_complete(schema_id)
+                else None
+            )
+            if entry is None:
+                self._rolled_back.add(schema_id)
+                self._counters["rolled_back_ingests"] += 1
+            else:
+                self._schemas[schema_id] = entry
+                self._index.add(schema_id, entry["profile"])
+                self._counters["recovered_ingests"] += 1
+            self._dirty = True
+
+    def _entry_from_artifact(
+        self, schema_id: str
+    ) -> Optional[Dict[str, Any]]:
+        """The catalog entry of ``schema_id``'s artifact file, prepared
+        afresh by this repository's pipeline; None if the file cannot
+        be read or loaded."""
+        try:
+            return _catalog_entry(schema_id, self._read_artifact(schema_id))
+        except RepositoryError:
+            return None
 
     def _artifact_is_complete(self, schema_id: str) -> bool:
         """True if the artifact file hashes back to its own id.
@@ -484,23 +434,6 @@ class SchemaRepository:
             return schema.schema
         return schema
 
-    def _rebuild_index(self) -> None:
-        """Recreate the vocabulary index from the artifact files.
-
-        The artifacts are the source of truth; the index is a derived
-        view, so losing ``index.json`` (crash between the manifest and
-        index writes) is recoverable rather than fatal. Loads every
-        artifact once — the one open path that is not lazy, taken only
-        in this degraded state.
-        """
-        for schema_id in self._schemas:
-            profile = token_profile(self.load(schema_id).linguistic)
-            self._index.add(schema_id, profile)
-            self._pending_adds[schema_id] = profile
-        self._counters["index_rebuilds"] += 1
-        self._rebuild_index_pending = False
-        self._dirty = True
-
     # ------------------------------------------------------------------
     # Ingest
     # ------------------------------------------------------------------
@@ -529,12 +462,12 @@ class SchemaRepository:
         match service passes its compute thread's session; default is
         the repository's own).
 
-        Durability ordering: a write-ahead intent record (everything a
-        reopen needs to finish or undo this ingest) is durable *before*
-        the artifact write starts, and cleared only after a manifest
-        write publishes the schema — a crash anywhere in between is
-        resolved on reopen, never half-visible. A failed durable write
-        (disk full) raises :class:`RepositoryReadOnlyError`.
+        Durability ordering: the artifact is durable before the schema
+        enters the in-memory catalog, and :meth:`save` publishes the
+        catalog. A crash in between leaves an artifact the catalog does
+        not name, which the next open finishes or rolls back — never
+        half-visible. A failed durable write (disk full) raises
+        :class:`RepositoryReadOnlyError`.
         """
         ingest_span = trace.start_span("repo.ingest")
         if ingest_span is None:
@@ -560,47 +493,19 @@ class SchemaRepository:
             if schema_id in self._schemas:
                 self._counters["ingest_duplicates"] += 1
                 return schema_id
+            # This ingest rewrites the artifact of a rolled-back id, so
+            # save() must leave the file alone.
+            self._rolled_back.discard(schema_id)
         prepared = (session or self.session).prepare(schema)
         payload = prepared_to_dict(prepared, canonical=canonical)
-        profile = token_profile(prepared.linguistic)
-        meta = {
-            "name": prepared.schema.name,
-            "file": f"{SCHEMAS_DIR}/{schema_id}.json",
-            "elements": len(prepared.schema.elements),
-            "leaves": len(prepared.leaf_layout.leaves),
-        }
-        with self._lock:
-            if schema_id in self._schemas:
-                self._counters["ingest_duplicates"] += 1
-                return schema_id
-            self._intent[schema_id] = {
-                "schema_id": schema_id,
-                "meta": meta,
-                "profile": profile,
-            }
-            try:
-                self._write_intent_locked()
-            except Exception:
-                self._intent.pop(schema_id, None)
-                raise
+        entry = _catalog_entry(schema_id, prepared)
         artifact_path = self._artifact_path(schema_id)
-        try:
-            self._durable(
-                lambda: atomic_write_json(
-                    artifact_path, payload, site="repo.artifact"
-                ),
-                f"artifact write for {schema_id!r}",
-            )
-        except Exception:
-            with self._lock:
-                self._intent.pop(schema_id, None)
-                try:
-                    self._write_intent_locked()
-                except RepositoryReadOnlyError:
-                    # Disk still refusing writes; the stale record is
-                    # harmless — a reopen rolls it back (no artifact).
-                    pass
-            raise
+        self._durable(
+            lambda: atomic_write_json(
+                artifact_path, payload, site="repo.artifact"
+            ),
+            f"artifact write for {schema_id!r}",
+        )
         with self._lock:
             if schema_id in self._schemas:
                 # Lost a race against another ingest of the same
@@ -611,9 +516,8 @@ class SchemaRepository:
             # so any reader snapshot sees a consistent prefix of the
             # ingest order — never a schema that ranks but can't load
             # (or the reverse).
-            self._schemas[schema_id] = meta
-            self._index.add(schema_id, profile)
-            self._pending_adds[schema_id] = profile
+            self._schemas[schema_id] = entry
+            self._index.add(schema_id, entry["profile"])
             self._cache_loaded(schema_id, prepared)
             self._counters["ingests"] += 1
             self._dirty = True
@@ -629,14 +533,17 @@ class SchemaRepository:
             return sorted(self._schemas)
 
     def describe(self, schema_id: str) -> Dict[str, Any]:
-        """Catalog metadata for one schema id."""
+        """Catalog metadata for one schema id (a copy of its entry)."""
         with self._lock:
             meta = self._schemas.get(schema_id)
             if meta is None:
                 raise RepositoryError(
                     f"repository has no schema {schema_id!r}"
                 )
-            return dict(meta)
+            entry = dict(meta)
+            if "profile" in entry:
+                entry["profile"] = dict(entry["profile"])
+            return entry
 
     def __len__(self) -> int:
         with self._lock:
@@ -845,14 +752,13 @@ class SchemaRepository:
         verified is what a future process will see), checks that its
         schema hashes back to the content-addressed id, prepares the
         schema afresh, and compares the derived data the repository
-        keeps: the catalog's element and leaf counts and the index
-        profile searches rank by. The fresh tree must also pass the
-        interval-encoding oracle. Raises :class:`RepositoryError` on
-        any drift.
+        keeps: the catalog entry's element and leaf counts and the
+        index profile searches rank by. The fresh tree must also pass
+        the interval-encoding oracle. Raises :class:`RepositoryError`
+        on any drift.
         """
         with self._lock:
             meta = self._schemas.get(schema_id)
-            indexed = self._index.profile_of(schema_id)
         if meta is None:
             raise RepositoryError(
                 f"repository has no schema {schema_id!r}"
@@ -864,22 +770,20 @@ class SchemaRepository:
                 f"{schema_id!r}: the artifact's schema does not hash to "
                 "its id"
             )
-        for key, value in (
-            ("elements", len(fresh.schema.elements)),
-            ("leaves", len(fresh.leaf_layout.leaves)),
-        ):
-            if meta.get(key) != value:
+        derived = _catalog_entry(schema_id, fresh)
+        for key in ("elements", "leaves"):
+            if meta.get(key) != derived[key]:
                 raise RepositoryError(
                     f"{schema_id!r}: the catalog records {meta.get(key)!r} "
-                    f"{key}, a fresh preparation has {value}"
+                    f"{key}, a fresh preparation has {derived[key]}"
                 )
-        profile = token_profile(fresh.linguistic)
-        if indexed != profile:
-            held = "no" if indexed is None else len(indexed)
+        catalogued = meta.get("profile")
+        if catalogued != derived["profile"]:
+            held = "no" if catalogued is None else len(catalogued)
             raise RepositoryError(
-                f"{schema_id!r}: the index profile differs from a fresh "
-                f"preparation ({held} tokens indexed, {len(profile)} "
-                "fresh)"
+                f"{schema_id!r}: the catalog's index profile differs from "
+                f"a fresh preparation ({held} tokens catalogued, "
+                f"{len(derived['profile'])} fresh)"
             )
         try:
             verify_interval_encoding(fresh.tree)
@@ -893,104 +797,30 @@ class SchemaRepository:
     # Persistence
     # ------------------------------------------------------------------
 
-    def save(self, auto_compact: bool = True) -> None:
-        """Flush the pending index segment and the manifest.
+    def save(self) -> None:
+        """Publish the catalog: one atomic write of the manifest.
 
-        Profiles added since the last flush become **one** append-only
-        segment — the "per ingest batch" unit — and the manifest's
-        segment sequence grows by one entry. When the sequence exceeds
-        ``config.segment_compaction_threshold`` it is folded into a
-        single compacted segment first; ``auto_compact=False`` skips
-        that (the serving subsystem flushes on the request path and
-        compacts from a background thread instead).
+        Every catalog entry carries its index profile, so this one
+        rename publishes catalog and index together. Once the manifest
+        is durable, the artifacts recovery rolled back are deleted
+        (an id ingested since keeps its new file). A repository with
+        nothing new writes nothing.
         """
-        stale: List[str] = []
         with self._lock:
-            self._flush_pending_segment()
-            threshold = self.config.segment_compaction_threshold
-            if (
-                auto_compact
-                and threshold
-                and len(self._segment_entries) > threshold
-            ):
-                stale = self._compact_segments_locked()
-            if self._dirty:
-                self._write_manifest()
-                self._dirty = False
-                self._finish_publish_locked()
-        remove_segment_files(self.path, stale)
-
-    def compact(self) -> int:
-        """Fold the segment sequence into one compacted segment now.
-
-        Flushes any pending batch first, persists the new manifest,
-        then deletes the superseded files. Returns the number of live
-        segments after compaction (always 1 for a non-empty index, 0
-        for an empty one). Idempotent on the index contents — a
-        compacted repository compacts to the same profiles again.
-        """
-        compact_span = trace.start_span("repo.compact")
-        try:
-            with self._lock:
-                self._flush_pending_segment()
-                stale = self._compact_segments_locked()
-                self._write_manifest()
-                self._dirty = False
-                self._finish_publish_locked()
-                count = len(self._segment_entries)
-            remove_segment_files(self.path, stale)
-            if compact_span is not None:
-                compact_span.annotate(
-                    live_segments=count, removed_segments=len(stale)
-                )
-            return count
-        finally:
-            trace.end_span(compact_span)
-
-    def segment_count(self) -> int:
-        """Live segments plus the pending (unflushed) batch, if any."""
-        with self._lock:
-            return len(self._segment_entries) + (
-                1 if self._pending_adds else 0
-            )
-
-    def _flush_pending_segment(self) -> None:
-        """Write the pending batch as one new segment (lock held)."""
-        if not self._pending_adds:
-            return
-        segment = IndexSegment(
-            segment_id=next_segment_id(self._segment_entries),
-            profiles=self._pending_adds,
-        )
-        entry = self._durable(
-            lambda: write_segment(self.path, segment),
-            "index segment write",
-        )
-        self._segment_entries.append(entry)
-        self._pending_adds = {}
-        self._counters["segments_written"] += 1
-        self._dirty = True
-
-    def _compact_segments_locked(self) -> List[str]:
-        """Fold the on-disk sequence into one segment (lock held).
-
-        Returns the superseded files for post-manifest deletion.
-        """
-        if len(self._segment_entries) <= 1:
-            return []
-        entries, stale = self._durable(
-            lambda: compact_segments(
-                self.path, self._index, self._segment_entries
-            ),
-            "segment compaction write",
-        )
-        self._segment_entries = entries
-        self._counters["segment_compactions"] += 1
-        self._counters["segments_written"] += 1
-        self._dirty = True
-        return stale
+            if not self._dirty:
+                return
+            self._write_manifest()
+            self._dirty = False
+            for schema_id in sorted(self._rolled_back):
+                try:
+                    os.remove(self._artifact_path(schema_id))
+                except OSError:
+                    pass
+            self._rolled_back.clear()
 
     def _write_manifest(self) -> None:
+        # Compact JSON: with a profile per entry, an indented manifest
+        # takes several times longer to encode on every save.
         self._durable(
             lambda: atomic_write_json(
                 os.path.join(self.path, MANIFEST_FILE),
@@ -1000,62 +830,11 @@ class SchemaRepository:
                     "config_fingerprint": config_fingerprint(self.config),
                     "thesaurus_fingerprint": self.thesaurus.fingerprint(),
                     "schemas": self._schemas,
-                    "index_segments": self._segment_entries,
                 },
                 site="repo.manifest",
+                indent=None,
             ),
             "manifest write",
-        )
-
-    def _finish_publish_locked(self) -> None:
-        """Post-manifest cleanup (lock held, manifest durable).
-
-        Drops intent entries the manifest just published (and rewrites
-        or removes the intent record), then deletes the legacy
-        single-file index — every new manifest carries the segment
-        sequence, so ``index.json`` is stale the moment one lands. A
-        crash before this cleanup loses nothing: reopening resolves
-        published intent entries as no-ops and ignores the legacy file
-        whenever the manifest names segments.
-        """
-        published = [sid for sid in self._intent if sid in self._schemas]
-        for schema_id in published:
-            del self._intent[schema_id]
-        intent_path = os.path.join(self.path, INTENT_FILE)
-        if published or (not self._intent and os.path.exists(intent_path)):
-            try:
-                self._write_intent_locked()
-            except RepositoryReadOnlyError:
-                # The manifest is durable; a stale intent record is
-                # re-resolved (and found published) on the next open.
-                pass
-        try:
-            os.remove(os.path.join(self.path, INDEX_FILE))
-        except OSError:
-            pass
-
-    def _write_intent_locked(self) -> None:
-        """Persist (or clear) the write-ahead intent record."""
-        path = os.path.join(self.path, INTENT_FILE)
-        if not self._intent:
-            try:
-                os.remove(path)
-            except OSError:
-                pass
-            return
-        self._durable(
-            lambda: atomic_write_json(
-                path,
-                {
-                    "format_version": FORMAT_VERSION,
-                    "pending": [
-                        self._intent[schema_id]
-                        for schema_id in sorted(self._intent)
-                    ],
-                },
-                site="repo.intent",
-            ),
-            "ingest intent write",
         )
 
     def _durable(self, write, what: str):
@@ -1121,8 +900,6 @@ class SchemaRepository:
             info["repository_loaded"] = len(self._loaded)
             info["index_tokens"] = self._index.n_tokens
             info["index_postings"] = self._index.n_postings
-            info["index_segments"] = len(self._segment_entries)
-            info["pending_index_adds"] = len(self._pending_adds)
             info["read_only"] = self._read_only_reason is not None
         info.update(self.session.cache_info())
         memo = self.session.pipeline.linguistic.memo
@@ -1140,31 +917,29 @@ class SchemaRepository:
         """The durability/recovery story in one dict.
 
         What ``GET /stats`` and ``repro search --stats`` surface: the
-        fallback and recovery counters, pending intent entries, and
-        the read-only degradation state.
+        rebuild and recovery counters and the read-only degradation
+        state.
         """
         with self._lock:
             return {
-                "segment_fallbacks": self._counters["segment_fallbacks"],
                 "index_rebuilds": self._counters["index_rebuilds"],
                 "recovered_ingests": self._counters["recovered_ingests"],
                 "rolled_back_ingests": (
                     self._counters["rolled_back_ingests"]
                 ),
                 "write_failures": self._counters["write_failures"],
-                "pending_intents": len(self._intent),
                 "read_only": self._read_only_reason is not None,
                 "read_only_reason": self._read_only_reason,
             }
 
-    def audit_segments(self) -> List[str]:
-        """Verify every manifest-named segment checksum from disk.
+    def audit(self) -> List[str]:
+        """Check the on-disk layout without changing it.
 
-        Re-reads the manifest *file* (not the in-memory entries — a
-        fallback open has already emptied those) so the audit reports
-        exactly what the next process will find. Also checks that every
-        cataloged schema's artifact file exists. Returns human-readable
-        problem strings; an empty list is a clean bill.
+        Re-reads the manifest *file* (not the in-memory catalog, which
+        an open may have completed) so the audit reports exactly what
+        the next process will find, and checks that every catalogued
+        schema's artifact file exists. Returns human-readable problem
+        strings; an empty list is a clean bill.
         """
         problems: List[str] = []
         manifest_path = os.path.join(self.path, MANIFEST_FILE)
@@ -1172,11 +947,6 @@ class SchemaRepository:
             manifest = _read_json(manifest_path, "repository manifest")
         except RepositoryError as exc:
             return [str(exc)]
-        for entry in manifest.get("index_segments") or []:
-            try:
-                read_segment(self.path, entry)
-            except SegmentError as exc:
-                problems.append(str(exc))
         catalog = manifest.get("schemas")
         if isinstance(catalog, dict):
             for schema_id in sorted(catalog):

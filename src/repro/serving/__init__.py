@@ -5,8 +5,8 @@ Layers (each usable on its own):
 * :mod:`repro.serving.metrics` — latency histograms, per-endpoint
   gauges, cooperative deadlines;
 * :mod:`repro.serving.service` — :class:`MatchService`, one compute
-  thread and session behind admission control, with background
-  segment compaction;
+  thread and session behind admission control, saving the repository
+  once per ingest request;
 * :mod:`repro.serving.http` — the stdlib ThreadingHTTPServer front
   end behind ``repro serve``.
 """

@@ -630,10 +630,10 @@ def serve(
     SIGTERM and SIGINT trigger a graceful shutdown: the accept loop
     stops, in-flight requests drain (bounded by the executor's
     completion of already-admitted work), and ``service.close()``
-    flushes pending segments and the manifest before the process
-    exits. Handlers are installed best-effort — in a
-    non-main thread (embedded use, tests) signal wiring is skipped
-    and the caller owns shutdown.
+    saves the repository's manifest before the process exits.
+    Handlers are installed best-effort — in a non-main thread
+    (embedded use, tests) signal wiring is skipped and the caller owns
+    shutdown.
     """
     server = MatchHTTPServer((host, port), service, verbose=verbose)
 

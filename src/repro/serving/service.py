@@ -48,10 +48,10 @@ queueing time; searches check it between candidate matches, so a
 timed-out request releases the compute thread promptly and surfaces
 :class:`~repro.exceptions.RequestTimeoutError`.
 
-Ingest batches flush one append-only index segment each; when the
-segment sequence exceeds ``config.segment_compaction_threshold`` a
-background thread compacts it — ingest requests never pay compaction
-latency.
+An ingest request writes one artifact per new schema and then saves
+the repository once: one manifest write publishes the whole batch,
+catalog and index profiles together. These writes run on the
+compute thread, so searches admitted behind an ingest wait for them.
 
 An asyncio front end rides on top for free: every operation has an
 ``*_async`` twin returning an awaitable (the concurrent future wrapped
@@ -97,7 +97,8 @@ class MatchService:
     Parameters default to the repository config's serving knobs:
     ``queue_depth`` (admission bound) and ``timeout_s`` (default
     per-request deadline; 0 = none). The service owns the repository's
-    persistence: closing it flushes pending segments and the manifest.
+    persistence: every ingest request saves it, and closing the
+    service saves it once more.
     """
 
     def __init__(
@@ -126,15 +127,6 @@ class MatchService:
         self._admission_lock = threading.Lock()
         self._admitted = 0
         self._closed = False
-        self._compaction_lock = threading.Lock()
-        self._compaction_thread: Optional[threading.Thread] = None
-        self._compaction_timer: Optional[threading.Timer] = None
-        #: Consecutive background-compaction failures (drives the
-        #: exponential backoff; reset on success).
-        self._compaction_failures = 0
-        #: Total supervised compaction retries ever scheduled.
-        self._compaction_retries = 0
-        self._compaction_backoff = config.serving_compaction_backoff_s
 
     # ------------------------------------------------------------------
     # Request plumbing
@@ -294,10 +286,9 @@ class MatchService:
     ) -> List[str]:
         """Ingest one schema or a batch; returns repository ids.
 
-        The whole request is one ingest batch: its profiles flush as
-        one append-only index segment, and if the segment sequence has
-        outgrown the compaction threshold a *background* compaction is
-        scheduled — the request never pays for it.
+        The whole request is one ingest batch: each new schema's
+        artifact is written, then one repository save publishes the
+        batch.
         """
         return self.submit(
             "ingest", self._do_ingest, schemas, timeout=timeout
@@ -326,72 +317,8 @@ class MatchService:
                 f"ingest after {position} of {len(schemas)} schemas"
             )
             ids.append(self.repository.ingest(schema, session=session))
-        self.repository.save(auto_compact=False)
-        self._maybe_compact()
+        self.repository.save()
         return ids
-
-    # ------------------------------------------------------------------
-    # Background compaction
-    # ------------------------------------------------------------------
-
-    #: Ceiling on the supervised compaction backoff delay, seconds.
-    COMPACTION_BACKOFF_CAP_S = 30.0
-
-    def _maybe_compact(self) -> None:
-        threshold = self.repository.config.segment_compaction_threshold
-        if not threshold:
-            return
-        if self.repository.segment_count() <= threshold:
-            return
-        with self._compaction_lock:
-            if (
-                self._compaction_thread is not None
-                and self._compaction_thread.is_alive()
-            ):
-                return  # one compactor at a time; it folds everything
-            if self._compaction_timer is not None:
-                return  # a supervised retry is already scheduled
-            self._compaction_thread = threading.Thread(
-                target=self._compact_now,
-                name="repro-compact",
-                daemon=True,
-            )
-            self._compaction_thread.start()
-
-    def _compact_now(self) -> None:
-        """Run one background compaction under supervision.
-
-        A failure (e.g. disk full) leaves the longer-but-valid segment
-        sequence in place and schedules a retry with capped
-        exponential backoff — the service heals itself once the
-        condition clears instead of waiting for the next ingest.
-        """
-        with self._compaction_lock:
-            self._compaction_timer = None
-        try:
-            self.repository.compact()
-        except Exception:
-            with self._compaction_lock:
-                self._compaction_failures += 1
-                base = self._compaction_backoff
-                if not base or self._closing_for_compaction():
-                    return
-                delay = min(
-                    self.COMPACTION_BACKOFF_CAP_S,
-                    base * 2 ** (self._compaction_failures - 1),
-                )
-                self._compaction_retries += 1
-                timer = threading.Timer(delay, self._compact_now)
-                timer.daemon = True
-                self._compaction_timer = timer
-                timer.start()
-        else:
-            with self._compaction_lock:
-                self._compaction_failures = 0
-
-    def _closing_for_compaction(self) -> bool:
-        with self._admission_lock:
-            return self._closed
 
     # ------------------------------------------------------------------
     # Introspection
@@ -405,7 +332,6 @@ class MatchService:
         return {
             "status": "closed" if closed else "ok",
             "schemas": len(self.repository),
-            "segments": self.repository.segment_count(),
             "in_flight": admitted,
             "queue_depth": self._queue_depth,
             # A read-only repository still serves searches; liveness
@@ -423,11 +349,7 @@ class MatchService:
         info["health"] = self.health()
         info["session_pool"] = self._session.cache_info()
         info["repository"] = self.repository.cache_info()
-        recovery = self.repository.recovery_info()
-        with self._compaction_lock:
-            recovery["compaction_retries"] = self._compaction_retries
-            recovery["compaction_failures"] = self._compaction_failures
-        info["recovery"] = recovery
+        info["recovery"] = self.repository.recovery_info()
         return info
 
     # ------------------------------------------------------------------
@@ -445,13 +367,6 @@ class MatchService:
                 return
             self._closed = True
         self._executor.shutdown(wait=True)
-        with self._compaction_lock:
-            compactor = self._compaction_thread
-            if self._compaction_timer is not None:
-                self._compaction_timer.cancel()
-                self._compaction_timer = None
-        if compactor is not None:
-            compactor.join(timeout=60.0)
         self.repository.save()
 
     def __enter__(self) -> "MatchService":

@@ -11,7 +11,6 @@ never as pickle/JSON shrapnel or silently different results.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 import random
@@ -32,7 +31,6 @@ from repro.repository import (
     prepared_to_dict,
     token_profile,
 )
-from repro.repository.segments import SEGMENTS_DIR
 from repro.repository.store import MANIFEST_FILE, SCHEMAS_DIR, match_score
 
 #: A repository written by a build that stored every prepared tier in
@@ -118,95 +116,6 @@ class TestIngestAndLoad:
         assert repo.ingest(figure2_po()) in repo
         assert repo.cache_info()["prepare_misses"] == misses_before
 
-    def test_missing_segment_rebuilds_from_artifacts(self, tmp_path):
-        """Losing an index segment (crash, manual deletion) must not
-        turn search into silent empty results — the index is a derived
-        view, rebuilt from the artifacts and re-persisted on save."""
-        corpus = _corpus(4)
-        query = _query_for(corpus[1], seed=29)
-        path = str(tmp_path / "repo")
-        with SchemaRepository(path) as repo:
-            for schema in corpus:
-                repo.ingest(schema)
-            intact = repo.search(query, k=2)
-        segment_dir = os.path.join(path, SEGMENTS_DIR)
-        victim = sorted(os.listdir(segment_dir))[0]
-        os.remove(os.path.join(segment_dir, victim))
-        healed = SchemaRepository.open(path)
-        assert healed.cache_info()["segment_fallbacks"] == 1
-        assert healed.cache_info()["index_rebuilds"] == 1
-        rebuilt = healed.search(query, k=2)
-        assert _search_signature(rebuilt) == _search_signature(intact)
-        # The healed index is persisted as a fresh segment on save.
-        healed.save()
-        reopened = SchemaRepository.open(path)
-        assert reopened.cache_info()["index_rebuilds"] == 0
-        assert _search_signature(
-            reopened.search(query, k=2)
-        ) == _search_signature(intact)
-
-    def test_corrupted_segment_checksum_falls_back(self, tmp_path):
-        """A segment whose bytes no longer hash to the manifest's
-        checksum is torn — the open must take the artifact re-scan
-        fallback, not trust the damaged index."""
-        corpus = _corpus(3)
-        path = str(tmp_path / "repo")
-        with SchemaRepository(path) as repo:
-            for schema in corpus:
-                repo.ingest(schema)
-        segment_dir = os.path.join(path, SEGMENTS_DIR)
-        victim = os.path.join(
-            segment_dir, sorted(os.listdir(segment_dir))[0]
-        )
-        with open(victim) as handle:
-            payload = json.load(handle)
-        first_id = sorted(payload["profiles"])[0]
-        payload["profiles"][first_id] = {}  # checksum now stale
-        with open(victim, "w") as handle:
-            json.dump(payload, handle)
-        healed = SchemaRepository.open(path)
-        assert healed.cache_info()["segment_fallbacks"] == 1
-        assert healed.cache_info()["index_rebuilds"] == 1
-        query = _query_for(corpus[0], seed=41)
-        assert len(healed.search(query, k=3)) == 3
-
-    def test_legacy_single_file_index_migrates_to_segments(
-        self, tmp_path
-    ):
-        """Pre-segment repositories carry one ``index.json``; opening
-        one must read it (no rebuild) and the next save must persist
-        the index as a segment sequence."""
-        corpus = _corpus(3)
-        path = str(tmp_path / "repo")
-        with SchemaRepository(path) as repo:
-            for schema in corpus:
-                repo.ingest(schema)
-        # Rewrite the repository into the legacy on-disk layout.
-        manifest_path = os.path.join(path, "repository.json")
-        with open(manifest_path) as handle:
-            manifest = json.load(handle)
-        del manifest["index_segments"]
-        with open(manifest_path, "w") as handle:
-            json.dump(manifest, handle)
-        legacy = SchemaRepository.open(path)
-        index_payload = legacy._index.to_dict()
-        with open(os.path.join(path, "index.json"), "w") as handle:
-            json.dump(index_payload, handle)
-        import shutil
-
-        shutil.rmtree(os.path.join(path, SEGMENTS_DIR))
-        migrated = SchemaRepository.open(path)
-        assert migrated.cache_info()["index_rebuilds"] == 0
-        assert migrated.cache_info()["segments_loaded"] == 0
-        migrated.save()
-        assert os.path.isdir(os.path.join(path, SEGMENTS_DIR))
-        reopened = SchemaRepository.open(path)
-        assert reopened.cache_info()["segments_loaded"] >= 1
-        query = _query_for(corpus[2], seed=59)
-        assert _search_signature(
-            reopened.search(query, k=2)
-        ) == _search_signature(migrated.search(query, k=2))
-
     def test_foreign_prepared_schema_is_reprepared(self, tmp_path):
         """A PreparedSchema built under a different thesaurus must not
         smuggle a foreign index profile past the fingerprint guards —
@@ -245,31 +154,6 @@ class TestIngestAndLoad:
         via_foreign = repo.search(foreign_prep, k=2, candidates=2)
         assert _search_signature(via_foreign) == _search_signature(native)
 
-    def test_stale_index_membership_triggers_rebuild(self, tmp_path):
-        """A torn save can leave the manifest's segment list out of
-        step with its catalog; membership mismatch must trigger the
-        same rebuild as a missing segment, or search silently drops
-        the unindexed schemas."""
-        corpus = _corpus(3)
-        path = str(tmp_path / "repo")
-        with SchemaRepository(path) as repo:
-            ids = [repo.ingest(s) for s in corpus[:2]]
-            repo.save()
-            ids.append(repo.ingest(corpus[2]))
-            repo.save()
-        manifest_path = os.path.join(path, "repository.json")
-        with open(manifest_path) as handle:
-            manifest = json.load(handle)
-        assert len(manifest["index_segments"]) == 2
-        manifest["index_segments"] = manifest["index_segments"][:1]
-        with open(manifest_path, "w") as handle:
-            json.dump(manifest, handle)
-        healed = SchemaRepository.open(path)
-        assert healed.cache_info()["index_rebuilds"] == 1
-        query = _query_for(corpus[2], seed=67)
-        brute = healed.search(query, k=3)
-        assert ids[2] in {m.schema_id for m in brute}
-
     def test_reopen_does_not_pin_runtime_knobs(self, tmp_path):
         """Runtime fields (backend, engine, cache bounds) must come from
         the opening process, not the manifest — a repository created
@@ -306,20 +190,24 @@ class TestIngestAndLoad:
 
     def test_repository_stores_only_schemas(self, tmp_path):
         """An artifact holds the format version and the canonical
-        schema, nothing derived; searching and saving add no file
-        beside the manifest, the artifacts and the index."""
+        schema, nothing derived; ingesting, searching and saving add no
+        file beside the manifest and the artifacts, and the manifest's
+        catalog entry carries the index profile."""
         path = str(tmp_path / "repo")
         with SchemaRepository(path) as repo:
             schema_id = repo.ingest(figure2_po())
             repo.search(figure2_purchase_order(), k=1)
         with SchemaRepository.open(path) as reopened:
             reopened.search(figure2_purchase_order(), k=1)
-        assert sorted(os.listdir(path)) == [
-            SEGMENTS_DIR, MANIFEST_FILE, SCHEMAS_DIR,
-        ]
+        assert sorted(os.listdir(path)) == [MANIFEST_FILE, SCHEMAS_DIR]
         artifact = os.path.join(path, SCHEMAS_DIR, f"{schema_id}.json")
         with open(artifact) as handle:
             assert sorted(json.load(handle)) == ["format_version", "schema"]
+        with open(os.path.join(path, MANIFEST_FILE)) as handle:
+            entry = json.load(handle)["schemas"][schema_id]
+        assert entry["profile"] == token_profile(
+            MatchSession().prepare(figure2_po()).linguistic
+        )
 
     def test_first_match_builds_the_vocabulary(self, tmp_path):
         """Ingest prepares what the repository derives (index profile,
@@ -371,10 +259,12 @@ class TestIngestAndLoad:
              "auto_store_leaf_threshold": 1},
             {"linguistic_kernel": False, "linguistic_batch_ns": False},
             {"serving_sessions": 4},
+            {"segment_compaction_threshold": 8,
+             "serving_compaction_backoff_s": 0.5},
         ],
         ids=[
             "parallel-knobs", "store-knobs", "linguistic-knobs",
-            "serving-knobs",
+            "serving-knobs", "compaction-knobs",
         ],
     )
     def test_manifest_with_removed_config_keys_opens(
@@ -382,8 +272,8 @@ class TestIngestAndLoad:
     ):
         """Manifests written by older builds record config fields that
         no longer exist (the removed parallel-layer, similarity-store,
-        linguistic-path and session-pool knobs). They must still open,
-        verify, and search bit-identically."""
+        linguistic-path, session-pool and segment-compaction knobs).
+        They must still open, verify, and search bit-identically."""
         path = str(tmp_path / "repo")
         schemas = _corpus(3)
         with SchemaRepository(path) as repo:
@@ -628,17 +518,27 @@ class TestVocabularyIndex:
         assert ranked[0][0] == "inv"
         assert ranked[0][1] > 0.0
 
-    def test_index_round_trip(self):
-        index = VocabularyIndex()
-        index.add("a", {"order": 2, "city": 1})
-        index.add("b", {"city": 3})
-        restored = VocabularyIndex.from_dict(index.to_dict())
-        assert restored.to_dict() == index.to_dict()
-        assert restored.score({"city": 1}) == index.score({"city": 1})
-
-    def test_index_version_mismatch(self):
-        with pytest.raises(RepositoryError, match="version"):
-            VocabularyIndex.from_dict({"index_version": 99, "profiles": {}})
+    def test_index_round_trip(self, tmp_path):
+        """The index persists as the catalog's profiles: a reopened
+        repository indexes the same profiles and ranks a query as the
+        repository that ingested did."""
+        corpus = _corpus(5)
+        query = _query_for(corpus[3], seed=17)
+        path = str(tmp_path / "repo")
+        with SchemaRepository(path) as repo:
+            ids = [repo.ingest(schema) for schema in corpus]
+            ranking = repo.search(query, k=1).candidate_scores
+        reopened = SchemaRepository.open(path)
+        assert reopened.cache_info()["artifact_loads"] == 0
+        for schema_id in ids:
+            assert reopened._index._profiles[schema_id] == (
+                repo._index._profiles[schema_id]
+            )
+        restored = reopened.search(query, k=1).candidate_scores
+        assert [sid for sid, _ in restored] == [sid for sid, _ in ranking]
+        assert [score for _, score in restored] == pytest.approx(
+            [score for _, score in ranking], rel=1e-12
+        )
 
 
 class TestVerify:
@@ -648,11 +548,10 @@ class TestVerify:
     def test_drifted_index_profile_fails_repro_verify(
         self, tmp_path, capsys
     ):
-        """A segment whose profile no longer matches a fresh
-        preparation — with the manifest checksum updated, so it still
-        loads — makes ``repro verify`` exit non-zero naming the id."""
+        """A catalog entry whose profile no longer matches a fresh
+        preparation still opens (and ranks by the drifted profile), and
+        makes ``repro verify`` exit non-zero naming exactly that id."""
         from repro.cli import main
-        from repro.repository.segments import _canonical_payload, read_segment
 
         path = str(tmp_path / "repo")
         with SchemaRepository(path) as repo:
@@ -661,25 +560,21 @@ class TestVerify:
         manifest_path = os.path.join(path, MANIFEST_FILE)
         with open(manifest_path) as handle:
             manifest = json.load(handle)
-        entry = manifest["index_segments"][0]
-        segment = read_segment(path, entry)
         victim = ids[1]
-        segment.profiles[victim] = dict(
-            segment.profiles[victim], drifted=1
-        )
-        blob = _canonical_payload(segment)
-        with open(os.path.join(path, entry["file"]), "wb") as handle:
-            handle.write(blob)
-        entry["checksum"] = hashlib.sha256(blob).hexdigest()
+        manifest["schemas"][victim]["profile"]["drifted"] = 1
         with open(manifest_path, "w") as handle:
             json.dump(manifest, handle)
         capsys.readouterr()
         assert main(["verify", "--repo", path]) == 1
-        problems = capsys.readouterr().err
-        assert victim in problems and "index profile" in problems
-        assert SchemaRepository.open(path).cache_info()[
-            "segment_fallbacks"
-        ] == 0  # the drifted segment loaded
+        problems = [
+            line for line in capsys.readouterr().err.splitlines()
+            if line.startswith("PROBLEM:")
+        ]
+        assert len(problems) == 1
+        assert victim in problems[0] and "index profile" in problems[0]
+        reopened = SchemaRepository.open(path)
+        assert reopened.cache_info()["index_rebuilds"] == 0
+        assert "drifted" in reopened._index._postings
 
     def test_artifact_not_hashing_to_its_id_fails_verify(self, tmp_path):
         """Ids are content-addressed: an artifact whose schema was
@@ -769,6 +664,11 @@ class TestTieredRepository:
 
     def test_fixture_carries_tiers_and_a_similarity_cache(self, tiered):
         assert os.path.exists(os.path.join(tiered, "simcache.json"))
+        # Its index profiles live in a segment file, not the catalog.
+        assert os.listdir(os.path.join(tiered, "index"))
+        with open(os.path.join(tiered, MANIFEST_FILE)) as handle:
+            catalog = json.load(handle)["schemas"]
+        assert not any("profile" in entry for entry in catalog.values())
         artifacts = os.listdir(os.path.join(tiered, SCHEMAS_DIR))
         assert len(artifacts) == 6
         for name in artifacts:
@@ -778,11 +678,34 @@ class TestTieredRepository:
             assert "vocabulary" in payload["artifacts"]
 
     def test_opens_and_verifies(self, tiered):
+        """The first open derives the catalog's missing profiles from
+        the artifacts (one index rebuild); after a save every entry
+        carries its profile, a reopen derives nothing, and the segment
+        files are neither read nor deleted."""
+        index_dir = os.path.join(tiered, "index")
+
+        def segment_files():
+            files = {}
+            for name in os.listdir(index_dir):
+                with open(os.path.join(index_dir, name), "rb") as handle:
+                    files[name] = handle.read()
+            return files
+
+        segments = segment_files()
         repo = SchemaRepository.open(tiered)
         assert len(repo) == 6
+        assert repo.cache_info()["index_rebuilds"] == 1
         for schema_id in repo.schema_ids():
             repo.verify(schema_id)
-        assert repo.cache_info()["index_rebuilds"] == 0
+        repo.save()
+        with open(os.path.join(tiered, MANIFEST_FILE)) as handle:
+            catalog = json.load(handle)["schemas"]
+        assert all("profile" in entry for entry in catalog.values())
+        reopened = SchemaRepository.open(tiered)
+        assert reopened.cache_info()["index_rebuilds"] == 0
+        for schema_id in reopened.schema_ids():
+            reopened.verify(schema_id)
+        assert segment_files() == segments
 
     def test_matches_a_fresh_ingest(self, tiered, tmp_path):
         """Same ids, scores and mappings as a repository that ingested
@@ -823,7 +746,6 @@ class TestTieredRepository:
             SchemaGenerator(seed=8).generate(name="extra", n_leaves=12)
         )
         repo.save()
-        repo.compact()
         with open(simcache, "rb") as handle:
             assert handle.read() == before
         assert os.stat(simcache).st_mtime_ns == before_mtime

@@ -4,10 +4,11 @@ Three layers under test. The :class:`MatchService` contract is that
 concurrency is invisible in the *results*: N threads hammering
 search/match get bit-identical answers to a serial run, and a
 repository search racing an ingest sees a consistent prefix of the
-corpus — never a torn index. The segment persistence contract is the
-acceptance criterion of this subsystem: a repository reopened from its
-index segments answers searches bit-identically to one whose index was
-rebuilt from artifact files. The HTTP layer is checked end to end over
+corpus — never a torn index. The persistence contract is the
+acceptance criterion of this subsystem: a repository whose index is
+rebuilt from the manifest catalog's profiles answers searches
+bit-identically to one whose profiles were re-derived from the
+artifact files. The HTTP layer is checked end to end over
 a real socket, including the error-taxonomy → status-code mapping.
 """
 
@@ -40,7 +41,6 @@ from repro.io.json_io import schema_to_dict, schema_to_json
 from repro.io.sql_ddl import parse_sql_ddl
 from repro.model.schema import Schema
 from repro.pipeline.session import MatchSession
-from repro.repository.segments import SEGMENTS_DIR
 from repro.serving import (
     Deadline,
     LatencyHistogram,
@@ -350,31 +350,16 @@ class TestMatchService:
         assert search["queue"]["min_ms"] >= stall * 1000.0
         assert search["max_ms"] < stall * 1000.0
 
-    def test_background_compaction_folds_segments(self, tmp_path):
-        repository = SchemaRepository(
-            str(tmp_path / "repo"),
-        )
-        repository.config = repository.config.replace(
-            segment_compaction_threshold=2
-        )
-        schemas = _corpus(6, size=6, seed=31)
-        with MatchService(repository) as service:
-            for schema in schemas:
-                service.ingest(schema)
-        # close() joins the compactor: the sequence must have folded
-        # below the pre-compaction segment-per-batch count.
-        reopened = SchemaRepository.open(str(tmp_path / "repo"))
-        assert reopened.segment_count() < len(schemas)
-        assert len(reopened) == len(schemas)
-
 
 class TestSegmentParity:
     def test_reopen_from_segments_is_bit_identical_to_rebuild(
         self, tmp_path
     ):
-        """Acceptance criterion: segments are a pure cache. A reopen
-        that replays them answers searches bit-identically to a reopen
-        that rebuilt the index from artifact files."""
+        """Acceptance criterion: the catalog's profiles are a pure
+        cache. A reopen that builds the index from them answers
+        searches bit-identically to a reopen that derived every profile
+        from the artifact files, as it does for a catalog an earlier
+        build wrote (its profiles lived in index segment files)."""
         schemas = _corpus(6, size=10, seed=43)
         queries = [_query_for(s, seed=47 + i) for i, s in
                    enumerate(schemas[:3])]
@@ -383,55 +368,30 @@ class TestSegmentParity:
             for i, schema in enumerate(schemas):
                 repository.ingest(schema)
                 if i % 2 == 1:
-                    repository.save()  # several segments on disk
-        from_segments = SchemaRepository.open(path)
-        assert from_segments.cache_info()["segments_loaded"] >= 2
-        assert from_segments.cache_info()["index_rebuilds"] == 0
-        segment_sigs = [
-            _search_signature(from_segments.search(q, k=3, candidates=4))
+                    repository.save()  # several publishes
+        from_catalog = SchemaRepository.open(path)
+        assert from_catalog.cache_info()["index_rebuilds"] == 0
+        assert from_catalog.cache_info()["artifact_loads"] == 0
+        catalog_sigs = [
+            _search_signature(from_catalog.search(q, k=3, candidates=4))
             for q in queries
         ]
-        # Destroy every segment: the next open must rebuild the index
-        # from the artifact files, the source of truth.
-        segment_dir = os.path.join(path, SEGMENTS_DIR)
-        for name in os.listdir(segment_dir):
-            os.remove(os.path.join(segment_dir, name))
+        # Strip every profile: the next open must derive them from
+        # the artifact files, the source of truth.
+        manifest_path = os.path.join(path, "repository.json")
+        with open(manifest_path) as handle:
+            manifest = json.load(handle)
+        for entry in manifest["schemas"].values():
+            del entry["profile"]
+        with open(manifest_path, "w") as handle:
+            json.dump(manifest, handle)
         rebuilt = SchemaRepository.open(path)
         assert rebuilt.cache_info()["index_rebuilds"] == 1
         rebuilt_sigs = [
             _search_signature(rebuilt.search(q, k=3, candidates=4))
             for q in queries
         ]
-        assert segment_sigs == rebuilt_sigs
-
-    def test_compaction_is_idempotent_and_preserves_results(
-        self, tmp_path
-    ):
-        schemas = _corpus(6, size=8, seed=53)
-        query = _query_for(schemas[4], seed=59)
-        path = str(tmp_path / "repo")
-        with SchemaRepository(path) as repository:
-            for schema in schemas:
-                repository.ingest(schema)
-                repository.save(auto_compact=False)
-            before = _search_signature(
-                repository.search(query, k=3, candidates=4)
-            )
-            assert repository.segment_count() == len(schemas)
-            assert repository.compact() == 1
-            files_once = sorted(
-                os.listdir(os.path.join(path, SEGMENTS_DIR))
-            )
-            assert len(files_once) == 1
-            assert repository.compact() == 1  # idempotent
-            assert sorted(
-                os.listdir(os.path.join(path, SEGMENTS_DIR))
-            ) == files_once
-        reopened = SchemaRepository.open(path)
-        assert reopened.cache_info()["index_rebuilds"] == 0
-        assert _search_signature(
-            reopened.search(query, k=3, candidates=4)
-        ) == before
+        assert catalog_sigs == rebuilt_sigs
 
 
 class TestSessionThreadSafety:
